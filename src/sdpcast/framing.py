@@ -65,12 +65,13 @@ class CapacityLimits:
     payload_per_uuid: int = PAYLOAD_OCTETS
 
     def __post_init__(self) -> None:
-        if not 1 <= self.max_outbound_slots <= MAX_CHUNKS:
+        slots, records = self.max_outbound_slots, self.max_inbound_records
+        if not (isinstance(slots, int) and 1 <= slots <= MAX_CHUNKS):
             raise ValueError(
-                f"max_outbound_slots must be 1..{MAX_CHUNKS}, got {self.max_outbound_slots}"
+                f"max_outbound_slots must be 1..{MAX_CHUNKS}, got {slots}"
             )
-        if self.max_inbound_records < 1:
-            raise ValueError("max_inbound_records must be positive")
+        if not (isinstance(records, int) and records >= 1):
+            raise ValueError(f"max_inbound_records must be a positive integer, got {records}")
         if self.payload_per_uuid != PAYLOAD_OCTETS:
             raise ValueError(f"payload_per_uuid is fixed at {PAYLOAD_OCTETS} by the UUID layout")
 
@@ -118,27 +119,36 @@ def frame(
     return uuids
 
 
+def raw_payloads(message: bytes) -> list[bytes]:
+    """The zero-padded 13-octet payloads of a raw-mode message, one per slot.
+
+    An empty message still takes one (all-zero) slot.
+    """
+    message = bytes(message)
+    segments = [message[i:i + PAYLOAD_OCTETS] for i in range(0, len(message), PAYLOAD_OCTETS)]
+    return [segment.ljust(PAYLOAD_OCTETS, b"\x00") for segment in segments or [b""]]
+
+
 def unframe(
     uuids: Iterable[str | PayloadUuid],
     codec: CodecConfig = DEFAULT_CONFIG,
 ) -> bytes:
-    """Reassemble a message from an unordered batch of UUID strings.
+    """Reassemble a message from unordered UUID strings, skipping non-payload records."""
+    return reassemble(raw_read(uuids, codec))
 
-    Non-payload records, unparsable strings and payloads without a plausible
-    chunk header are ignored; duplicates with identical bodies are accepted.
-    Raises ConflictingDuplicate, InconsistentTotals or IncompleteSet when the
-    surviving chunks do not form exactly one complete frame.
+
+def reassemble(payloads: Iterable[bytes]) -> bytes:
+    """Reassemble a message from an unordered batch of decoded 13-octet payloads.
+
+    Payloads without a plausible chunk header are ignored; duplicates with
+    identical bodies are accepted.  Raises ConflictingDuplicate,
+    InconsistentTotals or IncompleteSet when the surviving chunks do not
+    form exactly one complete frame.
     """
     chunks: dict[int, bytes] = {}
     conflicts: set[int] = set()
     totals: set[int] = set()
-    for u in uuids:
-        try:
-            payload = detect(u, codec)
-        except MalformedUuid:
-            continue
-        if payload is None:
-            continue
+    for payload in payloads:
         header = FrameHeader.unpack(payload[0])
         if not header.valid:
             continue

@@ -1,11 +1,13 @@
 """Aggregation of event logs into latency and bandwidth reports.
 
 Latency matches each MessageChanged to the first MessageReassembled that
-carries the same generation, per observer.  Bandwidth counts advertised
-octets per device and decoded octets per fetch against the 91/273 octet
-ceilings.  The decode totals are computed twice, once from PayloadDecoded
-events and once by re-detecting the records carried in UuidsFetched
-events, so a decoder that invents or drops octets cannot go unnoticed.
+carries the same generation, per observer.  A reassembly counts as delivered
+only when its bytes equal what the subject advertised for that generation:
+the message in framed mode, the zero-padded 13-octet payloads in raw mode.
+Any other bytes, such as a splice of two same-sized generations read across
+a change, count as misdelivered and get no latency.  Bandwidth counts
+advertised octets per device and decoded octets per fetch against the
+91/273 octet ceilings.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable
 
-from .codec import DEFAULT_CONFIG, detect
-from .errors import MalformedLog, MalformedUuid
-from .framing import DEFAULT_LIMITS, CapacityLimits
+from .errors import MalformedLog
+from .framing import DEFAULT_LIMITS, CapacityLimits, raw_payloads, raw_read
 from .sim import (
     DEVICE_FOUND,
     MESSAGE_CHANGED,
     MESSAGE_REASSEMBLED,
-    PAYLOAD_DECODED,
+    RAW,
     SCAN_STARTED,
     UUIDS_FETCHED,
     SimEvent,
@@ -59,6 +60,8 @@ class LatencyReport:
 
     An opportunity is one (message change, scanning observer) pair; the
     aggregate fraction counts opportunities delivered within threshold_s.
+    changes_misdelivered counts reassemblies whose bytes differ from what
+    the subject advertised for that generation; none of them is delivered.
     """
 
     pairs: tuple[PairLatency, ...]
@@ -66,6 +69,7 @@ class LatencyReport:
     changes_total: int
     changes_delivered: int
     changes_within_threshold: int
+    changes_misdelivered: int
 
     @property
     def fraction_within(self) -> float:
@@ -103,12 +107,6 @@ class BandwidthReport:
     fetches: tuple[FetchBandwidth, ...]
     outbound_ceiling: int
     inbound_ceiling: int
-    decoded_total_octets: int
-    fetched_payload_octets: int
-
-    @property
-    def conserved(self) -> bool:
-        return self.decoded_total_octets == self.fetched_payload_octets
 
 
 @dataclass(frozen=True)
@@ -137,6 +135,20 @@ def load_log(lines: Iterable[str]) -> list[SimEvent]:
     return events
 
 
+def _advertised(detail: dict) -> str | list[str]:
+    """What a MessageChanged promises a reader: the message hex, or the sorted raw payloads."""
+    if detail["mode"] == RAW:
+        return sorted(p.hex() for p in raw_payloads(bytes.fromhex(detail["message"])))
+    return detail["message"]
+
+
+def _delivered(detail: dict) -> str | list[str]:
+    """What a MessageReassembled carries, in the form `_advertised` returns."""
+    if detail["mode"] == RAW:
+        return sorted(detail["payloads"])
+    return detail["message"]
+
+
 def build_report(
     events: Iterable[SimEvent],
     threshold_s: float = DELIVERY_THRESHOLD_S,
@@ -144,12 +156,13 @@ def build_report(
 ) -> Report:
     """Aggregate a run's events; pure and deterministic for a given log."""
     scanners: set[str] = set()
-    change_t: dict[tuple[str, int], float] = {}
+    # (subject, generation) -> (change time, advertised content)
+    changes: dict[tuple[str, int], tuple[float, str | list[str]]] = {}
     latest_slots: dict[str, int] = {}
     first_found: dict[tuple[str, str], float] = {}
-    first_reassembly: dict[tuple[str, str, int], float] = {}
-    decoded_total = 0
-    fetched_payload = 0
+    # (observer, subject, generation) -> latency of the first exact delivery
+    first_delivery: dict[tuple[str, str, int], float] = {}
+    misdelivered = 0
     fetches: list[FetchBandwidth] = []
 
     for event in events:
@@ -157,73 +170,56 @@ def build_report(
             scanners.add(event.observer)
         elif event.kind == MESSAGE_CHANGED:
             generation = int(event.detail["generation"])
-            change_t[(event.subject, generation)] = event.t
+            changes[(event.subject, generation)] = (event.t, _advertised(event.detail))
             latest_slots[event.subject] = int(event.detail["slots"])
         elif event.kind == DEVICE_FOUND:
             first_found.setdefault((event.observer, event.subject), event.t)
         elif event.kind == UUIDS_FETCHED:
             records = event.detail["records"]
-            payload_octets = 0
-            payload_records = 0
-            for record in records:
-                try:
-                    payload = detect(record, DEFAULT_CONFIG)
-                except MalformedUuid:
-                    continue
-                if payload is not None:
-                    payload_records += 1
-                    payload_octets += len(payload)
-            fetched_payload += payload_octets
+            payloads = raw_read(records)
+            payload_octets = sum(len(p) for p in payloads)
             fetches.append(
                 FetchBandwidth(
                     t=event.t,
                     observer=event.observer,
                     subject=event.subject,
                     records=len(records),
-                    payload_records=payload_records,
+                    payload_records=len(payloads),
                     decoded_octets=payload_octets,
                     utilization=payload_octets / limits.inbound_ceiling,
                 )
             )
-        elif event.kind == PAYLOAD_DECODED:
-            decoded_total += len(bytes.fromhex(event.detail["payload"]))
         elif event.kind == MESSAGE_REASSEMBLED:
             generation = int(event.detail["generation"])
+            try:
+                changed_at, advertised = changes[(event.subject, generation)]
+            except KeyError:
+                raise MalformedLog(
+                    f"MessageReassembled references unknown generation {generation} "
+                    f"of {event.subject}"
+                ) from None
+            if _delivered(event.detail) != advertised:
+                misdelivered += 1
+                continue
             key = (event.observer, event.subject, generation)
-            first_reassembly.setdefault(key, event.t)
+            first_delivery.setdefault(key, event.t - changed_at)
 
-    pair_latencies: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for (observer, subject, generation), t in first_reassembly.items():
-        try:
-            changed_at = change_t[(subject, generation)]
-        except KeyError:
-            raise MalformedLog(
-                f"MessageReassembled references unknown generation {generation} of {subject}"
-            ) from None
-        pair_latencies.setdefault((observer, subject), []).append((generation, t - changed_at))
+    pair_latencies: dict[tuple[str, str], list[float]] = {}
+    for (observer, subject, _generation), latency in sorted(first_delivery.items()):
+        pair_latencies.setdefault((observer, subject), []).append(latency)
 
-    pair_keys = sorted(set(first_found) | set(pair_latencies))
-    pairs = []
-    for key in pair_keys:
-        by_generation = sorted(pair_latencies.get(key, []))
-        pairs.append(
-            PairLatency(
-                observer=key[0],
-                subject=key[1],
-                first_discovery_s=first_found.get(key),
-                latencies=tuple(latency for _, latency in by_generation),
-            )
+    pairs = tuple(
+        PairLatency(
+            observer=observer,
+            subject=subject,
+            first_discovery_s=first_found.get((observer, subject)),
+            latencies=tuple(pair_latencies.get((observer, subject), ())),
         )
+        for observer, subject in sorted(set(first_found) | set(pair_latencies))
+    )
 
-    changes_total = sum(
-        len(scanners - {subject}) for (subject, _generation) in change_t
-    )
-    changes_delivered = len(first_reassembly)
-    changes_within = sum(
-        1
-        for (observer, subject, generation), t in first_reassembly.items()
-        if t - change_t[(subject, generation)] <= threshold_s
-    )
+    changes_total = sum(len(scanners - {subject}) for (subject, _generation) in changes)
+    changes_within = sum(1 for latency in first_delivery.values() if latency <= threshold_s)
 
     devices = tuple(
         DeviceBandwidth(
@@ -237,19 +233,18 @@ def build_report(
 
     return Report(
         latency=LatencyReport(
-            pairs=tuple(pairs),
+            pairs=pairs,
             threshold_s=threshold_s,
             changes_total=changes_total,
-            changes_delivered=changes_delivered,
+            changes_delivered=len(first_delivery),
             changes_within_threshold=changes_within,
+            changes_misdelivered=misdelivered,
         ),
         bandwidth=BandwidthReport(
             devices=devices,
             fetches=tuple(fetches),
             outbound_ceiling=limits.outbound_ceiling,
             inbound_ceiling=limits.inbound_ceiling,
-            decoded_total_octets=decoded_total,
-            fetched_payload_octets=fetched_payload,
         ),
     )
 
@@ -273,7 +268,7 @@ def format_text(report: Report) -> str:
     out.append(
         f"  changes: {lat.changes_total} opportunities, {lat.changes_delivered} delivered, "
         f"{lat.changes_within_threshold} within {lat.threshold_s:.0f} s "
-        f"(fraction {lat.fraction_within:.2f})"
+        f"(fraction {lat.fraction_within:.2f}), {lat.changes_misdelivered} misdelivered"
     )
     out.append("bandwidth")
     if not bw.devices:
@@ -287,11 +282,6 @@ def format_text(report: Report) -> str:
     out.append(
         f"  fetches: {len(bw.fetches)}; max decoded {max_decoded} octets "
         f"(ceiling {bw.inbound_ceiling})"
-    )
-    out.append(
-        f"  conservation: decoded {bw.decoded_total_octets} octets, "
-        f"fetched {bw.fetched_payload_octets} octets "
-        f"({'ok' if bw.conserved else 'MISMATCH'})"
     )
     return "\n".join(out) + "\n"
 
@@ -321,6 +311,7 @@ def format_lines(report: Report) -> str:
             "within_threshold": lat.changes_within_threshold,
             "threshold_s": lat.threshold_s,
             "fraction": lat.fraction_within,
+            "misdelivered": lat.changes_misdelivered,
         }
     )
     for dev in bw.devices:
@@ -346,12 +337,4 @@ def format_lines(report: Report) -> str:
                 "utilization": fetch.utilization,
             }
         )
-    rows.append(
-        {
-            "metric": "conservation",
-            "decoded_octets": bw.decoded_total_octets,
-            "fetched_payload_octets": bw.fetched_payload_octets,
-            "conserved": bw.conserved,
-        }
-    )
     return "\n".join(json.dumps(row, separators=(",", ":")) for row in rows) + "\n"

@@ -19,20 +19,15 @@ from __future__ import annotations
 import copy
 import heapq
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .codec import DEFAULT_CONFIG, PayloadUuid, detect
-from .errors import (
-    InvalidScenario,
-    MalformedUuid,
-    MessageTooLong,
-    OutOfRange,
-    ReassemblyError,
-)
-from .framing import DEFAULT_LIMITS, CapacityLimits, frame, raw_read, raw_slot, unframe
+from .codec import PayloadUuid, encode
+from .errors import InvalidScenario, MessageTooLong, OutOfRange, ReassemblyError
+from .framing import DEFAULT_LIMITS, CapacityLimits, frame, raw_payloads, raw_read, reassemble
 
 RAW = "raw"
 FRAMED = "framed"
@@ -40,7 +35,6 @@ FRAMED = "framed"
 SCAN_STARTED = "ScanStarted"
 DEVICE_FOUND = "DeviceFound"
 UUIDS_FETCHED = "UuidsFetched"
-PAYLOAD_DECODED = "PayloadDecoded"
 MESSAGE_REASSEMBLED = "MessageReassembled"
 MESSAGE_CHANGED = "MessageChanged"
 
@@ -48,7 +42,6 @@ EVENT_KINDS = (
     SCAN_STARTED,
     DEVICE_FOUND,
     UUIDS_FETCHED,
-    PAYLOAD_DECODED,
     MESSAGE_REASSEMBLED,
     MESSAGE_CHANGED,
 )
@@ -56,6 +49,24 @@ EVENT_KINDS = (
 _MAC = re.compile(r"(?:[0-9a-f]{2}:){5}[0-9a-f]{2}")
 
 MAX_SEED = 2**64 - 1
+
+
+def _is_finite(value: Any) -> bool:
+    """True iff `value` is a finite number; False for NaN, infinities and non-numbers."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _position(value: Any, where: str) -> tuple[float, float]:
+    try:
+        x, y = value
+        if isinstance(value, (list, tuple)) and math.isfinite(x) and math.isfinite(y):
+            return (float(x), float(y))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidScenario(f"{where}: position must be [x, y] of finite numbers, got {value!r}")
 
 
 @dataclass
@@ -88,15 +99,18 @@ class Device:
             raise InvalidScenario(
                 f"device address must be MAC-style aa:bb:cc:dd:ee:ff, got {self.address!r}"
             )
-        self.position = (float(self.position[0]), float(self.position[1]))
-        if not 1.0 <= float(self.range_m) <= 100.0:
+        self.position = _position(self.position, f"device {self.address}")
+        if not (_is_finite(self.range_m) and 1.0 <= self.range_m <= 100.0):
             raise InvalidScenario(
-                f"device {self.address}: range_m must be within [1, 100], got {self.range_m}"
+                f"device {self.address}: range_m must be within [1, 100], got {self.range_m!r}"
             )
-        if self.scan_interval_s is not None and not float(self.scan_interval_s) > 0:
-            raise InvalidScenario(
-                f"device {self.address}: scan_interval_s must be positive or null"
-            )
+        self.range_m = float(self.range_m)
+        if self.scan_interval_s is not None:
+            if not (_is_finite(self.scan_interval_s) and self.scan_interval_s > 0):
+                raise InvalidScenario(
+                    f"device {self.address}: scan_interval_s must be positive and finite, or null"
+                )
+            self.scan_interval_s = float(self.scan_interval_s)
         if self.mode not in (RAW, FRAMED):
             raise InvalidScenario(
                 f"device {self.address}: mode must be {RAW!r} or {FRAMED!r}, got {self.mode!r}"
@@ -113,8 +127,9 @@ class TimingModel:
 
     def __post_init__(self) -> None:
         for name in ("inquiry_duration_s", "fetch_latency_fresh_s", "fetch_latency_cached_s"):
-            if not getattr(self, name) > 0:
-                raise InvalidScenario(f"timing: {name} must be positive")
+            value = getattr(self, name)
+            if not (_is_finite(value) and value > 0):
+                raise InvalidScenario(f"timing: {name} must be positive and finite, got {value!r}")
         if not self.fetch_latency_cached_s < self.fetch_latency_fresh_s:
             raise InvalidScenario(
                 "timing: fetch_latency_cached_s must be smaller than fetch_latency_fresh_s"
@@ -139,6 +154,11 @@ class Mutation:
     discoverable: bool | None = None
 
     def __post_init__(self) -> None:
+        if not _is_finite(self.t):
+            raise InvalidScenario(f"schedule: t must be a finite number, got {self.t!r}")
+        object.__setattr__(self, "t", float(self.t))
+        if self.position is not None:
+            object.__setattr__(self, "position", _position(self.position, "schedule"))
         if self.action not in _ACTIONS:
             raise InvalidScenario(
                 f"schedule: unknown action {self.action!r}, expected one of {_ACTIONS}"
@@ -209,9 +229,12 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        if not self.duration_s > 0:
-            raise InvalidScenario(f"duration_s must be positive, got {self.duration_s}")
-        if not 0 <= self.seed <= MAX_SEED:
+        if not (_is_finite(self.duration_s) and self.duration_s > 0):
+            raise InvalidScenario(
+                f"duration_s must be positive and finite, got {self.duration_s!r}"
+            )
+        self.duration_s = float(self.duration_s)
+        if not (isinstance(self.seed, int) and 0 <= self.seed <= MAX_SEED):
             raise InvalidScenario(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         seen: set[str] = set()
         for dev in self.devices:
@@ -257,8 +280,7 @@ def advertise(
             raise MessageTooLong(
                 f"message is {len(message)} octets, raw capacity is {limits.outbound_ceiling}"
             )
-        segments = [message[i:i + 13] for i in range(0, len(message), 13)] or [b""]
-        slots = [raw_slot(segment) for segment in segments]
+        slots = [encode(payload) for payload in raw_payloads(message)]
     else:
         raise InvalidScenario(f"mode must be {RAW!r} or {FRAMED!r}, got {mode!r}")
     table.payload_slots = slots
@@ -423,35 +445,21 @@ class _Runner:
             subject,
             {"round": rnd, "cached": cached, "delay": latency, "records": records},
         )
-        for record in records:
-            try:
-                payload = detect(record, DEFAULT_CONFIG)
-            except MalformedUuid:
-                continue
-            if payload is not None:
-                self._emit(
-                    t,
-                    PAYLOAD_DECODED,
-                    observer,
-                    subject,
-                    {"uuid": record, "payload": payload.hex()},
-                )
-        self._reassemble(t, observer, subject, records, subj)
+        self._reassemble(t, observer, subject, raw_read(records), subj)
 
     def _reassemble(
-        self, t: float, observer: str, subject: str, records: list[str], subj: Device
+        self, t: float, observer: str, subject: str, payloads: list[bytes], subj: Device
     ) -> None:
         table = subj.table
         if not table.payload_slots:
             return
         if table.mode == FRAMED:
             try:
-                message = unframe(records)
+                message = reassemble(payloads)
             except ReassemblyError:
                 return  # torn or truncated snapshot; a later fetch will retry
             detail = {"generation": table.generation, "mode": FRAMED, "message": message.hex()}
         else:
-            payloads = raw_read(records)
             if not payloads:
                 return
             detail = {
@@ -511,6 +519,10 @@ def scenario_from_json(text: str) -> Scenario:
     _reject_unknown(obj, _SCENARIO_KEYS, "scenario")
     if "devices" not in obj or "duration_s" not in obj:
         raise InvalidScenario("scenario must declare 'devices' and 'duration_s'")
+    if not (isinstance(obj["devices"], list) and isinstance(obj.get("schedule", []), list)):
+        raise InvalidScenario("scenario: devices and schedule must be JSON arrays")
+    if not (isinstance(obj.get("timing", {}), dict) and isinstance(obj.get("limits", {}), dict)):
+        raise InvalidScenario("scenario: timing and limits must be JSON objects")
 
     timing_obj = obj.get("timing", {})
     _reject_unknown(timing_obj, _TIMING_KEYS, "timing")
@@ -530,22 +542,15 @@ def scenario_from_json(text: str) -> Scenario:
         _reject_unknown(dev_obj, _DEVICE_KEYS, where)
         if "address" not in dev_obj:
             raise InvalidScenario(f"{where}: missing 'address'")
-        position = dev_obj.get("position", [0.0, 0.0])
-        if not (isinstance(position, (list, tuple)) and len(position) == 2):
-            raise InvalidScenario(f"{where}: position must be [x, y]")
         wellknown = dev_obj.get("wellknown_records", [])
         if not isinstance(wellknown, list):
             raise InvalidScenario(f"{where}: wellknown_records must be a list")
         devices.append(
             Device(
                 address=dev_obj["address"],
-                position=(position[0], position[1]),
-                range_m=float(dev_obj.get("range_m", 10.0)),
-                scan_interval_s=(
-                    None
-                    if dev_obj.get("scan_interval_s", 30.0) is None
-                    else float(dev_obj.get("scan_interval_s", 30.0))
-                ),
+                position=dev_obj.get("position", [0.0, 0.0]),
+                range_m=dev_obj.get("range_m", 10.0),
+                scan_interval_s=dev_obj.get("scan_interval_s", 30.0),
                 discoverable=bool(dev_obj.get("discoverable", True)),
                 message=_hex_or_none(dev_obj.get("message"), where),
                 mode=dev_obj.get("mode", FRAMED),
@@ -562,15 +567,14 @@ def scenario_from_json(text: str) -> Scenario:
         for key in ("t", "device", "action"):
             if key not in mut_obj:
                 raise InvalidScenario(f"{where}: missing {key!r}")
-        position = mut_obj.get("position")
         schedule.append(
             Mutation(
-                t=float(mut_obj["t"]),
+                t=mut_obj["t"],
                 device=str(mut_obj["device"]).lower(),
                 action=mut_obj["action"],
                 message=_hex_or_none(mut_obj.get("message"), where),
                 mode=mut_obj.get("mode"),
-                position=None if position is None else (float(position[0]), float(position[1])),
+                position=mut_obj.get("position"),
                 discoverable=mut_obj.get("discoverable"),
             )
         )
@@ -579,8 +583,8 @@ def scenario_from_json(text: str) -> Scenario:
         devices=devices,
         timing=timing,
         limits=limits,
-        duration_s=float(obj["duration_s"]),
-        seed=int(obj.get("seed", 0)),
+        duration_s=obj["duration_s"],
+        seed=obj.get("seed", 0),
         schedule=schedule,
         torn_read_mode=bool(obj.get("torn_read_mode", False)),
         name=str(obj.get("name", "")),

@@ -111,7 +111,9 @@ def test_simulate_and_report_pipeline(tmp_path, capsys):
 
     assert main(["report", str(log), "--format", "lines"]) == 0
     rows = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
-    assert any(row["metric"] == "conservation" for row in rows)
+    (changes,) = [row for row in rows if row["metric"] == "changes"]
+    assert changes["delivered"] == 5
+    assert changes["misdelivered"] == 0
 
 
 def test_simulate_seed_changes_log(tmp_path):

@@ -9,12 +9,15 @@ from sdpcast import (
     Device,
     MalformedLog,
     Scenario,
+    SimEvent,
     build_report,
     format_lines,
     format_text,
+    frame,
     load_log,
     run,
     scenario_gen,
+    unframe,
 )
 
 A = "aa:00:00:00:00:01"
@@ -32,7 +35,7 @@ def test_empty_log_empty_report():
     assert report.latency.fraction_within == 1.0
     assert report.bandwidth.devices == ()
     assert report.bandwidth.fetches == ()
-    assert report.bandwidth.conserved
+    assert report.latency.changes_misdelivered == 0
 
 
 def test_two_device_fraction_is_one():
@@ -72,6 +75,8 @@ def test_raw_seven_slot_advertiser_bandwidth():
     for fetch in report.bandwidth.fetches:
         assert fetch.payload_records == 7
         assert fetch.decoded_octets == 91
+    assert report.latency.changes_delivered == 1
+    assert report.latency.changes_misdelivered == 0
     reassembled = [e for e in run(sc, seed=4) if e.kind == "MessageReassembled"]
     assert reassembled
     payloads = reassembled[0].detail["payloads"]
@@ -87,11 +92,57 @@ def test_ceilings_respected_on_crowd():
         assert fetch.records <= 21
 
 
-def test_conservation_on_builtins():
+def test_delivered_bytes_match_advertised_on_builtins():
     for name in ("two-device-default", "crowd-20", "torn-read"):
         report = build_report(run(scenario_gen(name), seed=6))
-        assert report.bandwidth.conserved
-        assert report.bandwidth.decoded_total_octets > 0
+        assert report.latency.changes_misdelivered == 0
+        assert report.latency.changes_delivered > 0
+
+
+def test_spliced_reassembly_is_misdelivered():
+    # Two 7-chunk generations: a snapshot torn between them reassembles
+    # without error into bytes that neither generation advertised.
+    old, new = b"o" * 80, b"n" * 80
+    old_chunks, new_chunks = frame(old), frame(new)
+    assert len(old_chunks) == len(new_chunks) == 7
+    splice = unframe(old_chunks[:3] + new_chunks[3:])
+    assert splice not in (old, new)
+
+    def changed(t, generation, message):
+        detail = {"generation": generation, "mode": "framed", "slots": 7, "message": message.hex()}
+        return SimEvent(t, "MessageChanged", A, A, detail)
+
+    def reassembled(t, message):
+        detail = {"generation": 2, "mode": "framed", "message": message.hex()}
+        return SimEvent(t, "MessageReassembled", B, A, detail)
+
+    log = [
+        SimEvent(0.0, "ScanStarted", B, B, {"round": 0}),
+        changed(0.0, 1, old),
+        SimEvent(5.0, "DeviceFound", B, A, {"round": 0}),
+        changed(10.0, 2, new),
+        reassembled(12.0, splice),
+        reassembled(40.0, new),
+    ]
+    lat = build_report(log).latency
+    assert lat.changes_misdelivered == 1
+    assert lat.changes_delivered == 1
+    assert [pair.latencies for pair in lat.pairs] == [(30.0,)]
+
+    lat = build_report(log[:-1]).latency
+    assert lat.changes_misdelivered == 1
+    assert lat.changes_delivered == 0
+    assert lat.changes_within_threshold == 0
+    assert [pair.latencies for pair in lat.pairs] == [()]
+
+
+def test_raw_torn_read_is_misdelivered():
+    sc = scenario_gen("torn-read")
+    sc.devices[0].mode = RAW
+    for seed in range(4):
+        lat = build_report(run(sc, seed=seed)).latency
+        assert lat.changes_misdelivered == 1
+        assert lat.changes_delivered == 2
 
 
 def test_out_of_range_zero_deliveries():
@@ -130,11 +181,13 @@ def test_load_log_reports_line_numbers():
 
 
 def test_load_log_rejects_unknown_kind():
-    line = json.dumps(
-        {"t": 0.0, "kind": "Mystery", "observer": A, "subject": A, "detail": {}}
-    )
-    with pytest.raises(MalformedLog, match="line 1"):
-        load_log([line])
+    # PayloadDecoded was a kind of older logs; it is derivable from UuidsFetched.
+    for kind in ("Mystery", "PayloadDecoded"):
+        line = json.dumps(
+            {"t": 0.0, "kind": kind, "observer": A, "subject": A, "detail": {}}
+        )
+        with pytest.raises(MalformedLog, match="line 1"):
+            load_log([line])
 
 
 def test_load_log_rejects_missing_fields():
@@ -171,7 +224,7 @@ def test_format_text_smoke():
     assert "latency" in text
     assert "bandwidth" in text
     assert "fraction 1.00" in text
-    assert "(ok)" in text
+    assert "0 misdelivered" in text
 
 
 def test_format_text_empty():
@@ -184,8 +237,7 @@ def test_format_lines_parses_and_covers_metrics():
     out = format_lines(build_report(_two_device_log()))
     rows = [json.loads(line) for line in out.strip().split("\n")]
     metrics = {row["metric"] for row in rows}
-    assert metrics == {"pair", "changes", "device", "fetch", "conservation"}
+    assert metrics == {"pair", "changes", "device", "fetch"}
     (changes,) = [r for r in rows if r["metric"] == "changes"]
     assert changes["fraction"] == 1.0
-    (conservation,) = [r for r in rows if r["metric"] == "conservation"]
-    assert conservation["conserved"] is True
+    assert changes["misdelivered"] == 0

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sdpcast import (
+    BUILTIN_SCENARIOS,
     FRAMED,
     RAW,
     AdvertisementTable,
@@ -14,15 +15,18 @@ from sdpcast import (
     MessageTooLong,
     Mutation,
     OutOfRange,
+    ReassemblyError,
     Scenario,
     TimingModel,
     advertise,
     fetch_snapshot,
     in_range,
+    raw_read,
     run,
     scenario_from_json,
     scenario_gen,
     scenario_to_json,
+    unframe,
 )
 
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
@@ -380,6 +384,43 @@ def test_torn_read_scenario_tears_every_seed():
         assert set(messages[1:]) == {new}
 
 
+def test_fetched_records_decode_to_the_following_reassembly():
+    # Oracle for the decode-once fetch path: the public unframe / raw_read of
+    # each fetch's records gives exactly the bytes of the MessageReassembled
+    # emitted with it, and unframe raises exactly when none is emitted.
+    raw_torn = scenario_gen("torn-read")
+    raw_torn.devices[0].mode = RAW
+    scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [raw_torn]
+    for sc in scenarios:
+        for seed in (0, 1, 2, 42):
+            log = run(sc, seed=seed)
+            mode = {}
+            for event, following in zip(log, log[1:] + [None]):
+                if event.kind == "MessageChanged":
+                    mode[event.subject] = event.detail["mode"]
+                if event.kind != "UuidsFetched":
+                    continue
+                records = event.detail["records"]
+                reassembled = (
+                    following is not None
+                    and following.kind == "MessageReassembled"
+                    and (following.t, following.observer, following.subject)
+                    == (event.t, event.observer, event.subject)
+                )
+                if mode[event.subject] == RAW:
+                    payloads = sorted(p.hex() for p in raw_read(records))
+                    assert reassembled == bool(payloads)
+                    assert not reassembled or following.detail["payloads"] == payloads
+                    continue
+                try:
+                    message = unframe(records)
+                except ReassemblyError:
+                    assert not reassembled
+                    continue
+                assert reassembled
+                assert following.detail["message"] == message.hex()
+
+
 # -- scenario validation and serialization ------------------------------------
 
 
@@ -399,6 +440,17 @@ def test_scenario_rejects_unknown_keys():
         lambda o: o["limits"].update(extra=1),
         lambda o: o["devices"][0].update(altitude=3.0),
         lambda o: o["schedule"][0].update(reason="because"),
+        # malformed values, which must not escape as other exceptions
+        lambda o: o["devices"][0].update(position=["a", 0.0]),
+        lambda o: o["devices"][0].update(range_m="a"),
+        lambda o: o.update(seed="a"),
+        lambda o: o["schedule"][0].update(t="a"),
+        lambda o: o.update(devices=5),
+        lambda o: o.update(timing=[]),
+        lambda o: o.update(duration_s=float("inf")),
+        lambda o: o["devices"][0].update(position=[float("nan"), 0.0]),
+        lambda o: o["schedule"][0].update(action="set_position", position=[0.0, float("inf")]),
+        lambda o: o["limits"].update(max_inbound_records=float("inf")),
     ):
         obj = json.loads(json.dumps(base))
         mangle(obj)
