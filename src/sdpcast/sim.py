@@ -23,7 +23,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NoReturn
 
 from .codec import PayloadUuid, encode
 from .errors import InvalidScenario, MessageTooLong, OutOfRange, ReassemblyError
@@ -170,6 +170,10 @@ class Mutation:
         }
         if not needed[self.action]:
             raise InvalidScenario(f"schedule: action {self.action!r} is missing its value field")
+        if self.mode not in (None, RAW, FRAMED):
+            raise InvalidScenario(
+                f"schedule: mode must be {RAW!r}, {FRAMED!r} or null, got {self.mode!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -248,6 +252,38 @@ class Scenario:
                 )
             if mut.device not in seen:
                 raise InvalidScenario(f"schedule[{i}]: unknown device {mut.device!r}")
+        self._check_capacity()
+
+    def _check_capacity(self) -> None:
+        """Reject any message that `advertise` would refuse during the run.
+
+        A `set_message` without a mode keeps the device's current one, so the
+        schedule is walked in the order the run applies it: by time, then index.
+        """
+        capacity = {FRAMED: self.limits.framed_capacity, RAW: self.limits.outbound_ceiling}
+        mode: dict[str, str] = {}
+        for dev in self.devices:
+            if dev.message is None:  # never advertised at t=0: the table's mode stays
+                mode[dev.address] = dev.table.mode
+            else:
+                mode[dev.address] = dev.mode
+                if len(dev.message) > capacity.get(dev.mode, -1):
+                    _reject_message(f"device {dev.address}", dev.message, dev.mode, capacity)
+        changes = sorted(
+            (m.t, i, m) for i, m in enumerate(self.schedule) if m.action == "set_message"
+        )
+        for _, i, mut in changes:
+            current = mode[mut.device] = mut.mode or mode[mut.device]
+            if len(mut.message) > capacity.get(current, -1):
+                _reject_message(f"schedule[{i}]", mut.message, current, capacity)
+
+
+def _reject_message(where: str, message: bytes, mode: str, capacity: dict[str, int]) -> NoReturn:
+    if mode not in capacity:
+        raise InvalidScenario(f"{where}: mode must be {RAW!r} or {FRAMED!r}, got {mode!r}")
+    raise InvalidScenario(
+        f"{where}: message is {len(message)} octets, {mode} capacity is {capacity[mode]}"
+    )
 
 
 def in_range(a: Device, b: Device) -> bool:
@@ -346,6 +382,16 @@ class _Runner:
         self.sc = sc
         self.rng = random.Random(sc.seed)
         self.devices = {d.address: d for d in sc.devices}
+        # Uniform grid hash over positions (Teschner et al., VMV 2003). Any
+        # pair in range lies in the same or an adjacent cell, so a scan only
+        # looks at its 3x3 neighbourhood. Cells are twice the largest range,
+        # not equal to it: with a 1x cell, float rounding can put a pair
+        # exactly at range two cells apart.
+        self.cell_size = 2.0 * max((d.range_m for d in sc.devices), default=1.0)
+        self.cell_of: dict[str, tuple[int, int]] = {}
+        self.grid: dict[tuple[int, int], list[str]] = {}
+        for dev in sc.devices:
+            self._place(dev)
         self.events: list[SimEvent] = []
         self.fetched: set[tuple[str, str]] = set()
         # address -> (payload slots before the latest change, change time)
@@ -394,10 +440,34 @@ class _Runner:
             },
         )
 
+    def _place(self, dev: Device) -> None:
+        """File `dev` under the grid cell of its position, moving it if the cell changed."""
+        x, y = dev.position
+        # integer keys: far from the origin a float cell index plus one rounds back to itself
+        cell = (int(x // self.cell_size), int(y // self.cell_size))
+        old = self.cell_of.get(dev.address)
+        if cell == old:
+            return
+        if old is not None:
+            self.grid[old].remove(dev.address)
+        self.grid.setdefault(cell, []).append(dev.address)
+        self.cell_of[dev.address] = cell
+
+    def _candidates(self, dev: Device) -> list[str]:
+        """Sorted addresses in the 3x3 cells around `dev`: a superset of those in range."""
+        cx, cy = self.cell_of[dev.address]
+        grid = self.grid
+        found: list[str] = []
+        for x in (cx - 1, cx, cx + 1):
+            for y in (cy - 1, cy, cy + 1):
+                found += grid.get((x, y), ())
+        found.sort()
+        return found
+
     def _on_scan(self, t: float, address: str, rnd: int) -> None:
         dev = self.devices[address]
         self._emit(t, SCAN_STARTED, address, address, {"round": rnd})
-        for subject in sorted(self.devices):
+        for subject in self._candidates(dev):
             if subject == address:
                 continue
             if in_range(dev, self.devices[subject]):
@@ -475,6 +545,7 @@ class _Runner:
             self._advertise(dev, mut.message, mut.mode or dev.table.mode, t)
         elif mut.action == "set_position":
             dev.position = (float(mut.position[0]), float(mut.position[1]))
+            self._place(dev)
         elif mut.action == "set_discoverable":
             dev.discoverable = bool(mut.discoverable)
 

@@ -1,9 +1,13 @@
 """Simulator unit, oracle, and property tests."""
 
+import copy
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdpcast import (
     BUILTIN_SCENARIOS,
@@ -28,6 +32,7 @@ from sdpcast import (
     scenario_to_json,
     unframe,
 )
+from sdpcast.sim import _Runner
 
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 
@@ -421,6 +426,132 @@ def test_fetched_records_decode_to_the_following_reassembly():
                 assert following.detail["message"] == message.hex()
 
 
+# -- spatial index ------------------------------------------------------------
+
+
+class _BruteForceRunner(_Runner):
+    """The all-pairs scan the grid replaces: every address, in sorted order."""
+
+    def _candidates(self, dev):
+        return sorted(self.devices)
+
+
+def _grid_and_brute_force_logs(sc, seed):
+    grid = [e.to_json() for e in run(sc, seed=seed)]
+    oracle_sc = copy.deepcopy(sc)
+    oracle_sc.seed = seed
+    brute = [e.to_json() for e in _BruteForceRunner(oracle_sc).execute()]
+    return grid, brute
+
+
+_RANGES = (1.0, 2.5, 7.3, 10.0, 33.3, 100.0)
+
+
+@st.composite
+def _grid_scenarios(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    ranges = draw(st.lists(st.sampled_from(_RANGES), min_size=n, max_size=n))
+    cell = 2.0 * max(ranges)
+    placed = []
+
+    def on_cell_line():
+        # a multiple of half the cell size (the largest range), on either side
+        # of the origin, or one float step off it: where rounding can put a
+        # pair at range two cells apart if the cells are too small
+        value = draw(st.integers(min_value=-8, max_value=8)) * (cell / 2)
+        step = draw(st.sampled_from((None, -math.inf, math.inf)))
+        return value if step is None else math.nextafter(value, step)
+
+    def position(range_m):
+        kind = draw(st.sampled_from(("uniform", "cell", "at_range")))
+        if kind == "cell" or not placed:
+            return (on_cell_line(), on_cell_line())
+        if kind == "at_range":
+            # on the edge of a placed device's disc: exactly the smaller
+            # range away, along one axis
+            (px, py), placed_range = draw(st.sampled_from(placed))
+            r = min(placed_range, range_m)
+            dx, dy = draw(st.sampled_from(((r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r))))
+            return (px + dx, py + dy)
+        span = 3.0 * cell
+        return tuple(draw(st.floats(min_value=-span, max_value=span)) for _ in "xy")
+
+    devices = []
+    for k, range_m in enumerate(ranges):
+        pos = position(range_m)
+        placed.append((pos, range_m))
+        devices.append(
+            Device(
+                address=f"aa:00:00:00:00:{k:02x}",
+                position=pos,
+                range_m=range_m,
+                scan_interval_s=draw(st.sampled_from((None, 7.0, 30.0))),
+                discoverable=draw(st.booleans()),
+                message=draw(st.binary(max_size=20)),
+            )
+        )
+    duration = 70.0
+    schedule = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        t = draw(st.floats(min_value=0.0, max_value=duration))
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        device = f"aa:00:00:00:00:{k:02x}"
+        if draw(st.booleans()):
+            pos = position(ranges[k])
+            schedule.append(Mutation(t=t, device=device, action="set_position", position=pos))
+        else:
+            flag = draw(st.booleans())
+            schedule.append(
+                Mutation(t=t, device=device, action="set_discoverable", discoverable=flag)
+            )
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return Scenario(devices=devices, duration_s=duration, schedule=schedule, seed=seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_grid_scenarios())
+@example(
+    # exactly in range, yet two cells apart if cells were one range wide
+    Scenario(
+        devices=[
+            _device(A, position=(-5e-324, 0.0), message=b"a"),
+            _device(B, position=(10.0, 0.0), message=b"b"),
+        ],
+        duration_s=30.0,
+    )
+)
+def test_grid_scan_matches_brute_force_property(sc):
+    grid, brute = _grid_and_brute_force_logs(sc, sc.seed)
+    assert grid == brute
+
+
+def test_grid_scan_matches_brute_force_on_builtins():
+    for name in sorted(BUILTIN_SCENARIOS):
+        for seed in (0, 1, 42):
+            grid, brute = _grid_and_brute_force_logs(scenario_gen(name), seed)
+            assert grid == brute, (name, seed)
+
+
+def test_set_position_moves_device_between_grid_cells():
+    # B starts 500 m away, many cells from A; it moves next to A before A's
+    # second scan and away again before the third.
+    sc = Scenario(
+        devices=[
+            _device(A, position=(0.0, 0.0), message=b"scanner"),
+            _device(B, position=(500.0, 0.0), scan_interval_s=None, message=b"mover"),
+        ],
+        duration_s=80.0,
+        schedule=[
+            Mutation(t=10.0, device=B, action="set_position", position=(5.0, 0.0)),
+            Mutation(t=50.0, device=B, action="set_position", position=(500.0, 0.0)),
+        ],
+    )
+    for seed in (0, 1, 2):
+        log = run(sc, seed=seed)
+        rounds = [e.detail["round"] for e in log if e.kind == "DeviceFound"]
+        assert rounds == [1]
+
+
 # -- scenario validation and serialization ------------------------------------
 
 
@@ -451,6 +582,9 @@ def test_scenario_rejects_unknown_keys():
         lambda o: o["devices"][0].update(position=[float("nan"), 0.0]),
         lambda o: o["schedule"][0].update(action="set_position", position=[0.0, float("inf")]),
         lambda o: o["limits"].update(max_inbound_records=float("inf")),
+        # messages that do not fit, or a mode that does not exist, fail at load
+        lambda o: o["limits"].update(max_outbound_slots=1),
+        lambda o: o["schedule"][0].update(mode="bogus"),
     ):
         obj = json.loads(json.dumps(base))
         mangle(obj)
@@ -512,6 +646,35 @@ def test_scenario_rejects_bad_schedule():
             duration_s=10.0,
             schedule=[Mutation(t=1.0, device=B, action="set_message", message=b"x")],
         )
+
+
+def test_scenario_checks_capacity_in_the_mode_each_message_is_sent_in():
+    long_raw = b"x" * 90  # fits raw (91), not framed (82)
+
+    def scenario(t_raw, t_long):
+        return Scenario(
+            devices=[_device(A, message=b"m")],
+            duration_s=100.0,
+            schedule=[
+                Mutation(t=t_long, device=A, action="set_message", message=long_raw),
+                Mutation(t=t_raw, device=A, action="set_message", message=b"r", mode=RAW),
+            ],
+        )
+
+    # the mode switch to raw comes first, so the long message is sent raw
+    log = run(scenario(t_raw=10.0, t_long=20.0))
+    last = [e.detail for e in log if e.kind == "MessageChanged"][-1]
+    assert (last["mode"], last["message"]) == (RAW, long_raw.hex())
+    with pytest.raises(InvalidScenario):
+        scenario(t_raw=20.0, t_long=10.0)
+    with pytest.raises(InvalidScenario):
+        scenario(t_raw=10.0, t_long=10.0)  # same time: schedule order decides
+    with pytest.raises(InvalidScenario):
+        Scenario(devices=[_device(A, message=b"x" * 83)], duration_s=10.0)
+    with pytest.raises(InvalidScenario):
+        Scenario(devices=[_device(A, message=b"x" * 92, mode=RAW)], duration_s=10.0)
+    with pytest.raises(InvalidScenario):
+        Mutation(t=1.0, device=A, action="set_message", message=b"x", mode="bogus")
 
 
 def test_scenario_rejects_bad_message_hex():
