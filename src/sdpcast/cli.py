@@ -16,8 +16,8 @@ from .codec import CodecConfig, decode, encode, printable_text
 from .errors import IncompleteSet, SdpcastError
 from .framing import frame, unframe
 from .report import build_report, format_lines, format_text, load_log
-from .scenarios import BUILTIN_SCENARIOS, scenario_gen
-from .sim import load_scenario, run, scenario_to_json
+from .scenarios import BUILTIN_SCENARIOS, load_scenario, scenario_gen, scenario_to_json
+from .sim import run
 
 
 def _codec_config(args: argparse.Namespace) -> CodecConfig:

@@ -56,6 +56,10 @@ class FrameHeader(NamedTuple):
         return self.total >= 1 and 0 <= self.index < self.total
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CapacityLimits:
     """Slot and record budgets observed on the measured Android stack."""
@@ -66,11 +70,11 @@ class CapacityLimits:
 
     def __post_init__(self) -> None:
         slots, records = self.max_outbound_slots, self.max_inbound_records
-        if not (isinstance(slots, int) and 1 <= slots <= MAX_CHUNKS):
+        if not (_is_int(slots) and 1 <= slots <= MAX_CHUNKS):
             raise ValueError(
                 f"max_outbound_slots must be 1..{MAX_CHUNKS}, got {slots}"
             )
-        if not (isinstance(records, int) and records >= 1):
+        if not (_is_int(records) and records >= 1):
             raise ValueError(f"max_inbound_records must be a positive integer, got {records}")
         if self.payload_per_uuid != PAYLOAD_OCTETS:
             raise ValueError(f"payload_per_uuid is fixed at {PAYLOAD_OCTETS} by the UUID layout")

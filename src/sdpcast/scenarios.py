@@ -1,4 +1,9 @@
-"""Built-in scenarios, committed as frozen fixtures.
+"""Scenario files and the built-in scenarios, committed as frozen fixtures.
+
+A scenario file is the JSON form of the scenario dataclasses: one key per
+constructor field, derived from the fields themselves, so the file format
+and the classes cannot drift apart. Every check on a value lives in the
+dataclasses, so a file and a scenario built in Python meet the same rules.
 
 Each builder returns a fully specified Scenario whose JSON form is
 byte-for-byte reproducible, so downstream numbers cannot drift silently.
@@ -7,8 +12,13 @@ Coordinates are literals, not runtime trigonometry, for the same reason.
 
 from __future__ import annotations
 
-from .errors import UnknownScenario
-from .sim import FRAMED, AdvertisementTable, Device, Mutation, Scenario, TimingModel
+import json
+from dataclasses import MISSING, fields
+from typing import Any
+
+from .errors import InvalidScenario, UnknownScenario
+from .framing import CapacityLimits
+from .sim import FRAMED, Device, Mutation, Scenario, TimingModel
 
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 
@@ -101,7 +111,7 @@ def crowd_20() -> Scenario:
             scan_interval_s=30.0,
             message=f"crowd member {k:02d} says hi".encode(),
             mode=FRAMED,
-            table=AdvertisementTable(wellknown_records=[WELLKNOWN_SPP]),
+            wellknown_records=(WELLKNOWN_SPP,),
         )
         for k in range(20)
     ]
@@ -168,3 +178,96 @@ def scenario_gen(name: str) -> Scenario:
         known = ", ".join(sorted(BUILTIN_SCENARIOS))
         raise UnknownScenario(f"unknown scenario {name!r}; built-ins are: {known}") from None
     return builder()
+
+
+# -- scenario files -----------------------------------------------------------
+
+# Fields whose JSON form is not the value itself: an object of a class, a
+# list of objects of a class, or a hex string. Tuples are written as lists.
+# A field name means the same in every class that has it.
+_NESTED: dict[str, Any] = {
+    "timing": TimingModel,
+    "limits": CapacityLimits,
+    "devices": [Device],
+    "schedule": [Mutation],
+    "message": bytes,
+}
+_CLASSES = (Scenario, Device, Mutation, TimingModel, CapacityLimits)
+_KEYS = {cls: frozenset(f.name for f in fields(cls) if f.init) for cls in _CLASSES}
+_REQUIRED = {
+    cls: frozenset(
+        f.name
+        for f in fields(cls)
+        if f.init and f.default is MISSING and f.default_factory is MISSING
+    )
+    for cls in _CLASSES
+}
+
+
+def _dump(obj: Any) -> dict[str, Any]:
+    out = {name: getattr(obj, name) for name in _KEYS[type(obj)]}
+    for name, kind in _NESTED.items():
+        if name not in out:
+            continue
+        value = out[name]
+        if kind is bytes:
+            out[name] = None if value is None else value.hex()
+        elif isinstance(kind, list):
+            out[name] = [_dump(item) for item in value]
+        else:
+            out[name] = _dump(value)
+    return out
+
+
+def _load(cls: type, obj: Any, where: str) -> Any:
+    """Build `cls` from a parsed JSON object, converting its nested fields in place."""
+    if not isinstance(obj, dict):
+        raise InvalidScenario(f"{where} must be a JSON object, got {obj!r}")
+    if not obj.keys() <= _KEYS[cls]:
+        raise InvalidScenario(f"{where}: unknown keys {sorted(obj.keys() - _KEYS[cls])}")
+    if not _REQUIRED[cls] <= obj.keys():
+        raise InvalidScenario(f"{where}: missing keys {sorted(_REQUIRED[cls] - obj.keys())}")
+    for name, kind in _NESTED.items():
+        if name not in obj:  # absent, or not a field of `cls` (checked above)
+            continue
+        value = obj[name]
+        if kind is bytes:
+            if value is not None:
+                try:
+                    obj[name] = bytes.fromhex(value)
+                except (TypeError, ValueError):
+                    raise InvalidScenario(
+                        f"{where}.{name} must be a hex string or null, got {value!r}"
+                    ) from None
+        elif isinstance(kind, list):
+            if not isinstance(value, list):
+                raise InvalidScenario(f"{where}.{name} must be a JSON array, got {value!r}")
+            obj[name] = [
+                _load(kind[0], item, f"{where}.{name}[{i}]") for i, item in enumerate(value)
+            ]
+        else:
+            obj[name] = _load(kind, value, f"{where}.{name}")
+    try:
+        return cls(**obj)
+    except ValueError as exc:  # CapacityLimits reports its checks as ValueError
+        raise InvalidScenario(f"{where}: {exc}") from None
+
+
+def scenario_to_json(sc: Scenario) -> str:
+    """Serialize a scenario to byte-stable JSON (sorted keys, two-space indent)."""
+    return json.dumps(_dump(sc), indent=2, sort_keys=True) + "\n"
+
+
+def scenario_from_json(text: str) -> Scenario:
+    """Parse and validate a scenario file; raises InvalidScenario with a diagnosis."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidScenario(f"scenario is not valid JSON: {exc}") from None
+    return _load(Scenario, obj, "scenario")
+
+
+def load_scenario(path: str) -> Scenario:
+    """Read a scenario file from disk."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return scenario_from_json(fh.read())

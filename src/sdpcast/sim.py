@@ -16,7 +16,7 @@ checks exist to catch.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import heapq
 import json
 import math
@@ -50,11 +50,16 @@ _MAC = re.compile(r"(?:[0-9a-f]{2}:){5}[0-9a-f]{2}")
 
 MAX_SEED = 2**64 - 1
 
+# Upper bound on the inquiry scans of one run, summed over devices. The
+# built-ins need at most 420; each scan can schedule work for every device
+# in range, so this bounds how long a loaded scenario can run.
+MAX_SCANS = 10**6
+
 
 def _is_finite(value: Any) -> bool:
-    """True iff `value` is a finite number; False for NaN, infinities and non-numbers."""
+    """True iff `value` is a finite number; False for NaN, infinities, booleans and non-numbers."""
     try:
-        return math.isfinite(value)
+        return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
         return False
 
@@ -62,19 +67,24 @@ def _is_finite(value: Any) -> bool:
 def _position(value: Any, where: str) -> tuple[float, float]:
     try:
         x, y = value
-        if isinstance(value, (list, tuple)) and math.isfinite(x) and math.isfinite(y):
+        if isinstance(value, (list, tuple)) and _is_finite(x) and _is_finite(y):
             return (float(x), float(y))
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         pass
     raise InvalidScenario(f"{where}: position must be [x, y] of finite numbers, got {value!r}")
 
 
+def _expect(value: Any, kind: type | tuple[type, ...], where: str, what: str) -> None:
+    """Raise InvalidScenario unless `value` is a `kind`; `what` says what was expected."""
+    if not isinstance(value, kind):
+        raise InvalidScenario(f"{where}: {what}, got {value!r}")
+
+
 @dataclass
 class AdvertisementTable:
-    """Current service records of one device: payload slots plus well-known UUIDs."""
+    """Current payload slots of one device; run state, never scenario input."""
 
     payload_slots: list[PayloadUuid] = field(default_factory=list)
-    wellknown_records: list[str] = field(default_factory=list)
     generation: int = 0
     mode: str = FRAMED
     message: bytes = b""
@@ -82,7 +92,11 @@ class AdvertisementTable:
 
 @dataclass
 class Device:
-    """One simulated node; `message`/`mode` describe its initial advertisement."""
+    """One simulated node; `message`/`mode` describe its initial advertisement.
+
+    `wellknown_records` are the non-payload service UUIDs it also lists,
+    after its payload slots. `table` holds what it advertises during a run.
+    """
 
     address: str
     position: tuple[float, float] = (0.0, 0.0)
@@ -91,29 +105,40 @@ class Device:
     discoverable: bool = True
     message: bytes | None = None
     mode: str = FRAMED
-    table: AdvertisementTable = field(default_factory=AdvertisementTable)
+    wellknown_records: tuple[str, ...] = ()
+    table: AdvertisementTable = field(
+        default_factory=AdvertisementTable, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        self.address = str(self.address).lower()
+        _expect(self.address, str, "device", "address must be a string")
+        self.address = self.address.lower()
         if not _MAC.fullmatch(self.address):
             raise InvalidScenario(
                 f"device address must be MAC-style aa:bb:cc:dd:ee:ff, got {self.address!r}"
             )
-        self.position = _position(self.position, f"device {self.address}")
+        where = f"device {self.address}"
+        self.position = _position(self.position, where)
+        _expect(self.discoverable, bool, where, "discoverable must be true or false")
+        _expect(self.message, (bytes, type(None)), where, "message must be bytes or null")
+        _expect(self.wellknown_records, (list, tuple), where, "wellknown_records must be a list")
+        self.wellknown_records = tuple(self.wellknown_records)
+        for record in self.wellknown_records:
+            _expect(record, str, where, "wellknown_records must hold strings")
         if not (_is_finite(self.range_m) and 1.0 <= self.range_m <= 100.0):
             raise InvalidScenario(
-                f"device {self.address}: range_m must be within [1, 100], got {self.range_m!r}"
+                f"{where}: range_m must be within [1, 100], got {self.range_m!r}"
             )
         self.range_m = float(self.range_m)
         if self.scan_interval_s is not None:
             if not (_is_finite(self.scan_interval_s) and self.scan_interval_s > 0):
                 raise InvalidScenario(
-                    f"device {self.address}: scan_interval_s must be positive and finite, or null"
+                    f"{where}: scan_interval_s must be positive and finite, or null"
                 )
             self.scan_interval_s = float(self.scan_interval_s)
         if self.mode not in (RAW, FRAMED):
             raise InvalidScenario(
-                f"device {self.address}: mode must be {RAW!r} or {FRAMED!r}, got {self.mode!r}"
+                f"{where}: mode must be {RAW!r} or {FRAMED!r}, got {self.mode!r}"
             )
 
 
@@ -157,6 +182,12 @@ class Mutation:
         if not _is_finite(self.t):
             raise InvalidScenario(f"schedule: t must be a finite number, got {self.t!r}")
         object.__setattr__(self, "t", float(self.t))
+        _expect(self.device, str, "schedule", "device must be a string")
+        object.__setattr__(self, "device", self.device.lower())
+        _expect(self.message, (bytes, type(None)), "schedule", "message must be bytes or null")
+        _expect(
+            self.discoverable, (bool, type(None)), "schedule", "discoverable must be a bool or null"
+        )
         if self.position is not None:
             object.__setattr__(self, "position", _position(self.position, "schedule"))
         if self.action not in _ACTIONS:
@@ -221,9 +252,9 @@ class Scenario:
     """A complete, validated simulation input."""
 
     devices: list[Device]
+    duration_s: float
     timing: TimingModel = DEFAULT_TIMING
     limits: CapacityLimits = DEFAULT_LIMITS
-    duration_s: float = 300.0
     seed: int = 0
     schedule: list[Mutation] = field(default_factory=list)
     torn_read_mode: bool = False
@@ -238,13 +269,23 @@ class Scenario:
                 f"duration_s must be positive and finite, got {self.duration_s!r}"
             )
         self.duration_s = float(self.duration_s)
-        if not (isinstance(self.seed, int) and 0 <= self.seed <= MAX_SEED):
-            raise InvalidScenario(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        seed = self.seed
+        if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed <= MAX_SEED):
+            raise InvalidScenario(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        _expect(self.torn_read_mode, bool, "scenario", "torn_read_mode must be true or false")
+        _expect(self.name, str, "scenario", "name must be a string")
         seen: set[str] = set()
+        scans = 0.0
         for dev in self.devices:
             if dev.address in seen:
                 raise InvalidScenario(f"duplicate device address {dev.address}")
             seen.add(dev.address)
+            if dev.scan_interval_s is not None:
+                scans += self.duration_s // dev.scan_interval_s + 1
+        if scans > MAX_SCANS:
+            raise InvalidScenario(
+                f"the devices would scan {scans:.3g} times, more than the budget of {MAX_SCANS}"
+            )
         for i, mut in enumerate(self.schedule):
             if not 0 <= mut.t <= self.duration_s:
                 raise InvalidScenario(
@@ -263,8 +304,8 @@ class Scenario:
         capacity = {FRAMED: self.limits.framed_capacity, RAW: self.limits.outbound_ceiling}
         mode: dict[str, str] = {}
         for dev in self.devices:
-            if dev.message is None:  # never advertised at t=0: the table's mode stays
-                mode[dev.address] = dev.table.mode
+            if dev.message is None:  # never advertised at t=0: a fresh table's mode stays
+                mode[dev.address] = FRAMED
             else:
                 mode[dev.address] = dev.mode
                 if len(dev.message) > capacity.get(dev.mode, -1):
@@ -354,7 +395,7 @@ def fetch_snapshot(
             split = 1 + int(fraction * (len(old_slots) - 1))
             split = min(max(split, 1), len(old_slots) - 1)
             slots = [str(u) for u in old_slots[:split]] + slots[split:]
-    records = slots + list(subject.table.wellknown_records)
+    records = slots + list(subject.wellknown_records)
     return records[:limits.max_inbound_records]
 
 
@@ -365,23 +406,22 @@ def run(
 ) -> list[SimEvent]:
     """Execute the scenario and return its event log.
 
-    The scenario is copied first, so repeated runs of the same object are
-    independent; `seed` and `duration_s` override the scenario's values.
+    The scenario is only read, so repeated runs of the same object are
+    independent; `seed` and `duration_s` override the scenario's values and
+    are validated with it.
     """
-    sc = copy.deepcopy(scenario)
-    if seed is not None:
-        sc.seed = int(seed)
-    if duration_s is not None:
-        sc.duration_s = float(duration_s)
-    sc.validate()
-    return _Runner(sc).execute()
+    overrides = {"seed": seed, "duration_s": duration_s}
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    return _Runner(dataclasses.replace(scenario, **overrides)).execute()
 
 
 class _Runner:
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
         self.rng = random.Random(sc.seed)
-        self.devices = {d.address: d for d in sc.devices}
+        # A run moves devices, toggles them and changes their tables: it does
+        # so on shallow copies, each with a fresh table, never on `sc` itself.
+        self.devices = {d.address: dataclasses.replace(d) for d in sc.devices}
         # Uniform grid hash over positions (Teschner et al., VMV 2003). Any
         # pair in range lies in the same or an adjacent cell, so a scan only
         # looks at its 3x3 neighbourhood. Cells are twice the largest range,
@@ -390,7 +430,7 @@ class _Runner:
         self.cell_size = 2.0 * max((d.range_m for d in sc.devices), default=1.0)
         self.cell_of: dict[str, tuple[int, int]] = {}
         self.grid: dict[tuple[int, int], list[str]] = {}
-        for dev in sc.devices:
+        for dev in self.devices.values():
             self._place(dev)
         self.events: list[SimEvent] = []
         self.fetched: set[tuple[str, str]] = set()
@@ -400,10 +440,10 @@ class _Runner:
         self.seq = 0
 
     def execute(self) -> list[SimEvent]:
-        for dev in self.sc.devices:
+        for dev in self.devices.values():
             if dev.message is not None:
                 self._advertise(dev, dev.message, dev.mode, t=0.0)
-        for dev in self.sc.devices:
+        for dev in self.devices.values():
             if dev.scan_interval_s is not None:
                 self._push(0.0, ("scan", dev.address, 0))
         for mut in self.sc.schedule:
@@ -544,171 +584,8 @@ class _Runner:
         if mut.action == "set_message":
             self._advertise(dev, mut.message, mut.mode or dev.table.mode, t)
         elif mut.action == "set_position":
-            dev.position = (float(mut.position[0]), float(mut.position[1]))
+            dev.position = mut.position
             self._place(dev)
         elif mut.action == "set_discoverable":
-            dev.discoverable = bool(mut.discoverable)
+            dev.discoverable = mut.discoverable
 
-
-# -- scenario files -----------------------------------------------------------
-
-_SCENARIO_KEYS = {
-    "name", "duration_s", "seed", "torn_read_mode", "timing", "limits", "devices", "schedule",
-}
-_TIMING_KEYS = {"inquiry_duration_s", "fetch_latency_fresh_s", "fetch_latency_cached_s"}
-_LIMITS_KEYS = {"max_outbound_slots", "max_inbound_records", "payload_per_uuid"}
-_DEVICE_KEYS = {
-    "address", "position", "range_m", "scan_interval_s", "discoverable",
-    "message", "mode", "wellknown_records",
-}
-_MUTATION_KEYS = {"t", "device", "action", "message", "mode", "position", "discoverable"}
-
-
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(obj.keys() - allowed)
-    if unknown:
-        raise InvalidScenario(f"{where}: unknown keys {unknown}")
-
-
-def _hex_or_none(value: Any, where: str) -> bytes | None:
-    if value is None:
-        return None
-    try:
-        return bytes.fromhex(value)
-    except (ValueError, TypeError):
-        raise InvalidScenario(f"{where}: message must be a hex string, got {value!r}") from None
-
-
-def scenario_from_json(text: str) -> Scenario:
-    """Parse and validate a scenario file; raises InvalidScenario with a diagnosis."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidScenario(f"scenario is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise InvalidScenario("scenario must be a JSON object")
-    _reject_unknown(obj, _SCENARIO_KEYS, "scenario")
-    if "devices" not in obj or "duration_s" not in obj:
-        raise InvalidScenario("scenario must declare 'devices' and 'duration_s'")
-    if not (isinstance(obj["devices"], list) and isinstance(obj.get("schedule", []), list)):
-        raise InvalidScenario("scenario: devices and schedule must be JSON arrays")
-    if not (isinstance(obj.get("timing", {}), dict) and isinstance(obj.get("limits", {}), dict)):
-        raise InvalidScenario("scenario: timing and limits must be JSON objects")
-
-    timing_obj = obj.get("timing", {})
-    _reject_unknown(timing_obj, _TIMING_KEYS, "timing")
-    limits_obj = obj.get("limits", {})
-    _reject_unknown(limits_obj, _LIMITS_KEYS, "limits")
-    try:
-        timing = TimingModel(**timing_obj)
-        limits = CapacityLimits(**limits_obj)
-    except (TypeError, ValueError) as exc:
-        raise InvalidScenario(str(exc)) from None
-
-    devices = []
-    for i, dev_obj in enumerate(obj["devices"]):
-        where = f"devices[{i}]"
-        if not isinstance(dev_obj, dict):
-            raise InvalidScenario(f"{where}: must be an object")
-        _reject_unknown(dev_obj, _DEVICE_KEYS, where)
-        if "address" not in dev_obj:
-            raise InvalidScenario(f"{where}: missing 'address'")
-        wellknown = dev_obj.get("wellknown_records", [])
-        if not isinstance(wellknown, list):
-            raise InvalidScenario(f"{where}: wellknown_records must be a list")
-        devices.append(
-            Device(
-                address=dev_obj["address"],
-                position=dev_obj.get("position", [0.0, 0.0]),
-                range_m=dev_obj.get("range_m", 10.0),
-                scan_interval_s=dev_obj.get("scan_interval_s", 30.0),
-                discoverable=bool(dev_obj.get("discoverable", True)),
-                message=_hex_or_none(dev_obj.get("message"), where),
-                mode=dev_obj.get("mode", FRAMED),
-                table=AdvertisementTable(wellknown_records=[str(u) for u in wellknown]),
-            )
-        )
-
-    schedule = []
-    for i, mut_obj in enumerate(obj.get("schedule", [])):
-        where = f"schedule[{i}]"
-        if not isinstance(mut_obj, dict):
-            raise InvalidScenario(f"{where}: must be an object")
-        _reject_unknown(mut_obj, _MUTATION_KEYS, where)
-        for key in ("t", "device", "action"):
-            if key not in mut_obj:
-                raise InvalidScenario(f"{where}: missing {key!r}")
-        schedule.append(
-            Mutation(
-                t=mut_obj["t"],
-                device=str(mut_obj["device"]).lower(),
-                action=mut_obj["action"],
-                message=_hex_or_none(mut_obj.get("message"), where),
-                mode=mut_obj.get("mode"),
-                position=mut_obj.get("position"),
-                discoverable=mut_obj.get("discoverable"),
-            )
-        )
-
-    return Scenario(
-        devices=devices,
-        timing=timing,
-        limits=limits,
-        duration_s=obj["duration_s"],
-        seed=obj.get("seed", 0),
-        schedule=schedule,
-        torn_read_mode=bool(obj.get("torn_read_mode", False)),
-        name=str(obj.get("name", "")),
-    )
-
-
-def scenario_to_json(sc: Scenario) -> str:
-    """Serialize a scenario to byte-stable JSON (sorted keys, two-space indent)."""
-    obj = {
-        "name": sc.name,
-        "duration_s": sc.duration_s,
-        "seed": sc.seed,
-        "torn_read_mode": sc.torn_read_mode,
-        "timing": {
-            "inquiry_duration_s": sc.timing.inquiry_duration_s,
-            "fetch_latency_fresh_s": sc.timing.fetch_latency_fresh_s,
-            "fetch_latency_cached_s": sc.timing.fetch_latency_cached_s,
-        },
-        "limits": {
-            "max_outbound_slots": sc.limits.max_outbound_slots,
-            "max_inbound_records": sc.limits.max_inbound_records,
-            "payload_per_uuid": sc.limits.payload_per_uuid,
-        },
-        "devices": [
-            {
-                "address": d.address,
-                "position": list(d.position),
-                "range_m": d.range_m,
-                "scan_interval_s": d.scan_interval_s,
-                "discoverable": d.discoverable,
-                "message": None if d.message is None else d.message.hex(),
-                "mode": d.mode,
-                "wellknown_records": list(d.table.wellknown_records),
-            }
-            for d in sc.devices
-        ],
-        "schedule": [
-            {
-                "t": m.t,
-                "device": m.device,
-                "action": m.action,
-                "message": None if m.message is None else m.message.hex(),
-                "mode": m.mode,
-                "position": None if m.position is None else list(m.position),
-                "discoverable": m.discoverable,
-            }
-            for m in sc.schedule
-        ],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def load_scenario(path: str) -> Scenario:
-    """Read a scenario file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_json(fh.read())

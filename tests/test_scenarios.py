@@ -1,14 +1,20 @@
-"""Built-in scenario fixtures: shape, goldens, and reachability oracles."""
+"""Built-in scenario fixtures: shape, goldens, reachability oracles, and file fuzzing."""
 
+import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdpcast import (
     BUILTIN_SCENARIOS,
+    InvalidScenario,
     UnknownScenario,
     in_range,
+    run,
+    scenario_from_json,
     scenario_gen,
     scenario_to_json,
 )
@@ -90,3 +96,85 @@ def test_torn_read_shape():
     # old generation frames to 7 chunks, new to 6: mixes are detectable
     assert len(advertiser.message) == 82
     assert len(change.message) == 64
+
+
+# -- scenario file fuzzing ----------------------------------------------------
+
+_FUZZ_BASES = ("two-device-default", "torn-read")
+_FUZZ_VALUES = (
+    None, True, False, 0, -1, 0.5, 1e-9, 1e308, 2**64, math.inf, math.nan,
+    "x", "false", [], {}, [0, 0],
+)
+_UNKNOWN_KEY = object()
+
+
+def _paths(value, prefix=()):
+    """Every path into a parsed JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, prefix + (index,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _edits(name):
+    base = json.loads(scenario_to_json(scenario_gen(name)))
+    edits = [(name, path, value) for path in _paths(base) for value in _FUZZ_VALUES]
+    edits += [
+        (name, path, _UNKNOWN_KEY) for path in _paths(base) if isinstance(_at(base, path), dict)
+    ]
+    return edits
+
+
+def _edited(name, path, value):
+    obj = json.loads(scenario_to_json(scenario_gen(name)))
+    if value is _UNKNOWN_KEY:
+        _at(obj, path)["surprise"] = 1
+        return obj
+    if not path:
+        return value
+    _at(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+def _written_back(written, read):
+    """True iff `written` says what `read` said: booleans apart from numbers,
+    numbers compared by value. Keys that `read` omits may appear in `written`,
+    holding the defaults the loader filled in."""
+    if isinstance(read, bool) or isinstance(written, bool):
+        return read is written
+    if isinstance(read, dict):
+        return (
+            isinstance(written, dict)
+            and read.keys() <= written.keys()
+            and all(_written_back(written[key], read[key]) for key in read)
+        )
+    if isinstance(read, list):
+        return (
+            isinstance(written, list)
+            and len(written) == len(read)
+            and all(map(_written_back, written, read))
+        )
+    if isinstance(read, (int, float)):
+        return isinstance(written, (int, float)) and written == read
+    return type(written) is type(read) and written == read
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([edit for name in _FUZZ_BASES for edit in _edits(name)]))
+def test_edited_scenario_file_loads_as_written_or_is_rejected(edit):
+    obj = _edited(*edit)
+    try:
+        sc = scenario_from_json(json.dumps(obj))
+    except InvalidScenario:
+        return
+    run(sc)
+    assert _written_back(json.loads(scenario_to_json(sc)), obj)

@@ -1,6 +1,6 @@
 """Simulator unit, oracle, and property tests."""
 
-import copy
+import dataclasses
 import json
 import math
 import random
@@ -32,7 +32,7 @@ from sdpcast import (
     scenario_to_json,
     unframe,
 )
-from sdpcast.sim import _Runner
+from sdpcast.sim import MAX_SCANS, _Runner
 
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 
@@ -127,9 +127,8 @@ def test_advertise_bumps_generation_monotonically():
 
 
 def test_fetch_snapshot_payload_first_truncation():
-    subject = _device(B, position=(1.0, 0.0))
+    subject = _device(B, position=(1.0, 0.0), wellknown_records=(WELLKNOWN_SPP,) * 20)
     advertise(subject, b"x" * 80, FRAMED)  # 7 slots
-    subject.table.wellknown_records = [WELLKNOWN_SPP] * 20
     records = fetch_snapshot(_device(A), subject)
     assert len(records) == 21
     assert records[:7] == [str(u) for u in subject.table.payload_slots]
@@ -137,9 +136,8 @@ def test_fetch_snapshot_payload_first_truncation():
 
 
 def test_fetch_snapshot_small_table():
-    subject = _device(B, position=(1.0, 0.0))
+    subject = _device(B, position=(1.0, 0.0), wellknown_records=(WELLKNOWN_SPP,) * 2)
     advertise(subject, b"tiny", RAW)
-    subject.table.wellknown_records = [WELLKNOWN_SPP] * 2
     assert len(fetch_snapshot(_device(A), subject)) == 3
 
 
@@ -215,8 +213,20 @@ def test_different_seeds_differ():
 
 
 def test_run_does_not_mutate_input_scenario():
-    sc = _two_device_scenario()
-    run(sc, seed=5)
+    sc = _two_device_scenario(
+        schedule=[
+            Mutation(t=10.0, device=A, action="set_message", message=b"now raw", mode=RAW),
+            Mutation(t=20.0, device=B, action="set_position", position=(7.0, 1.0)),
+            Mutation(t=40.0, device=B, action="set_discoverable", discoverable=False),
+        ],
+    )
+    before = scenario_to_json(sc)
+    log = run(sc, seed=5)
+    changes = [e.detail for e in log if e.kind == "MessageChanged"]
+    assert (changes[-1]["mode"], changes[-1]["message"]) == (RAW, b"now raw".hex())
+    found_b = [e.t for e in log if e.kind == "DeviceFound" and e.subject == B]
+    assert found_b and max(found_b) < 40.0 + 12.0  # hidden from the scans after t=40
+    assert scenario_to_json(sc) == before
     assert sc.devices[0].table.generation == 0
     assert sc.devices[0].table.payload_slots == []
 
@@ -294,8 +304,9 @@ def test_found_precedes_fetch_per_round():
 
 
 def test_inbound_record_cap_respected():
-    subject = _device(A, scan_interval_s=None, message=b"x" * 80)
-    subject.table.wellknown_records = [WELLKNOWN_SPP] * 30
+    subject = _device(
+        A, scan_interval_s=None, message=b"x" * 80, wellknown_records=(WELLKNOWN_SPP,) * 30
+    )
     sc = Scenario(
         devices=[subject, _device(B, position=(5.0, 0.0))],
         duration_s=60.0,
@@ -438,9 +449,7 @@ class _BruteForceRunner(_Runner):
 
 def _grid_and_brute_force_logs(sc, seed):
     grid = [e.to_json() for e in run(sc, seed=seed)]
-    oracle_sc = copy.deepcopy(sc)
-    oracle_sc.seed = seed
-    brute = [e.to_json() for e in _BruteForceRunner(oracle_sc).execute()]
+    brute = [e.to_json() for e in _BruteForceRunner(dataclasses.replace(sc, seed=seed)).execute()]
     return grid, brute
 
 
@@ -585,6 +594,15 @@ def test_scenario_rejects_unknown_keys():
         # messages that do not fit, or a mode that does not exist, fail at load
         lambda o: o["limits"].update(max_outbound_slots=1),
         lambda o: o["schedule"][0].update(mode="bogus"),
+        # JSON values of the wrong type are rejected, never converted
+        lambda o: o["devices"][1].update(discoverable="false"),
+        lambda o: o.update(torn_read_mode="false"),
+        lambda o: o["schedule"][0].update(action="set_discoverable", discoverable="false"),
+        lambda o: o.update(name=5),
+        lambda o: o["devices"][0].update(wellknown_records=[5, None]),
+        # runs that would not end in reasonable time exceed the scan budget
+        lambda o: o["devices"][0].update(scan_interval_s=1e-6),
+        lambda o: o.update(duration_s=2**64),
     ):
         obj = json.loads(json.dumps(base))
         mangle(obj)
@@ -626,6 +644,21 @@ def test_scenario_rejects_bad_values():
         TimingModel(fetch_latency_fresh_s=1.0, fetch_latency_cached_s=2.0)
     with pytest.raises(InvalidScenario):
         TimingModel(inquiry_duration_s=0.0)
+    # wrongly typed values are rejected, not converted
+    with pytest.raises(InvalidScenario):
+        _device(A, discoverable="false")
+    with pytest.raises(InvalidScenario):
+        _device(A, message="6869")  # bytes, not hex: hex is only the file form
+    with pytest.raises(InvalidScenario):
+        _device(A, wellknown_records=WELLKNOWN_SPP)  # a string, not a list of them
+    with pytest.raises(InvalidScenario):
+        _device(A, range_m=True)
+    with pytest.raises(InvalidScenario):
+        Mutation(t=1.0, device=A, action="set_discoverable", discoverable=0)
+    with pytest.raises(InvalidScenario):
+        Scenario(devices=[_device(A)], duration_s=10.0, seed=True)
+    with pytest.raises(InvalidScenario):
+        Scenario(devices=[_device(A)], duration_s=10.0, torn_read_mode=1)
 
 
 def test_scenario_rejects_bad_schedule():
@@ -687,6 +720,19 @@ def test_scenario_rejects_bad_message_hex():
 def test_address_case_insensitive():
     dev = _device("AA:00:00:00:00:0F")
     assert dev.address == "aa:00:00:00:00:0f"
+    mut = Mutation(t=1.0, device="AA:00:00:00:00:0F", action="set_discoverable", discoverable=True)
+    assert mut.device == "aa:00:00:00:00:0f"
+
+
+def test_scan_budget_bounds_scenarios_and_overrides():
+    def one_scanner(duration_s):
+        return Scenario(devices=[_device(A, scan_interval_s=1.0)], duration_s=duration_s)
+
+    one_scanner(float(MAX_SCANS - 1))  # scans at t = 0, 1, ..., MAX_SCANS - 1
+    with pytest.raises(InvalidScenario):
+        one_scanner(float(MAX_SCANS))
+    with pytest.raises(InvalidScenario):
+        run(_two_device_scenario(), duration_s=2.0**64)
 
 
 def test_duration_override_revalidates_schedule():
