@@ -15,7 +15,7 @@ from . import __version__
 from .codec import CodecConfig, decode, encode, printable_text
 from .errors import IncompleteSet, SdpcastError
 from .framing import frame, unframe
-from .report import build_report, format_lines, format_text, load_log
+from .report import DELIVERY_THRESHOLD_S, build_report, format_lines, format_text, load_log
 from .scenarios import BUILTIN_SCENARIOS, load_scenario, scenario_gen, scenario_to_json
 from .sim import run
 
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold",
         type=float,
-        default=60.0,
+        default=DELIVERY_THRESHOLD_S,
         help="delivery threshold in seconds for the aggregate fraction",
     )
     p.set_defaults(func=cmd_report)

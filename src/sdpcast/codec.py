@@ -66,55 +66,20 @@ class CodecConfig:
 DEFAULT_CONFIG = CodecConfig()
 
 
-@dataclass(frozen=True)
-class PayloadUuid:
-    """A payload-bearing UUID in canonical lowercase 8-4-4-4-12 form."""
-
-    canonical: str
-
-    def __post_init__(self) -> None:
-        digits = _hex32(self.canonical)
-        if self.canonical != self.canonical.lower():
-            raise MalformedUuid(f"canonical form must be lowercase: {self.canonical!r}")
-        if digits[_VERSION_NIBBLE] != "4":
-            raise MalformedUuid(f"version nibble is not 4: {self.canonical!r}")
-        if digits[_VARIANT_NIBBLE] != "8":
-            raise MalformedUuid(f"variant nibble is not 8: {self.canonical!r}")
-
-    @classmethod
-    def from_raw(cls, raw: bytes) -> PayloadUuid:
-        """Build from the 16-octet binary form."""
-        if len(raw) != 16:
-            raise MalformedUuid(f"raw UUID must be 16 octets, got {len(raw)}")
-        h = raw.hex()
-        return cls(f"{h[0:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:32]}")
-
-    @property
-    def raw(self) -> bytes:
-        """The 16-octet binary form; round-trips losslessly with canonical."""
-        return bytes.fromhex(self.canonical.replace("-", ""))
-
-    @property
-    def marker(self) -> str:
-        """The trailing 4 hex digits."""
-        return self.canonical[-4:]
-
-    def __str__(self) -> str:
-        return self.canonical
-
-
 def _hex32(uuid_str: str) -> str:
     """Lowercase 32-digit form of a UUID string, or raise MalformedUuid."""
-    s = str(uuid_str).lower()
+    s = uuid_str.lower() if isinstance(uuid_str, str) else ""
     if not _UUID_SHAPE.fullmatch(s):
         raise MalformedUuid(f"not a valid UUID string: {uuid_str!r}")
     return s.replace("-", "")
 
 
-def encode(payload: bytes, config: CodecConfig = DEFAULT_CONFIG) -> PayloadUuid:
+def encode(payload: bytes, config: CodecConfig = DEFAULT_CONFIG) -> str:
     """Encode a 13-octet payload into a marker-tagged v4-shaped UUID.
 
-    Text mode zero-pads shorter input; raw mode requires exactly 13 octets.
+    Returns the canonical lowercase 8-4-4-4-12 string; `uuid.UUID(s).bytes`
+    gives its 16-octet binary form.  Text mode zero-pads shorter input; raw
+    mode requires exactly 13 octets.
     """
     payload = bytes(payload)
     if len(payload) > PAYLOAD_OCTETS:
@@ -128,19 +93,17 @@ def encode(payload: bytes, config: CodecConfig = DEFAULT_CONFIG) -> PayloadUuid:
             )
         payload = payload.ljust(PAYLOAD_OCTETS, b"\x00")
     d = payload.hex()
-    return PayloadUuid(
-        f"{d[0:8]}-{d[8:12]}-4{d[12:15]}-8{d[15:18]}-{d[18:26]}{config.marker}"
-    )
+    return f"{d[0:8]}-{d[8:12]}-4{d[12:15]}-8{d[15:18]}-{d[18:26]}{config.marker}"
 
 
-def detect(uuid_str: str | PayloadUuid, config: CodecConfig = DEFAULT_CONFIG) -> bytes | None:
+def detect(uuid_str: str, config: CodecConfig = DEFAULT_CONFIG) -> bytes | None:
     """Extract the 13 payload octets from a UUID string, or None.
 
     Returns the payload iff the version nibble is 4, the variant nibble is 8
     and the trailing 4 digits equal the configured marker.  Matching is
     case-insensitive; raises MalformedUuid for non-UUID input.
     """
-    digits = _hex32(str(uuid_str))
+    digits = _hex32(uuid_str)
     if digits[_VERSION_NIBBLE] != "4":
         return None
     if digits[_VARIANT_NIBBLE] != "8":
@@ -152,7 +115,7 @@ def detect(uuid_str: str | PayloadUuid, config: CodecConfig = DEFAULT_CONFIG) ->
     return bytes.fromhex(data)
 
 
-def decode(uuid_str: str | PayloadUuid, config: CodecConfig = DEFAULT_CONFIG) -> bytes:
+def decode(uuid_str: str, config: CodecConfig = DEFAULT_CONFIG) -> bytes:
     """Payload octets of a payload UUID: all 13 in raw mode, zero-stripped in text mode."""
     payload = detect(uuid_str, config)
     if payload is None:

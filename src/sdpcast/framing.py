@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .codec import DEFAULT_CONFIG, PAYLOAD_OCTETS, CodecConfig, PayloadUuid, detect, encode
+from .codec import DEFAULT_CONFIG, PAYLOAD_OCTETS, CodecConfig, detect, encode
 from .errors import (
     ConflictingDuplicate,
     IncompleteSet,
@@ -102,7 +102,7 @@ def frame(
     message: bytes,
     limits: CapacityLimits = DEFAULT_LIMITS,
     codec: CodecConfig = DEFAULT_CONFIG,
-) -> list[PayloadUuid]:
+) -> list[str]:
     """Split a message into headered, length-prefixed chunks, one UUID each.
 
     Emits max(1, ceil((len+2)/12)) UUIDs; the final chunk is zero-padded.
@@ -134,7 +134,7 @@ def raw_payloads(message: bytes) -> list[bytes]:
 
 
 def unframe(
-    uuids: Iterable[str | PayloadUuid],
+    uuids: Iterable[str],
     codec: CodecConfig = DEFAULT_CONFIG,
 ) -> bytes:
     """Reassemble a message from unordered UUID strings, skipping non-payload records."""
@@ -184,18 +184,8 @@ def reassemble(payloads: Iterable[bytes]) -> bytes:
     return body[LENGTH_PREFIX_OCTETS:LENGTH_PREFIX_OCTETS + declared]
 
 
-def raw_slot(message: bytes, codec: CodecConfig = DEFAULT_CONFIG) -> PayloadUuid:
-    """One headerless slot carrying up to 13 octets, zero-padded."""
-    message = bytes(message)
-    if len(message) > PAYLOAD_OCTETS:
-        raise MessageTooLong(
-            f"message is {len(message)} octets, a raw slot holds {PAYLOAD_OCTETS}"
-        )
-    return encode(message.ljust(PAYLOAD_OCTETS, b"\x00"), codec)
-
-
 def raw_read(
-    uuids: Iterable[str | PayloadUuid],
+    uuids: Iterable[str],
     codec: CodecConfig = DEFAULT_CONFIG,
 ) -> list[bytes]:
     """All 13-octet payloads detected in a batch, in input order."""

@@ -126,7 +126,7 @@ def load_log(lines: Iterable[str]) -> list[SimEvent]:
         try:
             obj = json.loads(line)
             event = SimEvent.from_dict(obj)
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise MalformedLog(f"line {lineno}: {exc}") from None
         if last_t is not None and event.t < last_t:
             raise MalformedLog(f"line {lineno}: timestamp decreases ({event.t} after {last_t})")
@@ -169,9 +169,9 @@ def build_report(
         if event.kind == SCAN_STARTED:
             scanners.add(event.observer)
         elif event.kind == MESSAGE_CHANGED:
-            generation = int(event.detail["generation"])
+            generation = event.detail["generation"]
             changes[(event.subject, generation)] = (event.t, _advertised(event.detail))
-            latest_slots[event.subject] = int(event.detail["slots"])
+            latest_slots[event.subject] = event.detail["slots"]
         elif event.kind == DEVICE_FOUND:
             first_found.setdefault((event.observer, event.subject), event.t)
         elif event.kind == UUIDS_FETCHED:
@@ -190,7 +190,7 @@ def build_report(
                 )
             )
         elif event.kind == MESSAGE_REASSEMBLED:
-            generation = int(event.detail["generation"])
+            generation = event.detail["generation"]
             try:
                 changed_at, advertised = changes[(event.subject, generation)]
             except KeyError:

@@ -16,6 +16,7 @@ checks exist to catch.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import heapq
 import json
@@ -23,9 +24,9 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Any, NoReturn
+from typing import Any, Callable, NoReturn
 
-from .codec import PayloadUuid, encode
+from .codec import encode
 from .errors import InvalidScenario, MessageTooLong, OutOfRange, ReassemblyError
 from .framing import DEFAULT_LIMITS, CapacityLimits, frame, raw_payloads, raw_read, reassemble
 
@@ -84,10 +85,9 @@ def _expect(value: Any, kind: type | tuple[type, ...], where: str, what: str) ->
 class AdvertisementTable:
     """Current payload slots of one device; run state, never scenario input."""
 
-    payload_slots: list[PayloadUuid] = field(default_factory=list)
+    payload_slots: list[str] = field(default_factory=list)
     generation: int = 0
     mode: str = FRAMED
-    message: bytes = b""
 
 
 @dataclass
@@ -230,21 +230,63 @@ class SimEvent:
         )
 
     @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> SimEvent:
-        if not isinstance(obj, dict):
-            raise ValueError("event must be an object")
-        missing = {"t", "kind", "observer", "subject", "detail"} - obj.keys()
-        if missing:
-            raise ValueError(f"event is missing fields {sorted(missing)}")
-        if obj["kind"] not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {obj['kind']!r}")
-        return cls(
-            t=float(obj["t"]),
-            kind=obj["kind"],
-            observer=str(obj["observer"]),
-            subject=str(obj["subject"]),
-            detail=dict(obj["detail"]),
-        )
+    def from_dict(cls, obj: Any) -> SimEvent:
+        """The event a parsed log line holds; ValueError unless each value has
+        the JSON type that `_Runner` writes there. Nothing is converted."""
+        _check("event", obj, _EVENT_CHECKS)
+        kind, detail = obj["kind"], obj.get("detail")
+        _check(f"{kind} detail", detail, _DETAIL_CHECKS[kind])
+        if kind == MESSAGE_REASSEMBLED:  # its mode, checked above, says what else it holds
+            _check(f"{kind} detail", detail, _REASSEMBLED_BODY[detail["mode"]])
+        return cls(float(obj["t"]), kind, obj["observer"], obj["subject"], detail)
+
+
+def _check(what: str, obj: Any, checks: dict[str, Callable[[Any], bool]]) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    for key, check in checks.items():
+        if not check(obj.get(key)):
+            raise ValueError(f"{what}: {key!r} is missing or malformed: {obj.get(key)!r}")
+
+
+def _is_a(kind: type) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, kind)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_hex(value: Any) -> bool:
+    """True iff `value` is what `bytes.hex` writes: lowercase digits in pairs."""
+    return isinstance(value, str) and len(value) % 2 == 0 and _HEX.fullmatch(value) is not None
+
+
+_HEX = re.compile(r"[0-9a-f]*")
+
+# One check per key of a log line, of the detail of each kind of event, and
+# of what a reassembly holds in its mode: each passes exactly the JSON values
+# that `_Runner` writes there.
+_EVENT_CHECKS: dict[str, Callable[[Any], bool]] = {
+    "t": _is_finite,
+    "kind": lambda value: value in EVENT_KINDS,
+    "observer": _is_a(str),
+    "subject": _is_a(str),
+}
+_MESSAGE_CHECKS = {"generation": _is_int, "mode": lambda value: value in (RAW, FRAMED)}
+_DETAIL_CHECKS = {
+    SCAN_STARTED: {"round": _is_int},
+    DEVICE_FOUND: {"round": _is_int},
+    UUIDS_FETCHED: {
+        "round": _is_int, "cached": _is_a(bool), "delay": _is_finite, "records": _is_a(list)
+    },
+    MESSAGE_REASSEMBLED: _MESSAGE_CHECKS,
+    MESSAGE_CHANGED: {**_MESSAGE_CHECKS, "slots": _is_int, "message": _is_hex},
+}
+_REASSEMBLED_BODY = {
+    FRAMED: {"message": _is_hex},
+    RAW: {"payloads": lambda value: isinstance(value, list) and all(map(_is_hex, value))},
+}
 
 
 @dataclass
@@ -362,7 +404,6 @@ def advertise(
         raise InvalidScenario(f"mode must be {RAW!r} or {FRAMED!r}, got {mode!r}")
     table.payload_slots = slots
     table.mode = mode
-    table.message = message
     table.generation += 1
     return table
 
@@ -374,7 +415,7 @@ def fetch_snapshot(
     *,
     torn_read_mode: bool = False,
     window: tuple[float, float] | None = None,
-    change: tuple[list[PayloadUuid], float] | None = None,
+    change: tuple[list[str], float] | None = None,
 ) -> list[str]:
     """The subject's records as one SDP fetch sees them.
 
@@ -386,7 +427,7 @@ def fetch_snapshot(
     """
     if not in_range(observer, subject):
         raise OutOfRange(f"{subject.address} is not reachable from {observer.address}")
-    slots = [str(u) for u in subject.table.payload_slots]
+    slots = subject.table.payload_slots
     if torn_read_mode and window is not None and change is not None:
         t_start, t_now = window
         old_slots, t_change = change
@@ -394,7 +435,7 @@ def fetch_snapshot(
             fraction = (t_change - t_start) / (t_now - t_start)
             split = 1 + int(fraction * (len(old_slots) - 1))
             split = min(max(split, 1), len(old_slots) - 1)
-            slots = [str(u) for u in old_slots[:split]] + slots[split:]
+            slots = old_slots[:split] + slots[split:]
     records = slots + list(subject.wellknown_records)
     return records[:limits.max_inbound_records]
 
@@ -420,8 +461,11 @@ class _Runner:
         self.sc = sc
         self.rng = random.Random(sc.seed)
         # A run moves devices, toggles them and changes their tables: it does
-        # so on shallow copies, each with a fresh table, never on `sc` itself.
-        self.devices = {d.address: dataclasses.replace(d) for d in sc.devices}
+        # so on plain shallow copies (`sc` is valid already), each with a
+        # fresh table, never on `sc` itself.
+        self.devices = {d.address: copy.copy(d) for d in sc.devices}
+        for dev in self.devices.values():
+            dev.table = AdvertisementTable()
         # Uniform grid hash over positions (Teschner et al., VMV 2003). Any
         # pair in range lies in the same or an adjacent cell, so a scan only
         # looks at its 3x3 neighbourhood. Cells are twice the largest range,
@@ -435,7 +479,7 @@ class _Runner:
         self.events: list[SimEvent] = []
         self.fetched: set[tuple[str, str]] = set()
         # address -> (payload slots before the latest change, change time)
-        self.history: dict[str, tuple[list[PayloadUuid], float]] = {}
+        self.history: dict[str, tuple[list[str], float]] = {}
         self.heap: list[tuple[float, int, tuple]] = []
         self.seq = 0
 

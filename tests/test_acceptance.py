@@ -36,7 +36,7 @@ def test_criterion_1_codec_round_trip_speed(capsys):
     failures = 0
     for _ in range(n):
         payload = rng.randbytes(PAYLOAD_OCTETS)
-        if decode(str(encode(payload))) != payload:
+        if decode(encode(payload)) != payload:
             failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 5.0
@@ -52,10 +52,10 @@ def test_criterion_1_codec_round_trip_speed(capsys):
 
 def test_criterion_2_anchor_uuid_fidelity(capsys):
     payload = detect(ANCHOR)
-    ok = payload is not None and str(encode(payload)) == ANCHOR
+    ok = payload is not None and encode(payload) == ANCHOR
     _verdict(capsys, "2 anchor UUID fidelity", ok, f"detect+re-encode of {ANCHOR}")
     assert payload is not None
-    assert str(encode(payload)) == ANCHOR
+    assert encode(payload) == ANCHOR
 
 
 def test_criterion_3_capacity_arithmetic(capsys):
@@ -77,7 +77,7 @@ def test_criterion_4_framing_permutation(capsys):
     failures = 0
     for _ in range(n):
         message = rng.randbytes(rng.randint(0, 82))
-        records = [str(u) for u in frame(message)]
+        records = frame(message)
         rng.shuffle(records)
         if unframe(records) != message:
             failures += 1
@@ -89,8 +89,8 @@ def test_criterion_4_framing_permutation(capsys):
 def test_criterion_5_torn_read_safety(capsys):
     old_message = b"old generation: " + bytes(range(66))  # 82 octets, 7 chunks
     new_message = b"new generation: " + bytes(range(48))  # 64 octets, 6 chunks
-    old_chunks = [str(u) for u in frame(old_message)]
-    new_chunks = [str(u) for u in frame(new_message)]
+    old_chunks = frame(old_message)
+    new_chunks = frame(new_message)
     assert len(old_chunks) == 7 and len(new_chunks) == 6
     silent = 0
     errors = []
@@ -186,7 +186,7 @@ def test_criterion_8_determinism(capsys):
 
 
 def test_criterion_9_rejection_soundness(capsys):
-    base = str(encode(b"sweep payload"))
+    base = encode(b"sweep payload")
     accepted = []
     for version in "0123456789abcdef":
         for variant in "0123456789abcdef":

@@ -50,14 +50,14 @@ def test_frame_unframe_round_trip(capsys):
 
 
 def test_unframe_reads_stdin(capsys, monkeypatch):
-    uuids = [str(u) for u in frame(b"stdin delivery")]
+    uuids = frame(b"stdin delivery")
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(uuids) + "\n"))
     assert main(["unframe", "--text"]) == 0
     assert capsys.readouterr().out.strip() == "stdin delivery"
 
 
 def test_unframe_incomplete_exits_2(capsys):
-    uuids = [str(u) for u in frame(b"x" * 40)]
+    uuids = frame(b"x" * 40)
     assert main(["unframe", *uuids[:-1]]) == 2
     assert "missing" in capsys.readouterr().err
 
@@ -66,8 +66,8 @@ def test_unframe_conflict_exits_1(capsys):
     from sdpcast.codec import encode
     from sdpcast.framing import FrameHeader
 
-    uuids = [str(u) for u in frame(b"y" * 40)]
-    clash = str(encode(bytes([FrameHeader(1, 4).pack()]) + b"Z" * 12))
+    uuids = frame(b"y" * 40)
+    clash = encode(bytes([FrameHeader(1, 4).pack()]) + b"Z" * 12)
     assert main(["unframe", *uuids, clash]) == 1
 
 
@@ -165,6 +165,30 @@ def test_report_malformed_log_exits_1(tmp_path, capsys):
     bad.write_text("not json\n")
     assert main(["report", str(bad)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_report_wrongly_typed_log_exits_1(tmp_path, capsys):
+    def event(t, kind, detail, observer="aa:00:00:00:00:01"):
+        subject = "aa:00:00:00:00:01"
+        return {"t": t, "kind": kind, "observer": observer, "subject": subject, "detail": detail}
+
+    fetched = {"round": 0, "cached": False, "delay": 6.0, "records": 5}
+    changed = {"generation": 1, "mode": "raw", "slots": 1, "message": "zz"}
+    bad_logs = [
+        [event(0.0, "MessageChanged", {})],
+        [event(0.0, "UuidsFetched", fetched)],
+        [event(0.0, "MessageChanged", changed)],
+        [event(t, "ScanStarted", {"round": 0}) for t in (5.0, float("nan"), 1.0)],
+        [event(0.0, "ScanStarted", [])],
+        [event(0.0, "ScanStarted", {"round": 0}, observer=5)],
+    ]
+    bad = tmp_path / "bad.jsonl"
+    for events in bad_logs:
+        bad.write_text("".join(json.dumps(e) + "\n" for e in events))
+        assert main(["report", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sdpcast: line ")
+        assert captured.out == ""
 
 
 def test_report_threshold_flag(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Codec unit and property tests."""
 
 import re
+import uuid
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from sdpcast import (
     NotAPayloadUuid,
     PayloadTooLong,
     PayloadTooShort,
-    PayloadUuid,
     decode,
     detect,
     encode,
@@ -33,17 +33,17 @@ WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 
 
 def test_zero_payload_encodes_to_fixed_string():
-    assert str(encode(b"\x00" * 13)) == "00000000-0000-4000-8000-00000000c0de"
+    assert encode(b"\x00" * 13) == "00000000-0000-4000-8000-00000000c0de"
 
 
 def test_known_text_payload():
-    assert str(encode(b"Hello, world!")) == "48656c6c-6f2c-4207-876f-726c6421c0de"
+    assert encode(b"Hello, world!") == "48656c6c-6f2c-4207-876f-726c6421c0de"
 
 
 def test_known_anchor_uuid_round_trips_exactly():
     payload = detect(KNOWN_ANCHOR)
     assert payload == KNOWN_PAYLOAD
-    assert str(encode(payload)) == KNOWN_ANCHOR
+    assert encode(payload) == KNOWN_ANCHOR
 
 
 def test_encode_rejects_long_payload():
@@ -60,14 +60,14 @@ def test_encode_rejects_short_payload_in_raw_mode():
 
 def test_text_mode_pads_short_payload():
     u = encode(b"abcde", TEXT)
-    assert decode(str(u), TEXT) == b"abcde"
-    assert decode(str(u)) == b"abcde" + b"\x00" * 8
+    assert decode(u, TEXT) == b"abcde"
+    assert decode(u) == b"abcde" + b"\x00" * 8
 
 
 def test_text_mode_strips_all_zero_payload_to_empty():
     u = encode(b"", TEXT)
-    assert decode(str(u), TEXT) == b""
-    assert decode(str(u)) == b"\x00" * 13
+    assert decode(u, TEXT) == b""
+    assert decode(u) == b"\x00" * 13
 
 
 def test_detect_rejects_wellknown_record():
@@ -84,7 +84,9 @@ def test_detect_rejects_wrong_version_or_variant():
 
 
 def test_detect_raises_on_malformed_input():
-    for bad in ("", "not a uuid", "aaaaaaaa-bbbb-4ccc-8ddd-eeeeeeeec0d", "g" * 36):
+    # Records read back from a log may be any JSON value; only strings are UUIDs.
+    malformed = ("", "not a uuid", "aaaaaaaa-bbbb-4ccc-8ddd-eeeeeeeec0d", "g" * 36)
+    for bad in malformed + (5, None, KNOWN_ANCHOR.encode()):
         with pytest.raises(MalformedUuid):
             detect(bad)
 
@@ -101,9 +103,9 @@ def test_decode_raises_on_non_payload_uuid():
 def test_custom_marker():
     config = CodecConfig(marker="beef")
     u = encode(KNOWN_PAYLOAD, config)
-    assert str(u).endswith("beef")
-    assert detect(str(u), config) == KNOWN_PAYLOAD
-    assert detect(str(u)) is None  # default marker no longer matches
+    assert u.endswith("beef")
+    assert detect(u, config) == KNOWN_PAYLOAD
+    assert detect(u) is None  # default marker no longer matches
 
 
 def test_marker_is_case_normalized():
@@ -114,20 +116,6 @@ def test_invalid_marker_rejected():
     for bad in ("", "xyz", "c0d", "c0dec", "zzzz"):
         with pytest.raises(InvalidMarker):
             CodecConfig(marker=bad)
-
-
-def test_payload_uuid_raw_round_trip():
-    u = encode(KNOWN_PAYLOAD)
-    assert PayloadUuid.from_raw(u.raw) == u
-    assert len(u.raw) == 16
-    assert u.marker == DEFAULT_MARKER
-
-
-def test_payload_uuid_rejects_non_canonical():
-    with pytest.raises(MalformedUuid):
-        PayloadUuid(KNOWN_ANCHOR.upper())
-    with pytest.raises(MalformedUuid):
-        PayloadUuid(WELLKNOWN_SPP)
 
 
 def test_is_well_formed_v4():
@@ -143,7 +131,7 @@ def test_is_well_formed_v4():
 
 def test_leading_zeros_preserved():
     payload = b"\x00\x00\x01" + b"\x00" * 10
-    assert detect(str(encode(payload))) == payload
+    assert detect(encode(payload)) == payload
 
 
 def test_printable_text():
@@ -154,14 +142,16 @@ def test_printable_text():
 @given(st.binary(min_size=PAYLOAD_OCTETS, max_size=PAYLOAD_OCTETS))
 def test_round_trip_property(payload):
     u = encode(payload)
-    assert detect(str(u)) == payload
-    assert decode(str(u)) == payload
+    assert detect(u) == payload
+    assert decode(u) == payload
 
 
 @given(st.binary(min_size=PAYLOAD_OCTETS, max_size=PAYLOAD_OCTETS))
 def test_encode_output_shape_property(payload):
-    s = str(encode(payload))
+    s = encode(payload)
+    assert isinstance(s, str)
     assert CANONICAL.fullmatch(s)
+    assert str(uuid.UUID(s)) == s
     assert s.endswith(DEFAULT_MARKER)
     assert is_well_formed_v4(s)
 
@@ -172,12 +162,12 @@ def test_encode_output_shape_property(payload):
 )
 def test_round_trip_with_any_marker(payload, marker):
     config = CodecConfig(marker=marker)
-    assert detect(str(encode(payload, config)), config) == payload
+    assert detect(encode(payload, config), config) == payload
 
 
 @given(st.binary(min_size=PAYLOAD_OCTETS, max_size=PAYLOAD_OCTETS))
 def test_case_insensitivity_property(payload):
-    s = str(encode(payload))
+    s = encode(payload)
     assert detect(s.upper()) == detect(s)
 
 
@@ -186,4 +176,4 @@ def test_case_insensitivity_property(payload):
 def test_text_mode_round_trip_property(text):
     raw = text.encode("ascii")
     u = encode(raw, TEXT)
-    assert decode(str(u), TEXT) == raw
+    assert decode(u, TEXT) == raw

@@ -17,19 +17,20 @@ from sdpcast import (
     IncompleteSet,
     InconsistentTotals,
     MessageTooLong,
+    PayloadTooLong,
     frame,
     raw_read,
-    raw_slot,
     unframe,
 )
 from sdpcast.codec import detect, encode
+from sdpcast.framing import raw_payloads
 
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 
 
 def _tamper(uuids, index, new_payload):
-    out = [str(u) for u in uuids]
-    out[index] = str(encode(new_payload))
+    out = list(uuids)
+    out[index] = encode(new_payload)
     return out
 
 
@@ -73,9 +74,9 @@ def test_header_rejects_invalid():
 def test_empty_message_frames_to_single_zero_chunk():
     chunks = frame(b"")
     assert len(chunks) == 1
-    payload = detect(str(chunks[0]))
+    payload = detect(chunks[0])
     assert payload == bytes([FrameHeader(0, 1).pack()]) + b"\x00" * 12
-    assert unframe([str(chunks[0])]) == b""
+    assert unframe([chunks[0]]) == b""
 
 
 def test_chunk_count_boundaries():
@@ -91,7 +92,7 @@ def test_frame_chunk_headers_and_payload_layout():
     chunks = frame(message)
     body = b""
     for i, chunk in enumerate(chunks):
-        payload = detect(str(chunk))
+        payload = detect(chunk)
         header = FrameHeader.unpack(payload[0])
         assert header == FrameHeader(i, len(chunks))
         body += payload[1:]
@@ -102,12 +103,12 @@ def test_frame_chunk_headers_and_payload_layout():
 
 def test_unframe_filters_wellknown_records():
     message = b"mixed with wellknown records"
-    records = [str(u) for u in frame(message)] + [WELLKNOWN_SPP]
+    records = frame(message) + [WELLKNOWN_SPP]
     assert unframe(records) == message
 
 
 def test_unframe_missing_chunk_raises_incomplete():
-    chunks = [str(u) for u in frame(b"q" * 40)]
+    chunks = frame(b"q" * 40)
     assert len(chunks) == 4
     with pytest.raises(IncompleteSet):
         unframe(chunks[:-1])
@@ -123,22 +124,22 @@ def test_unframe_empty_input_raises_incomplete():
 
 
 def test_unframe_mixed_totals_raises():
-    a = [str(u) for u in frame(b"a" * 40)]  # 4 chunks
-    b = [str(u) for u in frame(b"b" * 50)]  # 5 chunks
+    a = frame(b"a" * 40)  # 4 chunks
+    b = frame(b"b" * 50)  # 5 chunks
     with pytest.raises(InconsistentTotals):
         unframe(a[:2] + b[2:])
 
 
 def test_unframe_conflicting_duplicate_raises():
-    chunks = [str(u) for u in frame(b"c" * 40)]
+    chunks = frame(b"c" * 40)
     body = bytes([FrameHeader(1, 4).pack()]) + b"Z" * 12
-    tampered = chunks + [str(encode(body))]
+    tampered = chunks + [encode(body)]
     with pytest.raises(ConflictingDuplicate):
         unframe(tampered)
 
 
 def test_unframe_identical_duplicate_accepted():
-    chunks = [str(u) for u in frame(b"d" * 40)]
+    chunks = frame(b"d" * 40)
     assert unframe(chunks + [chunks[2]]) == b"d" * 40
 
 
@@ -147,12 +148,12 @@ def test_unframe_declared_length_must_match_chunk_count():
     body = (20).to_bytes(2, "big") + b"e" * 10
     chunk = bytes([FrameHeader(0, 1).pack()]) + body
     with pytest.raises(InconsistentTotals):
-        unframe([str(encode(chunk))])
+        unframe([encode(chunk)])
 
 
 def test_unframe_error_type_is_permutation_independent():
-    chunks = [str(u) for u in frame(b"f" * 40)]
-    conflicting = str(encode(bytes([FrameHeader(1, 4).pack()]) + b"Z" * 12))
+    chunks = frame(b"f" * 40)
+    conflicting = encode(bytes([FrameHeader(1, 4).pack()]) + b"Z" * 12)
     records = chunks[:2] + [conflicting]  # both a gap and a conflict present
     rng = random.Random(7)
     seen = set()
@@ -170,8 +171,8 @@ def test_same_total_mixed_generations_reassemble_silently():
     # the bytes belong to neither generation.  Known protocol limitation.
     old = b"o" * 30
     new = b"n" * 30
-    old_chunks = [str(u) for u in frame(old)]
-    new_chunks = [str(u) for u in frame(new)]
+    old_chunks = frame(old)
+    new_chunks = frame(new)
     assert len(old_chunks) == len(new_chunks) == 3
     mixed = old_chunks[:2] + new_chunks[2:]
     result = unframe(mixed)
@@ -179,37 +180,42 @@ def test_same_total_mixed_generations_reassemble_silently():
     assert result == b"o" * 22 + b"n" * 8
 
 
+def _raw_slots(message):
+    return [encode(payload) for payload in raw_payloads(message)]
+
+
 def test_raw_slot_round_trip():
     message = b"thirteen-byte"
     assert len(message) == 13
-    assert raw_read([str(raw_slot(message))]) == [message]
+    assert raw_read(_raw_slots(message)) == [message]
 
 
 def test_raw_slot_pads_short_message():
-    slot = raw_slot(b"ab")
-    assert raw_read([str(slot)]) == [b"ab" + b"\x00" * 11]
+    assert raw_read(_raw_slots(b"ab")) == [b"ab" + b"\x00" * 11]
 
 
 def test_raw_slot_rejects_long_message():
-    with pytest.raises(MessageTooLong):
-        raw_slot(b"x" * 14)
+    # A slot holds 13 octets: raw_payloads splits a longer message, encode refuses it.
+    assert raw_payloads(b"x" * 14) == [b"x" * 13, b"x" + b"\x00" * 12]
+    with pytest.raises(PayloadTooLong):
+        encode(b"x" * 14)
 
 
 def test_raw_read_multiple_and_empty():
-    a, b = raw_slot(b"a" * 13), raw_slot(b"b" * 13)
-    assert raw_read([str(a), str(b)]) == [b"a" * 13, b"b" * 13]
-    assert raw_read([str(b), str(a)]) == [b"b" * 13, b"a" * 13]
+    (a,), (b,) = _raw_slots(b"a" * 13), _raw_slots(b"b" * 13)
+    assert raw_read([a, b]) == [b"a" * 13, b"b" * 13]
+    assert raw_read([b, a]) == [b"b" * 13, b"a" * 13]
     assert raw_read([WELLKNOWN_SPP]) == []
     assert raw_read([]) == []
 
 
 def test_raw_read_skips_malformed_strings():
-    assert raw_read(["garbage", str(raw_slot(b"ok"))]) == [b"ok" + b"\x00" * 11]
+    assert raw_read(["garbage", *_raw_slots(b"ok")]) == [b"ok" + b"\x00" * 11]
 
 
 @given(st.binary(max_size=82), st.randoms(use_true_random=False))
 def test_permutation_round_trip_property(message, rng):
-    records = [str(u) for u in frame(message)]
+    records = frame(message)
     rng.shuffle(records)
     assert unframe(records) == message
     assert len(records) == max(1, math.ceil((len(message) + 2) / 12))
@@ -219,7 +225,7 @@ def test_permutation_round_trip_property(message, rng):
 @settings(max_examples=200)
 @given(st.binary(min_size=11, max_size=82), st.data())
 def test_dropping_any_proper_subset_raises_incomplete(message, data):
-    records = [str(u) for u in frame(message)]
+    records = frame(message)
     n = len(records)
     assert n >= 2
     keep = data.draw(

@@ -1,6 +1,7 @@
 """Report aggregation tests."""
 
 import json
+import math
 
 import pytest
 
@@ -175,9 +176,10 @@ def test_load_log_skips_blank_lines():
 def test_load_log_reports_line_numbers():
     log = _two_device_log(3)
     lines = [e.to_json() for e in log[:3]]
-    lines[1] = "{broken"
-    with pytest.raises(MalformedLog, match="line 2"):
-        load_log(lines)
+    for broken in ("{broken", "[" * 100_000):
+        lines[1] = broken
+        with pytest.raises(MalformedLog, match="line 2"):
+            load_log(lines)
 
 
 def test_load_log_rejects_unknown_kind():
@@ -190,9 +192,52 @@ def test_load_log_rejects_unknown_kind():
             load_log([line])
 
 
+def _line(kind, detail, t=0.0, observer=A, subject=A):
+    return json.dumps(
+        {"t": t, "kind": kind, "observer": observer, "subject": subject, "detail": detail}
+    )
+
+
 def test_load_log_rejects_missing_fields():
     with pytest.raises(MalformedLog, match="line 1"):
         load_log([json.dumps({"t": 0.0, "kind": "ScanStarted"})])
+    # a detail without the keys its kind carries
+    for kind in ("ScanStarted", "UuidsFetched", "MessageReassembled", "MessageChanged"):
+        with pytest.raises(MalformedLog, match="line 1"):
+            load_log([_line(kind, {})])
+    with pytest.raises(MalformedLog, match="payloads"):
+        load_log([_line("MessageReassembled", {"generation": 1, "mode": "raw", "message": ""})])
+
+
+def test_load_log_rejects_wrong_types():
+    fetched = {"round": 0, "cached": False, "delay": 6.0, "records": []}
+    changed = {"generation": 1, "mode": "raw", "slots": 1, "message": "00"}
+    reassembled = {"generation": 1, "mode": "framed", "message": ""}
+    bad_lines = [
+        _line("UuidsFetched", {**fetched, "records": 5}),
+        _line("UuidsFetched", {**fetched, "cached": "false"}),
+        _line("UuidsFetched", {**fetched, "delay": math.nan}),
+        _line("MessageChanged", {**changed, "message": "zz"}),
+        _line("MessageChanged", {**changed, "mode": "framed", "message": "zz"}),
+        _line("MessageChanged", {**changed, "message": "0"}),
+        _line("MessageChanged", {**changed, "mode": "bogus"}),
+        _line("MessageChanged", {**changed, "generation": "1"}),
+        _line("MessageChanged", {**changed, "generation": True}),
+        _line("MessageChanged", {**changed, "slots": 1.0}),
+        _line("MessageReassembled", {**reassembled, "message": 5}),
+        _line("MessageReassembled", {"generation": 1, "mode": "raw", "payloads": [5]}),
+        _line("MessageReassembled", {"generation": 1, "mode": ["raw"], "payloads": []}),
+        _line("ScanStarted", []),
+        _line("ScanStarted", {"round": 0}, observer=5),
+        _line("ScanStarted", {"round": 0}, subject=None),
+        _line("ScanStarted", {"round": 0}, t=True),
+        _line("ScanStarted", {"round": 0}, t="0"),
+        _line("ScanStarted", {"round": 0}, t=math.inf),
+        json.dumps([]),
+    ]
+    for line in bad_lines:
+        with pytest.raises(MalformedLog, match="line 1"):
+            load_log([line])
 
 
 def test_load_log_rejects_decreasing_time():
@@ -201,22 +246,78 @@ def test_load_log_rejects_decreasing_time():
     lines.append(lines[0])  # t jumps back to 0
     with pytest.raises(MalformedLog, match="decreases"):
         load_log(lines)
+    # NaN compares false either way, so 5, NaN, 1 would pass the ordering check alone
+    lines = [_line("ScanStarted", {"round": 0}, t=t) for t in (5.0, math.nan, 1.0)]
+    with pytest.raises(MalformedLog, match="line 2"):
+        load_log(lines)
 
 
 def test_unknown_generation_rejected():
-    lines = [
-        json.dumps(
-            {
-                "t": 1.0,
-                "kind": "MessageReassembled",
-                "observer": B,
-                "subject": A,
-                "detail": {"generation": 9, "mode": "framed", "message": ""},
-            }
-        )
-    ]
-    with pytest.raises(MalformedLog, match="generation"):
-        build_report(load_log(lines))
+    changed = {"generation": 1, "mode": "framed", "slots": 1, "message": ""}
+    # "1" and true are not generation 1: a log is read as written, never converted
+    for generation in (9, "1", True):
+        detail = {"generation": generation, "mode": "framed", "message": ""}
+        lines = [
+            _line("MessageChanged", changed),
+            _line("MessageReassembled", detail, t=1.0, observer=B),
+        ]
+        with pytest.raises(MalformedLog, match="generation"):
+            build_report(load_log(lines))
+
+
+_DELETED = object()
+_LOG_FUZZ_VALUES = (
+    None, True, False, 0, -1, 0.5, 2**64, math.inf, math.nan,
+    "x", "zz", "", [], {}, [0], ["zz"], _DELETED,
+)
+
+
+def _log_edits(log):
+    """(line index, path, value) for one-value edits of the first event of each kind."""
+    firsts = {}
+    for index, event in enumerate(log):
+        firsts.setdefault(event.kind, index)
+    for index in firsts.values():
+        obj = json.loads(log[index].to_json())
+        paths = [()] + [(key,) for key in obj] + [("detail", key) for key in obj["detail"]]
+        paths += [
+            ("detail", key, 0)
+            for key, item in obj["detail"].items()
+            if isinstance(item, list) and item
+        ]
+        for path in paths:
+            for value in _LOG_FUZZ_VALUES:
+                yield index, path, value
+
+
+def _edited(line, path, value):
+    if not path:
+        return json.dumps(None if value is _DELETED else value)
+    obj = json.loads(line)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETED:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return json.dumps(obj)
+
+
+def test_edited_log_loads_or_is_rejected():
+    """A log with any one value replaced or deleted loads and reports, or raises MalformedLog."""
+    torn = scenario_gen("torn-read")
+    torn.devices[0].mode = RAW  # raw reassemblies carry payloads, not a message
+    for log in (_two_device_log(3), run(torn, seed=0)):
+        lines = [e.to_json() for e in log]
+        for index, path, value in _log_edits(log):
+            edited = lines[:index] + [_edited(lines[index], path, value)] + lines[index + 1:]
+            try:
+                report = build_report(load_log(edited))
+            except MalformedLog:
+                continue
+            format_text(report)
+            format_lines(report)
 
 
 def test_format_text_smoke():

@@ -131,7 +131,7 @@ def test_fetch_snapshot_payload_first_truncation():
     advertise(subject, b"x" * 80, FRAMED)  # 7 slots
     records = fetch_snapshot(_device(A), subject)
     assert len(records) == 21
-    assert records[:7] == [str(u) for u in subject.table.payload_slots]
+    assert records[:7] == subject.table.payload_slots
     assert records[7:] == [WELLKNOWN_SPP] * 14
 
 
@@ -177,7 +177,7 @@ def test_fetch_snapshot_change_outside_window_is_clean():
         window=(6.0, 10.0),
         change=(old_slots, 5.0),
     )
-    assert records == [str(u) for u in subject.table.payload_slots]
+    assert records == subject.table.payload_slots
 
 
 # -- run ----------------------------------------------------------------------
