@@ -9,6 +9,8 @@ unframe fails specifically because chunks are missing.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from . import __version__
@@ -82,22 +84,31 @@ def cmd_scenario_gen(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     events = run(scenario, seed=args.seed, duration_s=args.duration)
-    lines = "".join(event.to_json() + "\n" for event in events)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+    lines = (event.to_json() + "\n" for event in events)
+    if not args.out:
+        sys.stdout.writelines(lines)
+        return 0
+    # Write beside the target and rename on success, so a run that fails
+    # part-way leaves no partial log and keeps any file already at --out.
+    partial = f"{args.out}.{os.getpid()}.tmp"
+    fh = open(partial, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(partial, args.out)
+    except BaseException:
+        os.remove(partial)
+        raise
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     if args.log == "-":
-        events = load_log(sys.stdin)
+        source = contextlib.nullcontext(sys.stdin)
     else:
-        with open(args.log, "r", encoding="utf-8") as fh:
-            events = load_log(fh)
-    report = build_report(events, threshold_s=args.threshold)
+        source = open(args.log, "r", encoding="utf-8")
+    with source as fh:  # load_log reads the file as build_report consumes it
+        report = build_report(load_log(fh), threshold_s=args.threshold)
     formatter = format_lines if args.format == "lines" else format_text
     sys.stdout.write(formatter(report))
     return 0

@@ -13,11 +13,12 @@ advertised octets per device and decoded octets per fetch against the
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .errors import MalformedLog
+from .errors import MalformedLog, SdpcastError
 from .framing import DEFAULT_LIMITS, CapacityLimits, raw_payloads, raw_read
 from .sim import (
     DEVICE_FOUND,
@@ -115,9 +116,13 @@ class Report:
     bandwidth: BandwidthReport
 
 
-def load_log(lines: Iterable[str]) -> list[SimEvent]:
-    """Parse a line-delimited event log; raises MalformedLog with a line number."""
-    events: list[SimEvent] = []
+def load_log(lines: Iterable[str]) -> Iterator[SimEvent]:
+    """Yield the events of a line-delimited event log, one line at a time.
+
+    The returned iterator is one-shot and reads `lines` only as it is
+    consumed, so consume it inside the `with` that opened the file. It
+    raises MalformedLog, with the line number, when it reaches a bad line.
+    """
     last_t = None
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -131,8 +136,7 @@ def load_log(lines: Iterable[str]) -> list[SimEvent]:
         if last_t is not None and event.t < last_t:
             raise MalformedLog(f"line {lineno}: timestamp decreases ({event.t} after {last_t})")
         last_t = event.t
-        events.append(event)
-    return events
+        yield event
 
 
 def _advertised(detail: dict) -> str | list[str]:
@@ -154,7 +158,15 @@ def build_report(
     threshold_s: float = DELIVERY_THRESHOLD_S,
     limits: CapacityLimits = DEFAULT_LIMITS,
 ) -> Report:
-    """Aggregate a run's events; pure and deterministic for a given log."""
+    """Aggregate a run's events in one pass; pure and deterministic for a given log.
+
+    Raises SdpcastError, before reading any event, unless `threshold_s` is
+    finite and non-negative.
+    """
+    if not (math.isfinite(threshold_s) and threshold_s >= 0):
+        raise SdpcastError(
+            f"threshold must be a finite, non-negative number of seconds, got {threshold_s!r}"
+        )
     scanners: set[str] = set()
     # (subject, generation) -> (change time, advertised content)
     changes: dict[tuple[str, int], tuple[float, str | list[str]]] = {}

@@ -264,6 +264,8 @@ def scenario_from_json(text: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidScenario(f"scenario is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidScenario("scenario is nested deeper than the recursion limit") from None
     return _load(Scenario, obj, "scenario")
 
 

@@ -6,7 +6,8 @@ device inside radio range (symmetric disc model, min of the two ranges);
 each found device is fetched after a fixed latency, longer for the first
 encounter than for later ones, and the fetched records are decoded and
 reassembled.  Everything is driven by one seeded RNG, so a (scenario, seed)
-pair always produces a bit-identical event log.
+pair always produces a bit-identical event log.  `run` yields that log as it
+is produced, so a run holds its devices and pending actions, never its log.
 
 Torn reads are opt-in: when a message change lands strictly inside a fetch
 window, the snapshot mixes a prefix of the old generation's slots with a
@@ -24,7 +25,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, Iterator, NoReturn
 
 from .codec import encode
 from .errors import InvalidScenario, MessageTooLong, OutOfRange, ReassemblyError
@@ -55,6 +56,11 @@ MAX_SEED = 2**64 - 1
 # built-ins need at most 420; each scan can schedule work for every device
 # in range, so this bounds how long a loaded scenario can run.
 MAX_SCANS = 10**6
+
+# Upper bound on the events of one run, checked as they are emitted. The work
+# of a scan grows with the devices in range, so a dense layout can stay under
+# MAX_SCANS and still run for an hour; this stops it within a few minutes.
+MAX_EVENTS = 10**7
 
 
 def _is_finite(value: Any) -> bool:
@@ -207,6 +213,10 @@ class Mutation:
             )
 
 
+# One encoder for every log line: `json.dumps` with separators builds a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class SimEvent:
     """One log record; serialized as a single JSON line."""
@@ -218,15 +228,14 @@ class SimEvent:
     detail: dict[str, Any]
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _ENCODER.encode(
             {
                 "t": self.t,
                 "kind": self.kind,
                 "observer": self.observer,
                 "subject": self.subject,
                 "detail": self.detail,
-            },
-            separators=(",", ":"),
+            }
         )
 
     @classmethod
@@ -444,12 +453,15 @@ def run(
     scenario: Scenario,
     seed: int | None = None,
     duration_s: float | None = None,
-) -> list[SimEvent]:
-    """Execute the scenario and return its event log.
+) -> Iterator[SimEvent]:
+    """Execute the scenario, yielding its event log one event at a time.
 
-    The scenario is only read, so repeated runs of the same object are
-    independent; `seed` and `duration_s` override the scenario's values and
-    are validated with it.
+    The scenario is checked here, at the call; the run itself advances as
+    the returned one-shot iterator is consumed, and raises InvalidScenario
+    there once it has emitted more than MAX_EVENTS events. The scenario is
+    only read, so runs of the same object are independent, however far
+    each is consumed; `seed` and `duration_s` override the scenario's
+    values and are validated with it.
     """
     overrides = {"seed": seed, "duration_s": duration_s}
     overrides = {name: value for name, value in overrides.items() if value is not None}
@@ -476,14 +488,15 @@ class _Runner:
         self.grid: dict[tuple[int, int], list[str]] = {}
         for dev in self.devices.values():
             self._place(dev)
-        self.events: list[SimEvent] = []
+        self.pending: list[SimEvent] = []  # emitted by the current handler, not yet yielded
         self.fetched: set[tuple[str, str]] = set()
         # address -> (payload slots before the latest change, change time)
         self.history: dict[str, tuple[list[str], float]] = {}
         self.heap: list[tuple[float, int, tuple]] = []
         self.seq = 0
 
-    def execute(self) -> list[SimEvent]:
+    def execute(self) -> Iterator[SimEvent]:
+        """Yield the run's events, each handler's as soon as it returns."""
         for dev in self.devices.values():
             if dev.message is not None:
                 self._advertise(dev, dev.message, dev.mode, t=0.0)
@@ -492,20 +505,31 @@ class _Runner:
                 self._push(0.0, ("scan", dev.address, 0))
         for mut in self.sc.schedule:
             self._push(mut.t, ("mutate", mut))
-        while self.heap:
+        pending = self.pending
+        emitted = 0
+        while True:
+            emitted += len(pending)
+            if emitted > MAX_EVENTS:
+                raise InvalidScenario(
+                    f"the run emitted more than the budget of {MAX_EVENTS} events by "
+                    f"t={pending[-1].t}; shorten duration_s or thin out the layout"
+                )
+            yield from pending
+            pending.clear()
+            if not self.heap:
+                return
             t, _, action = heapq.heappop(self.heap)
             if t > self.sc.duration_s:
-                break
+                return
             kind, *args = action
             getattr(self, f"_on_{kind}")(t, *args)
-        return self.events
 
     def _push(self, t: float, action: tuple) -> None:
         self.seq += 1
         heapq.heappush(self.heap, (t, self.seq, action))
 
     def _emit(self, t: float, kind: str, observer: str, subject: str, detail: dict) -> None:
-        self.events.append(SimEvent(t, kind, observer, subject, detail))
+        self.pending.append(SimEvent(t, kind, observer, subject, detail))
 
     def _advertise(self, dev: Device, message: bytes, mode: str, t: float) -> None:
         previous = list(dev.table.payload_slots)

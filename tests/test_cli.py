@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sdpcast import frame
+from sdpcast import Device, Scenario, frame, scenario_to_json
 from sdpcast.cli import main
 
 ANCHOR = "ff724081-fe5d-4fb2-8745-af149cc2c0de"
@@ -138,6 +138,22 @@ def test_simulate_duration_override(tmp_path):
     assert max(times) <= 45.0
 
 
+def test_simulate_over_the_event_budget_leaves_no_log(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sdpcast.sim.MAX_EVENTS", 1000)
+    devices = [Device(address=f"aa:00:00:00:00:{k:02x}", message=b"m") for k in range(40)]
+    scenario = tmp_path / "dense.json"
+    scenario.write_text(scenario_to_json(Scenario(devices=devices, duration_s=300.0)))
+    log = tmp_path / "log.jsonl"
+    simulate = ["simulate", "--scenario", str(scenario), "--out", str(log)]
+    assert main(simulate) == 1
+    assert "budget" in capsys.readouterr().err
+    assert not log.exists()
+    log.write_text("kept\n")
+    assert main(simulate) == 1
+    assert log.read_text() == "kept\n"  # an existing log is not clobbered
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dense.json", "log.jsonl"]
+
+
 def test_simulate_missing_file_exits_1(capsys):
     assert main(["simulate", "--scenario", "/nonexistent/sc.json"]) == 1
     assert capsys.readouterr().err
@@ -201,6 +217,18 @@ def test_report_threshold_flag(tmp_path, capsys):
     (changes,) = [r for r in rows if r["metric"] == "changes"]
     assert changes["threshold_s"] == 0.5
     assert changes["fraction"] < 1.0
+
+
+def test_report_rejects_a_bad_threshold(tmp_path, capsys):
+    scenario = tmp_path / "sc.json"
+    log = tmp_path / "log.jsonl"
+    main(["scenario-gen", "two-device-default", "--out", str(scenario)])
+    main(["simulate", "--scenario", str(scenario), "--out", str(log)])
+    for value in ("nan", "inf", "-5"):
+        assert main(["report", str(log), f"--threshold={value}"]) == 1
+        captured = capsys.readouterr()
+        assert "threshold" in captured.err
+        assert captured.out == ""
 
 
 def test_version_flag(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from sdpcast import (
     Device,
     MalformedLog,
     Scenario,
+    SdpcastError,
     SimEvent,
     build_report,
     format_lines,
@@ -26,7 +28,7 @@ B = "aa:00:00:00:00:02"
 
 
 def _two_device_log(seed=0):
-    return run(scenario_gen("two-device-default"), seed=seed)
+    return list(run(scenario_gen("two-device-default"), seed=seed))
 
 
 def test_empty_log_empty_report():
@@ -160,17 +162,43 @@ def test_report_is_deterministic():
     assert build_report(log) == build_report(log)
 
 
+def test_threshold_must_be_finite_and_non_negative():
+    for threshold in (math.nan, math.inf, -5.0):
+        with pytest.raises(SdpcastError, match="threshold"):
+            build_report([], threshold_s=threshold)
+    assert build_report([], threshold_s=0.0).latency.threshold_s == 0.0
+
+
+def test_report_of_a_log_file_holds_little_beyond_the_report(tmp_path):
+    # load_log yields one event per line as build_report folds it in, so
+    # the traced peak stays within a margin far below the log's size.
+    path = tmp_path / "crowd.jsonl"
+    events = run(scenario_gen("crowd-20"), seed=1, duration_s=150.0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(event.to_json() + "\n" for event in events)
+    assert path.stat().st_size > 10**6
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = build_report(load_log(fh))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.bandwidth.fetches) == 1900
+    assert peak - retained < 512 * 1024
+
+
 def test_load_log_round_trip():
     log = _two_device_log(3)
     lines = [e.to_json() + "\n" for e in log]
-    assert load_log(lines) == log
+    assert list(load_log(lines)) == log
 
 
 def test_load_log_skips_blank_lines():
     log = _two_device_log(3)
     lines = [e.to_json() + "\n" for e in log[:3]]
     lines.insert(1, "\n")
-    assert load_log(lines) == log[:3]
+    assert list(load_log(lines)) == log[:3]
 
 
 def test_load_log_reports_line_numbers():
@@ -179,7 +207,7 @@ def test_load_log_reports_line_numbers():
     for broken in ("{broken", "[" * 100_000):
         lines[1] = broken
         with pytest.raises(MalformedLog, match="line 2"):
-            load_log(lines)
+            list(load_log(lines))
 
 
 def test_load_log_rejects_unknown_kind():
@@ -189,7 +217,7 @@ def test_load_log_rejects_unknown_kind():
             {"t": 0.0, "kind": kind, "observer": A, "subject": A, "detail": {}}
         )
         with pytest.raises(MalformedLog, match="line 1"):
-            load_log([line])
+            list(load_log([line]))
 
 
 def _line(kind, detail, t=0.0, observer=A, subject=A):
@@ -200,13 +228,13 @@ def _line(kind, detail, t=0.0, observer=A, subject=A):
 
 def test_load_log_rejects_missing_fields():
     with pytest.raises(MalformedLog, match="line 1"):
-        load_log([json.dumps({"t": 0.0, "kind": "ScanStarted"})])
+        list(load_log([json.dumps({"t": 0.0, "kind": "ScanStarted"})]))
     # a detail without the keys its kind carries
     for kind in ("ScanStarted", "UuidsFetched", "MessageReassembled", "MessageChanged"):
         with pytest.raises(MalformedLog, match="line 1"):
-            load_log([_line(kind, {})])
+            list(load_log([_line(kind, {})]))
     with pytest.raises(MalformedLog, match="payloads"):
-        load_log([_line("MessageReassembled", {"generation": 1, "mode": "raw", "message": ""})])
+        list(load_log([_line("MessageReassembled", {"generation": 1, "mode": "raw", "message": ""})]))
 
 
 def test_load_log_rejects_wrong_types():
@@ -237,7 +265,7 @@ def test_load_log_rejects_wrong_types():
     ]
     for line in bad_lines:
         with pytest.raises(MalformedLog, match="line 1"):
-            load_log([line])
+            list(load_log([line]))
 
 
 def test_load_log_rejects_decreasing_time():
@@ -245,11 +273,11 @@ def test_load_log_rejects_decreasing_time():
     lines = [e.to_json() for e in log[:5]]
     lines.append(lines[0])  # t jumps back to 0
     with pytest.raises(MalformedLog, match="decreases"):
-        load_log(lines)
+        list(load_log(lines))
     # NaN compares false either way, so 5, NaN, 1 would pass the ordering check alone
     lines = [_line("ScanStarted", {"round": 0}, t=t) for t in (5.0, math.nan, 1.0)]
     with pytest.raises(MalformedLog, match="line 2"):
-        load_log(lines)
+        list(load_log(lines))
 
 
 def test_unknown_generation_rejected():
@@ -308,7 +336,7 @@ def test_edited_log_loads_or_is_rejected():
     """A log with any one value replaced or deleted loads and reports, or raises MalformedLog."""
     torn = scenario_gen("torn-read")
     torn.devices[0].mode = RAW  # raw reassemblies carry payloads, not a message
-    for log in (_two_device_log(3), run(torn, seed=0)):
+    for log in (_two_device_log(3), list(run(torn, seed=0))):
         lines = [e.to_json() for e in log]
         for index, path, value in _log_edits(log):
             edited = lines[:index] + [_edited(lines[index], path, value)] + lines[index + 1:]

@@ -176,5 +176,5 @@ def test_edited_scenario_file_loads_as_written_or_is_rejected(edit):
         sc = scenario_from_json(json.dumps(obj))
     except InvalidScenario:
         return
-    run(sc)
+    list(run(sc))
     assert _written_back(json.loads(scenario_to_json(sc)), obj)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -185,7 +186,7 @@ def test_fetch_snapshot_change_outside_window_is_clean():
 
 def test_single_device_log_has_only_self_events():
     sc = Scenario(devices=[_device(A, message=b"solo")], duration_s=90.0)
-    log = run(sc)
+    log = list(run(sc))
     assert _kinds(log) == {"ScanStarted", "MessageChanged"}
     assert all(e.observer == e.subject == A for e in log)
 
@@ -212,6 +213,57 @@ def test_different_seeds_differ():
     assert a != b
 
 
+def test_partly_consumed_run_matches_a_fresh_one():
+    sc = _two_device_scenario()
+    partial = run(sc, seed=3)
+    prefix = [next(partial) for _ in range(5)]
+    fresh = list(run(sc, seed=3))
+    assert prefix == fresh[:5]
+    assert prefix + list(partial) == fresh  # the fresh run left the suspended one untouched
+
+
+def _traced_peak_of_run(sc, duration_s):
+    tracemalloc.start()
+    try:
+        for _ in run(sc, duration_s=duration_s):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_is_flat_in_run_length():
+    # Events are yielded as they are emitted, so a run holds only its
+    # devices and pending actions, never its log.
+    sc = scenario_gen("crowd-20")
+    list(run(sc, duration_s=10.0))  # first-call allocations stay out of the measurement
+    short = _traced_peak_of_run(sc, 75.0)
+    long = _traced_peak_of_run(sc, 300.0)  # about 3 500 and 11 640 events
+    assert abs(long - short) <= 0.1 * short
+
+
+def _colocated(n):
+    """`n` advertising scanners at one spot: every scan finds all the others."""
+    devices = [_device(f"aa:00:00:00:00:{k:02x}", message=b"m") for k in range(n)]
+    return Scenario(devices=devices, duration_s=300.0)
+
+
+def test_event_budget_stops_a_dense_run(monkeypatch):
+    monkeypatch.setattr("sdpcast.sim.MAX_EVENTS", 1000)
+
+    def consume():
+        seen = []
+        with pytest.raises(InvalidScenario, match="budget"):
+            for event in run(_colocated(40), seed=1):
+                seen.append(event)
+        return seen
+
+    first = consume()
+    # it stops at the budget: a handler emits at most two events
+    assert 1000 - 2 < len(first) <= 1000
+    assert consume() == first  # and at the same event on every run
+
+
 def test_run_does_not_mutate_input_scenario():
     sc = _two_device_scenario(
         schedule=[
@@ -221,7 +273,7 @@ def test_run_does_not_mutate_input_scenario():
         ],
     )
     before = scenario_to_json(sc)
-    log = run(sc, seed=5)
+    log = list(run(sc, seed=5))
     changes = [e.detail for e in log if e.kind == "MessageChanged"]
     assert (changes[-1]["mode"], changes[-1]["message"]) == (RAW, b"now raw".hex())
     found_b = [e.t for e in log if e.kind == "DeviceFound" and e.subject == B]
@@ -243,7 +295,7 @@ def test_hand_traced_event_times():
         duration_s=100.0,
         seed=99,
     )
-    log = run(sc)
+    log = list(run(sc))
     oracle = random.Random(99)
     expected_found = [30.0 * k + oracle.uniform(0.0, 12.0) for k in range(4)]
     found = [e.t for e in log if e.kind == "DeviceFound"]
@@ -275,7 +327,7 @@ def test_fetch_delay_detail_matches_timing():
 
 
 def test_event_json_key_order():
-    log = run(_two_device_scenario(), seed=0)
+    log = list(run(_two_device_scenario(), seed=0))
     for event in log[:10]:
         assert list(json.loads(event.to_json()).keys()) == [
             "t", "kind", "observer", "subject", "detail",
@@ -329,7 +381,7 @@ def test_mid_flight_position_mutation_aborts_fetch():
                 Mutation(t=0.0, device=A, action="set_position", position=(500.0, 0.0)),
             ],
         )
-        log = run(sc, seed=seed)
+        log = list(run(sc, seed=seed))
         assert any(e.kind == "DeviceFound" for e in log)
         assert not any(e.kind == "UuidsFetched" for e in log)
 
@@ -347,7 +399,7 @@ def test_discoverable_toggle_controls_discovery():
                 Mutation(t=45.0, device=A, action="set_discoverable", discoverable=True),
             ],
         )
-        log = run(sc, seed=seed)
+        log = list(run(sc, seed=seed))
         found = [e.t for e in log if e.kind == "DeviceFound"]
         # round 0 finds it; round 1 (t=30) cannot; round 2 (t=60) finds again
         assert len(found) == 2
@@ -366,7 +418,7 @@ def test_set_message_mutation_changes_payload():
         duration_s=100.0,
         schedule=[Mutation(t=40.0, device=A, action="set_message", message=b"second")],
     )
-    log = run(sc, seed=8)
+    log = list(run(sc, seed=8))
     changes = [e for e in log if e.kind == "MessageChanged"]
     assert [c.detail["generation"] for c in changes] == [1, 2]
     messages = {
@@ -382,7 +434,7 @@ def test_torn_read_scenario_tears_every_seed():
     old = sc.devices[0].message
     new = sc.schedule[0].message
     for seed in range(8):
-        log = run(sc, seed=seed)
+        log = list(run(sc, seed=seed))
         fetches = [e for e in log if e.kind == "UuidsFetched"]
         reassembled_at = {(e.t, e.observer) for e in log if e.kind == "MessageReassembled"}
         torn = [e for e in fetches if (e.t, e.observer) not in reassembled_at]
@@ -409,7 +461,7 @@ def test_fetched_records_decode_to_the_following_reassembly():
     scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [raw_torn]
     for sc in scenarios:
         for seed in (0, 1, 2, 42):
-            log = run(sc, seed=seed)
+            log = list(run(sc, seed=seed))
             mode = {}
             for event, following in zip(log, log[1:] + [None]):
                 if event.kind == "MessageChanged":
@@ -619,6 +671,8 @@ def test_scenario_requires_devices_and_duration():
         scenario_from_json("not json at all")
     with pytest.raises(InvalidScenario):
         scenario_from_json("[1, 2]")
+    with pytest.raises(InvalidScenario):
+        scenario_from_json("[" * 100_000)  # deeper than the parser's recursion limit
 
 
 def test_scenario_rejects_bad_values():
