@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import shutil
 import sys
 
 from . import __version__
@@ -88,14 +89,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not args.out:
         sys.stdout.writelines(lines)
         return 0
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        # A device, FIFO or other special file cannot be renamed over.
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        return 0
+    target = os.path.realpath(args.out)  # through a symlink, to what it names
     # Write beside the target and rename on success, so a run that fails
     # part-way leaves no partial log and keeps any file already at --out.
-    partial = f"{args.out}.{os.getpid()}.tmp"
+    partial = f"{target}.{os.getpid()}.tmp"
     fh = open(partial, "x", encoding="utf-8")
     try:
         with fh:
+            if os.path.exists(target):
+                shutil.copymode(target, partial)
             fh.writelines(lines)
-        os.replace(partial, args.out)
+        os.replace(partial, target)
     except BaseException:
         os.remove(partial)
         raise

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -152,6 +155,50 @@ def test_simulate_over_the_event_budget_leaves_no_log(tmp_path, capsys, monkeypa
     assert main(simulate) == 1
     assert log.read_text() == "kept\n"  # an existing log is not clobbered
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dense.json", "log.jsonl"]
+
+
+def test_simulate_out_through_a_symlink_writes_its_target(tmp_path):
+    scenario = tmp_path / "sc.json"
+    main(["scenario-gen", "two-device-default", "--out", str(scenario)])
+    expected = tmp_path / "expected.jsonl"
+    main(["simulate", "--scenario", str(scenario), "--out", str(expected)])
+    target = tmp_path / "logs" / "run.jsonl"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == expected.read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in target.parent.iterdir()] == ["run.jsonl"]
+
+
+def test_simulate_out_to_a_fifo_writes_into_it(tmp_path):
+    # A special file is written in place, not renamed over; a FIFO stands
+    # in for a device such as os.devnull, which a regression would replace.
+    scenario = tmp_path / "sc.json"
+    main(["scenario-gen", "two-device-default", "--out", str(scenario)])
+    expected = tmp_path / "expected.jsonl"
+    main(["simulate", "--scenario", str(scenario), "--out", str(expected)])
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=10)
+    assert received == [expected.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.jsonl", "fifo", "sc.json"]
 
 
 def test_simulate_missing_file_exits_1(capsys):
