@@ -1,0 +1,55 @@
+"""Golden sha256 hashes pin the built-ins' event logs and reports across commits.
+
+`tests/data/golden-sha256.json` holds, per built-in and seed, the sha256 of
+the JSONL log exactly as `sdpcast simulate` writes it and of
+`format_lines(build_report(load_log(log)))`. A change that alters a log or
+a report on purpose regenerates the file with
+`PYTHONPATH=src python tests/test_golden.py > tests/data/golden-sha256.json`
+and names the change.
+"""
+
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from sdpcast import build_report, format_lines, load_log, run, scenario_gen
+
+GOLDEN = Path(__file__).parent / "data" / "golden-sha256.json"
+
+SEEDS = {
+    "two-device-default": (0, 1, 42),
+    "out-of-range": (0, 1, 42),
+    "torn-read": (0, 1, 42),
+    "crowd-20": (1,),  # about a second per seed
+}
+CASES = [(name, seed) for name, seeds in SEEDS.items() for seed in seeds]
+
+
+def _hashes(name, seed):
+    log = "".join(event.to_json() + "\n" for event in run(scenario_gen(name), seed=seed))
+    report = format_lines(build_report(load_log(io.StringIO(log))))
+    return {
+        "log": hashlib.sha256(log.encode()).hexdigest(),
+        "report": hashlib.sha256(report.encode()).hexdigest(),
+    }
+
+
+def _golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_file_covers_every_case():
+    assert {(name, int(seed)) for name, seeds in _golden().items() for seed in seeds} == set(CASES)
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_log_and_report_match_golden_hashes(name, seed):
+    assert _hashes(name, seed) == _golden()[name][str(seed)]
+
+
+if __name__ == "__main__":
+    golden = {name: {str(seed): _hashes(name, seed) for seed in seeds} for name, seeds in SEEDS.items()}
+    print(json.dumps(golden, indent=2))
