@@ -18,7 +18,8 @@ from . import __version__
 from .codec import CodecConfig, decode, encode, printable_text
 from .errors import IncompleteSet, SdpcastError
 from .framing import frame, unframe
-from .report import DELIVERY_THRESHOLD_S, build_report, format_lines, format_text, load_log
+from .log import load_log
+from .report import DELIVERY_THRESHOLD_S, build_report, format_lines, format_text
 from .scenarios import BUILTIN_SCENARIOS, load_scenario, scenario_gen, scenario_to_json
 from .sim import run
 

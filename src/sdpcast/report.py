@@ -12,23 +12,18 @@ advertised octets per device and decoded octets per fetch against the
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import MalformedLog, SdpcastError
 from .framing import DEFAULT_LIMITS, CapacityLimits, raw_payloads, raw_read
-from .sim import (
-    DEVICE_FOUND,
-    MESSAGE_CHANGED,
-    MESSAGE_REASSEMBLED,
-    RAW,
-    SCAN_STARTED,
-    UUIDS_FETCHED,
+from .log import (
+    _ENCODER, DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, SCAN_STARTED, UUIDS_FETCHED,
     SimEvent,
 )
+from .model import RAW
 
 DELIVERY_THRESHOLD_S = 60.0
 
@@ -114,29 +109,6 @@ class BandwidthReport:
 class Report:
     latency: LatencyReport
     bandwidth: BandwidthReport
-
-
-def load_log(lines: Iterable[str]) -> Iterator[SimEvent]:
-    """Yield the events of a line-delimited event log, one line at a time.
-
-    The returned iterator is one-shot and reads `lines` only as it is
-    consumed, so consume it inside the `with` that opened the file. It
-    raises MalformedLog, with the line number, when it reaches a bad line.
-    """
-    last_t = None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            event = SimEvent.from_dict(obj)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise MalformedLog(f"line {lineno}: {exc}") from None
-        if last_t is not None and event.t < last_t:
-            raise MalformedLog(f"line {lineno}: timestamp decreases ({event.t} after {last_t})")
-        last_t = event.t
-        yield event
 
 
 def _advertised(detail: dict) -> str | list[str]:
@@ -349,4 +321,4 @@ def format_lines(report: Report) -> str:
                 "utilization": fetch.utilization,
             }
         )
-    return "\n".join(json.dumps(row, separators=(",", ":")) for row in rows) + "\n"
+    return "\n".join(map(_ENCODER.encode, rows)) + "\n"

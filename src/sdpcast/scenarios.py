@@ -18,7 +18,7 @@ from typing import Any
 
 from .errors import InvalidScenario, UnknownScenario
 from .framing import CapacityLimits
-from .sim import FRAMED, Device, Mutation, Scenario, TimingModel
+from .model import FRAMED, Device, Mutation, Scenario, TimingModel
 
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 

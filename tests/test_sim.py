@@ -33,7 +33,8 @@ from sdpcast import (
     scenario_to_json,
     unframe,
 )
-from sdpcast.sim import MAX_SCANS, _Runner
+from sdpcast.model import MAX_SCANS
+from sdpcast.sim import _Runner
 
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 
