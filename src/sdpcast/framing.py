@@ -71,7 +71,9 @@ class CapacityLimits:
     def __post_init__(self) -> None:
         slots, records = self.max_outbound_slots, self.max_inbound_records
         if not (_is_int(slots) and 1 <= slots <= MAX_CHUNKS):
-            raise ValueError(f"max_outbound_slots must be 1..{MAX_CHUNKS}, got {slots}")
+            raise ValueError(
+                f"max_outbound_slots must be 1..{MAX_CHUNKS}, got {slots}"
+            )
         if not (_is_int(records) and records >= 1):
             raise ValueError(f"max_inbound_records must be a positive integer, got {records}")
         if self.payload_per_uuid != PAYLOAD_OCTETS:

@@ -136,7 +136,8 @@ class TimingModel:
 
 DEFAULT_TIMING = TimingModel()
 
-_ACTIONS = ("set_message", "set_position", "set_discoverable")
+# Each schedule action and the field that holds its value.
+_ACTIONS = dict(set_message="message", set_position="position", set_discoverable="discoverable")
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,11 @@ class Mutation:
         )
         if self.position is not None:
             object.__setattr__(self, "position", _position(self.position, "schedule"))
-        if self.action not in _ACTIONS:
+        if not isinstance(self.action, str) or self.action not in _ACTIONS:
             raise InvalidScenario(
-                f"schedule: unknown action {self.action!r}, expected one of {_ACTIONS}"
+                f"schedule: unknown action {self.action!r}, expected one of {tuple(_ACTIONS)}"
             )
-        needed = {
-            "set_message": self.message is not None,
-            "set_position": self.position is not None,
-            "set_discoverable": self.discoverable is not None,
-        }
-        if not needed[self.action]:
+        if getattr(self, _ACTIONS[self.action]) is None:
             raise InvalidScenario(f"schedule: action {self.action!r} is missing its value field")
         if self.mode is not None and self.mode not in MODES:
             raise InvalidScenario(

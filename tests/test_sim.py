@@ -736,6 +736,12 @@ def test_scenario_rejects_bad_schedule():
         )
 
 
+@pytest.mark.parametrize("action", ["explode", None, 3, [], {}, ["set_message"]])
+def test_unknown_schedule_action_is_invalid_not_a_type_error(action):
+    with pytest.raises(InvalidScenario, match="unknown action"):
+        Mutation(t=1.0, device=A, action=action, message=b"x")
+
+
 def test_scenario_checks_capacity_in_the_mode_each_message_is_sent_in():
     long_raw = b"x" * 90  # fits raw (91), not framed (82)
 
