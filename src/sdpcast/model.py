@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NoReturn
 
 from .errors import InvalidScenario
 from .framing import DEFAULT_LIMITS, CapacityLimits, _is_int
@@ -53,9 +53,10 @@ def _expect(value: Any, kind: type | tuple[type, ...], where: str, what: str) ->
         raise InvalidScenario(f"{where}: {what}, got {value!r}")
 
 
-def _check_mode(mode: Any, where: str) -> None:
-    """Raise InvalidScenario unless `mode` is one of MODES; `where` prefixes the message."""
+def _check_mode(mode: Any, where: str = "") -> None:
+    """Raise InvalidScenario unless `mode` is one of MODES; a `where` prefixes the message."""
     if mode not in MODES:
+        where = f"{where}: " if where else ""
         raise InvalidScenario(f"{where}mode must be {RAW!r} or {FRAMED!r}, got {mode!r}")
 
 
@@ -112,7 +113,7 @@ class Device:
                     f"{where}: scan_interval_s must be positive and finite, or null"
                 )
             self.scan_interval_s = float(self.scan_interval_s)
-        _check_mode(self.mode, f"{where}: ")
+        _check_mode(self.mode, where)
 
 
 @dataclass(frozen=True)
@@ -234,18 +235,19 @@ class Scenario:
                 mode[dev.address] = FRAMED
             else:
                 mode[dev.address] = dev.mode
-                _check_fits(f"device {dev.address}", dev.message, dev.mode, capacity)
+                if len(dev.message) > capacity.get(dev.mode, -1):
+                    _reject_message(f"device {dev.address}", dev.message, dev.mode, capacity)
         changes = sorted(
             (m.t, i, m) for i, m in enumerate(self.schedule) if m.action == "set_message"
         )
         for _, i, mut in changes:
             current = mode[mut.device] = mut.mode or mode[mut.device]
-            _check_fits(f"schedule[{i}]", mut.message, current, capacity)
+            if len(mut.message) > capacity.get(current, -1):
+                _reject_message(f"schedule[{i}]", mut.message, current, capacity)
 
 
-def _check_fits(where: str, message: bytes, mode: str, capacity: dict[str, int]) -> None:
-    _check_mode(mode, f"{where}: ")
-    if len(message) > capacity[mode]:
-        raise InvalidScenario(
-            f"{where}: message is {len(message)} octets, {mode} capacity is {capacity[mode]}"
-        )
+def _reject_message(where: str, message: bytes, mode: str, capacity: dict[str, int]) -> NoReturn:
+    _check_mode(mode, where)
+    raise InvalidScenario(
+        f"{where}: message is {len(message)} octets, {mode} capacity is {capacity[mode]}"
+    )

@@ -59,7 +59,7 @@ def advertise(
     segment (capacity 91 octets).  Bumps the table generation.
     """
     message = bytes(message)
-    _check_mode(mode, "")
+    _check_mode(mode)
     table = device.table
     if mode == FRAMED:
         slots = frame(message, limits)
