@@ -160,9 +160,9 @@ class _Runner:
                 self._advertise(dev, dev.message, dev.mode, t=0.0)
         for dev in self.devices.values():
             if dev.scan_interval_s is not None:
-                self._push(0.0, ("scan", dev.address, 0))
+                self._push(0.0, ("_on_scan", dev.address, 0))
         for mut in self.sc.schedule:
-            self._push(mut.t, ("mutate", mut))
+            self._push(mut.t, ("_on_mutate", mut))
         pending = self.pending
         emitted = 0
         while True:
@@ -176,11 +176,11 @@ class _Runner:
             pending.clear()
             if not self.heap:
                 return
-            t, _, action = heapq.heappop(self.heap)
+            # Constant handler names: a name built per action piles up in CPython's method cache.
+            t, _, (handler, *args) = heapq.heappop(self.heap)
             if t > self.sc.duration_s:
                 return
-            kind, *args = action
-            getattr(self, f"_on_{kind}")(t, *args)
+            getattr(self, handler)(t, *args)
 
     def _push(self, t: float, action: tuple) -> None:
         self.seq += 1
@@ -238,17 +238,17 @@ class _Runner:
                 continue
             if in_range(dev, self.devices[subject]):
                 dt = self.rng.uniform(0.0, self.sc.timing.inquiry_duration_s)
-                self._push(t + dt, ("found", address, subject, rnd))
+                self._push(t + dt, ("_on_found", address, subject, rnd))
         next_scan = t + dev.scan_interval_s
         if next_scan <= self.sc.duration_s:
-            self._push(next_scan, ("scan", address, rnd + 1))
+            self._push(next_scan, ("_on_scan", address, rnd + 1))
 
     def _on_found(self, t: float, observer: str, subject: str, rnd: int) -> None:
         self._emit(t, DEVICE_FOUND, observer, subject, {"round": rnd})
         cached = (observer, subject) in self.fetched
         timing = self.sc.timing
         latency = timing.fetch_latency_cached_s if cached else timing.fetch_latency_fresh_s
-        self._push(t + latency, ("fetch", observer, subject, rnd, t, latency, cached))
+        self._push(t + latency, ("_on_fetch", observer, subject, rnd, t, latency, cached))
 
     def _on_fetch(
         self,

@@ -1,6 +1,7 @@
 """Simulator unit, oracle, and property tests."""
 
 import dataclasses
+import gc
 import json
 import math
 import random
@@ -224,6 +225,9 @@ def test_partly_consumed_run_matches_a_fresh_one():
 
 
 def _traced_peak_of_run(sc, duration_s):
+    # A full collection empties the interpreter's float, tuple and dict free
+    # lists, so each measured run starts alike, whatever ran before it.
+    gc.collect()
     tracemalloc.start()
     try:
         for _ in run(sc, duration_s=duration_s):
