@@ -94,7 +94,10 @@ _DETAIL_CHECKS = {
     SCAN_STARTED: {"round": _is_int},
     DEVICE_FOUND: {"round": _is_int},
     UUIDS_FETCHED: {
-        "round": _is_int, "cached": _is_a(bool), "delay": _is_finite, "records": _is_a(list)
+        "round": _is_int,
+        "cached": _is_a(bool),
+        "delay": _is_finite,
+        "records": lambda value: isinstance(value, list) and all(isinstance(r, str) for r in value),
     },
     MESSAGE_REASSEMBLED: _MESSAGE_CHECKS,
     MESSAGE_CHANGED: {**_MESSAGE_CHECKS, "slots": _is_int, "message": _is_hex},

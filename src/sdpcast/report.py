@@ -148,6 +148,10 @@ def build_report(
     first_delivery: dict[tuple[str, str, int], float] = {}
     misdelivered = 0
     fetches: list[FetchBandwidth] = []
+    # subject -> record -> 1 if it holds a payload, else 0. Cleared on the
+    # subject's change, a memo holds at most the slots of two generations
+    # (a torn read mixes them) and the subject's well-known records.
+    payload_counts: dict[str, dict[str, int]] = {}
 
     for event in events:
         if event.kind == SCAN_STARTED:
@@ -156,19 +160,24 @@ def build_report(
             generation = event.detail["generation"]
             changes[(event.subject, generation)] = (event.t, _advertised(event.detail))
             latest_slots[event.subject] = event.detail["slots"]
+            payload_counts.pop(event.subject, None)
         elif event.kind == DEVICE_FOUND:
             first_found.setdefault((event.observer, event.subject), event.t)
         elif event.kind == UUIDS_FETCHED:
             records = event.detail["records"]
-            payloads = raw_read(records)
-            payload_octets = sum(len(p) for p in payloads)
+            memo = payload_counts.setdefault(event.subject, {})
+            for record in records:
+                if record not in memo:
+                    memo[record] = len(raw_read([record]))
+            payload_records = sum(map(memo.__getitem__, records))
+            payload_octets = payload_records * limits.payload_per_uuid
             fetches.append(
                 FetchBandwidth(
                     t=event.t,
                     observer=event.observer,
                     subject=event.subject,
                     records=len(records),
-                    payload_records=len(payloads),
+                    payload_records=payload_records,
                     decoded_octets=payload_octets,
                     utilization=payload_octets / limits.inbound_ceiling,
                 )

@@ -5,9 +5,13 @@ tables, and run periodic inquiry scans.  A scan finds every discoverable
 device inside radio range (symmetric disc model, min of the two ranges);
 each found device is fetched after a fixed latency, longer for the first
 encounter than for later ones, and the fetched records are decoded and
-reassembled.  Everything is driven by one seeded RNG, so a (scenario, seed)
-pair always produces a bit-identical event log.  `run` yields that log as it
-is produced, so a run holds its devices and pending actions, never its log.
+reassembled.  Most fetches see exactly the records their subject's previous
+fetch saw, so the runner keeps each subject's latest (mode, records,
+outcome) and decodes only when the mode or the records differ; that memo
+holds one entry per device, whatever the run length.  Everything is driven
+by one seeded RNG, so a (scenario, seed) pair always produces a
+bit-identical event log.  `run` yields that log as it is produced, so a run
+holds its devices and pending actions, never its log.
 
 Torn reads are opt-in: when a message change lands strictly inside a fetch
 window, the snapshot mixes a prefix of the old generation's slots with a
@@ -150,6 +154,8 @@ class _Runner:
         self.fetched: set[tuple[str, str]] = set()
         # address -> (payload slots before the latest change, change time)
         self.history: dict[str, tuple[list[str], float]] = {}
+        # address -> (mode, unshuffled records, outcome) of its latest fetch; see `_outcome`
+        self.outcomes: dict[str, tuple[str, list[str], str | list[str] | None]] = {}
         self.heap: list[tuple[float, int, tuple]] = []
         self.seq = 0
 
@@ -272,38 +278,49 @@ class _Runner:
             )
         except OutOfRange:
             return  # moved or toggled mid-flight; the fetch just never completes
-        self.rng.shuffle(records)
+        fetched = records.copy()
+        self.rng.shuffle(fetched)
         self.fetched.add((observer, subject))
         self._emit(
             t,
             UUIDS_FETCHED,
             observer,
             subject,
-            {"round": rnd, "cached": cached, "delay": latency, "records": records},
+            {"round": rnd, "cached": cached, "delay": latency, "records": fetched},
         )
-        self._reassemble(t, observer, subject, raw_read(records), subj)
-
-    def _reassemble(
-        self, t: float, observer: str, subject: str, payloads: list[bytes], subj: Device
-    ) -> None:
         table = subj.table
         if not table.payload_slots:
             return
+        outcome = self._outcome(subject, table.mode, records)
+        if outcome is None:
+            return  # torn or truncated snapshot; a later fetch will retry
         if table.mode == FRAMED:
-            try:
-                message = reassemble(payloads)
-            except ReassemblyError:
-                return  # torn or truncated snapshot; a later fetch will retry
-            detail = {"generation": table.generation, "mode": FRAMED, "message": message.hex()}
+            detail = {"generation": table.generation, "mode": FRAMED, "message": outcome}
         else:
-            if not payloads:
-                return
-            detail = {
-                "generation": table.generation,
-                "mode": RAW,
-                "payloads": sorted(p.hex() for p in payloads),
-            }
+            detail = {"generation": table.generation, "mode": RAW, "payloads": list(outcome)}
         self._emit(t, MESSAGE_REASSEMBLED, observer, subject, detail)
+
+    def _outcome(self, subject: str, mode: str, records: list[str]) -> str | list[str] | None:
+        """What a fetch of `records` (unshuffled) reassembles to in `mode`.
+
+        That is the message hex in framed mode, the sorted payload hex in raw
+        mode, or None when nothing reassembles. Most fetches see the snapshot
+        their subject's previous fetch saw, so the latest outcome is kept per
+        subject and reused while mode and records are unchanged.
+        """
+        entry = self.outcomes.get(subject)
+        if entry is not None and entry[0] == mode and entry[1] == records:
+            return entry[2]
+        payloads = raw_read(records)
+        if mode == FRAMED:
+            try:
+                outcome = reassemble(payloads).hex()
+            except ReassemblyError:
+                outcome = None
+        else:
+            outcome = sorted(p.hex() for p in payloads) or None
+        self.outcomes[subject] = (mode, records, outcome)
+        return outcome
 
     def _on_mutate(self, t: float, mut: Mutation) -> None:
         dev = self.devices[mut.device]

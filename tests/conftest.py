@@ -1,0 +1,33 @@
+"""Scenarios shared by the simulator and report tests."""
+
+import pytest
+
+from sdpcast import RAW, Device, Mutation, Scenario, advertise, frame
+
+A = "aa:00:00:00:00:01"
+B = "aa:00:00:00:00:02"
+
+
+@pytest.fixture
+def same_records_scenarios():
+    """Two-device runs whose fetches repeat a subject's records under a new generation.
+
+    In the first, framed b"hi" and the raw message 01000268690000000000000000
+    advertise the same one UUID, so only the mode tells their reassemblies
+    apart; in the second, set_message re-sends identical bytes. Both change
+    device A at t = 70 s, between B's scans, so fetches before and after the
+    change see the same records.
+    """
+    raw_hi = bytes.fromhex("01000268690000000000000000")
+    assert frame(b"hi") == advertise(Device(A), raw_hi, RAW).payload_slots
+    assert frame(b"hi") == ["01000268-6900-4000-8000-00000000c0de"]
+
+    def two_devices(message, change):
+        devices = [Device(A, message=message), Device(B, position=(5.0, 0.0), message=b"from b")]
+        schedule = [Mutation(t=70.0, device=A, action="set_message", **change)]
+        return Scenario(devices=devices, duration_s=120.0, schedule=schedule)
+
+    return [
+        two_devices(b"hi", {"message": raw_hi, "mode": RAW}),
+        two_devices(b"from a", {"message": b"from a"}),
+    ]

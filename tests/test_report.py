@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from sdpcast import (
+    BUILTIN_SCENARIOS,
     RAW,
     Device,
     MalformedLog,
@@ -18,6 +19,7 @@ from sdpcast import (
     format_text,
     frame,
     load_log,
+    raw_read,
     run,
     scenario_gen,
     unframe,
@@ -148,6 +150,23 @@ def test_raw_torn_read_is_misdelivered():
         assert lat.changes_delivered == 2
 
 
+def test_fetch_payload_counts_match_raw_read(same_records_scenarios):
+    # Oracle for the report's per-subject memo of record decodes: each fetch
+    # counts what an un-memoized raw_read of its records finds.
+    raw_torn = scenario_gen("torn-read")
+    raw_torn.devices[0].mode = RAW
+    scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [raw_torn]
+    for sc in scenarios + same_records_scenarios:
+        for seed in (0, 1, 2, 42):
+            lines = [event.to_json() for event in run(sc, seed=seed)]
+            fetched = [e.detail["records"] for e in load_log(lines) if e.kind == "UuidsFetched"]
+            fetches = build_report(load_log(lines)).bandwidth.fetches
+            assert len(fetches) == len(fetched)
+            for fetch, records in zip(fetches, fetched):
+                assert fetch.payload_records == len(raw_read(records))
+                assert fetch.decoded_octets == 13 * fetch.payload_records
+
+
 def test_out_of_range_zero_deliveries():
     report = build_report(run(scenario_gen("out-of-range"), seed=1))
     assert report.latency.changes_total == 2
@@ -245,6 +264,11 @@ def test_load_log_rejects_wrong_types():
         _line("UuidsFetched", {**fetched, "records": 5}),
         _line("UuidsFetched", {**fetched, "cached": "false"}),
         _line("UuidsFetched", {**fetched, "delay": math.nan}),
+        _line("UuidsFetched", {**fetched, "records": [[1], None, {"x": 2}, 7]}),
+        *(
+            _line("UuidsFetched", {**fetched, "records": ["", value]})
+            for value in ([1], None, {"x": 2}, 7)
+        ),
         _line("MessageChanged", {**changed, "message": "zz"}),
         _line("MessageChanged", {**changed, "mode": "framed", "message": "zz"}),
         _line("MessageChanged", {**changed, "message": "0"}),

@@ -457,20 +457,22 @@ def test_torn_read_scenario_tears_every_seed():
         assert set(messages[1:]) == {new}
 
 
-def test_fetched_records_decode_to_the_following_reassembly():
-    # Oracle for the decode-once fetch path: the public unframe / raw_read of
-    # each fetch's records gives exactly the bytes of the MessageReassembled
-    # emitted with it, and unframe raises exactly when none is emitted.
+def test_fetched_records_decode_to_the_following_reassembly(same_records_scenarios):
+    # Oracle for the memoized fetch path: the public unframe / raw_read of
+    # each fetch's records, in the mode of the subject's latest change, give
+    # exactly the bytes of the MessageReassembled emitted with it, which
+    # carries that change's generation; unframe raises exactly when none is
+    # emitted.
     raw_torn = scenario_gen("torn-read")
     raw_torn.devices[0].mode = RAW
     scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [raw_torn]
-    for sc in scenarios:
+    for sc in scenarios + same_records_scenarios:
         for seed in (0, 1, 2, 42):
             log = list(run(sc, seed=seed))
-            mode = {}
+            latest = {}
             for event, following in zip(log, log[1:] + [None]):
                 if event.kind == "MessageChanged":
-                    mode[event.subject] = event.detail["mode"]
+                    latest[event.subject] = event.detail
                 if event.kind != "UuidsFetched":
                     continue
                 records = event.detail["records"]
@@ -480,7 +482,11 @@ def test_fetched_records_decode_to_the_following_reassembly():
                     and (following.t, following.observer, following.subject)
                     == (event.t, event.observer, event.subject)
                 )
-                if mode[event.subject] == RAW:
+                change = latest[event.subject]
+                if reassembled:
+                    assert following.detail["generation"] == change["generation"]
+                    assert following.detail["mode"] == change["mode"]
+                if change["mode"] == RAW:
                     payloads = sorted(p.hex() for p in raw_read(records))
                     assert reassembled == bool(payloads)
                     assert not reassembled or following.detail["payloads"] == payloads
