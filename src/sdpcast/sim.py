@@ -297,6 +297,7 @@ class _Runner:
         if table.mode == FRAMED:
             detail = {"generation": table.generation, "mode": FRAMED, "message": outcome}
         else:
+            # a list of its own per event, so no consumer can change the memo's
             detail = {"generation": table.generation, "mode": RAW, "payloads": list(outcome)}
         self._emit(t, MESSAGE_REASSEMBLED, observer, subject, detail)
 
