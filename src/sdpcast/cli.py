@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import shutil
 import sys
@@ -112,9 +113,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _utf8_stdin():
+    """Standard input read as strict UTF-8: `sys.stdin` may decode with
+    surrogateescape (UTF-8 mode), which lets bytes that are not UTF-8 through."""
+    fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
+    try:
+        yield fh
+    finally:
+        fh.detach()  # leaves sys.stdin open
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     if args.log == "-":
-        source = contextlib.nullcontext(sys.stdin)
+        source = _utf8_stdin()
     else:
         source = open(args.log, "r", encoding="utf-8")
     with source as fh:  # load_log reads the file as build_report consumes it

@@ -211,7 +211,9 @@ def build_report(
         for observer, subject in sorted(set(first_found) | set(pair_latencies))
     )
 
-    changes_total = sum(len(scanners - {subject}) for (subject, _generation) in changes)
+    changes_total = sum(
+        len(scanners) - (subject in scanners) for (subject, _generation) in changes
+    )
     changes_within = sum(1 for latency in first_delivery.values() if latency <= threshold_s)
 
     devices = tuple(

@@ -218,9 +218,34 @@ def test_report_stdin(tmp_path, capsys, monkeypatch):
     log = tmp_path / "log.jsonl"
     main(["scenario-gen", "two-device-default", "--out", str(scenario)])
     main(["simulate", "--scenario", str(scenario), "--out", str(log)])
-    monkeypatch.setattr("sys.stdin", io.StringIO(log.read_text(encoding="utf-8")))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(log.read_bytes())))
     assert main(["report", "-"]) == 0
     assert "latency" in capsys.readouterr().out
+
+
+def test_report_rejects_a_log_that_is_not_utf8(tmp_path, capsys, monkeypatch):
+    scenario = tmp_path / "sc.json"
+    log = tmp_path / "log.jsonl"
+    main(["scenario-gen", "two-device-default", "--out", str(scenario)])
+    main(["simulate", "--scenario", str(scenario), "--out", str(log)])
+    good = log.read_bytes()
+    bad = good.replace(b'"observer":"aa:00:00:00:00:01"', b'"observer":"a\xff"', 1)
+    assert bad != good
+    log.write_bytes(bad)
+    assert main(["report", str(log)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sdpcast: line ")
+    assert "UTF-8" in captured.err
+    assert captured.out == ""
+    # In Python's UTF-8 mode (the C locale) sys.stdin decodes with surrogateescape,
+    # so "a\xff" would load as an observer unless the report reads stdin strictly.
+    stdin = io.TextIOWrapper(io.BytesIO(bad), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["report", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sdpcast: line ")
+    assert "UTF-8" in captured.err
+    assert captured.out == ""
 
 
 def test_report_malformed_log_exits_1(tmp_path, capsys):

@@ -292,6 +292,124 @@ def test_load_log_rejects_wrong_types():
             list(load_log([line]))
 
 
+# Each line with the exact text `load_log` raises for it, after "line 1: ".
+_FETCHED = {"round": 0, "cached": False, "delay": 6.0, "records": []}
+_CHANGED = {"generation": 1, "mode": "raw", "slots": 1, "message": "00"}
+_LOG_ERRORS = [
+    (_line("ScanStarted", {}), "ScanStarted detail: 'round' is missing or malformed: None"),
+    (
+        _line("DeviceFound", {"round": "0"}),
+        "DeviceFound detail: 'round' is missing or malformed: '0'",
+    ),
+    (
+        _line("DeviceFound", {"round": True}),
+        "DeviceFound detail: 'round' is missing or malformed: True",
+    ),
+    (
+        _line("UuidsFetched", {"round": 0, "delay": 6.0, "records": []}),
+        "UuidsFetched detail: 'cached' is missing or malformed: None",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "records": 5}),
+        "UuidsFetched detail: 'records' is missing or malformed: 5",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "records": ["", 7]}),
+        "UuidsFetched detail: 'records' is missing or malformed: ['', 7]",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "delay": math.nan}),
+        "UuidsFetched detail: 'delay' is missing or malformed: nan",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "delay": -math.inf}),
+        "UuidsFetched detail: 'delay' is missing or malformed: -inf",
+    ),
+    (
+        _line("MessageChanged", {**_CHANGED, "slots": True}),
+        "MessageChanged detail: 'slots' is missing or malformed: True",
+    ),
+    (
+        _line("MessageChanged", {**_CHANGED, "message": "0"}),
+        "MessageChanged detail: 'message' is missing or malformed: '0'",
+    ),
+    (
+        _line("MessageChanged", {**_CHANGED, "message": "0A"}),
+        "MessageChanged detail: 'message' is missing or malformed: '0A'",
+    ),
+    (
+        _line("MessageChanged", {**_CHANGED, "mode": "bogus"}),
+        "MessageChanged detail: 'mode' is missing or malformed: 'bogus'",
+    ),
+    (
+        _line("MessageReassembled", {"generation": 1, "mode": "raw", "message": ""}),
+        "MessageReassembled detail: 'payloads' is missing or malformed: None",
+    ),
+    (
+        _line("MessageReassembled", {"generation": 1, "mode": "framed", "message": 5}),
+        "MessageReassembled detail: 'message' is missing or malformed: 5",
+    ),
+    (
+        _line("MessageReassembled", {"generation": 1, "mode": "raw", "payloads": ["0g"]}),
+        "MessageReassembled detail: 'payloads' is missing or malformed: ['0g']",
+    ),
+    (
+        _line("MessageReassembled", {"generation": 1, "mode": ["raw"], "payloads": []}),
+        "MessageReassembled detail: 'mode' is missing or malformed: ['raw']",
+    ),
+    (_line("ScanStarted", []), 'ScanStarted detail must be an object, got []'),
+    (
+        json.dumps({"t": 0.0, "kind": "ScanStarted", "observer": A, "subject": A}),
+        'ScanStarted detail must be an object, got None',
+    ),
+    ("[]", 'event must be an object, got []'),
+    ("NaN", 'event must be an object, got nan'),
+    (_line("ScanStarted", {"round": 0}, t=math.inf), "event: 't' is missing or malformed: inf"),
+    (_line("ScanStarted", {"round": 0}, t=True), "event: 't' is missing or malformed: True"),
+    (_line("Mystery", {}), "event: 'kind' is missing or malformed: 'Mystery'"),
+    (
+        _line("ScanStarted", {"round": 0}, observer=5),
+        "event: 'observer' is missing or malformed: 5",
+    ),
+    (
+        _line("ScanStarted", {"round": 0}, subject=None),
+        "event: 'subject' is missing or malformed: None",
+    ),
+    ('{"t": 0} {}', 'Extra data: line 1 column 10 (char 9)'),
+    ('{"t": 0}x', 'Extra data: line 1 column 9 (char 8)'),
+    ('{"t": tru}', 'Expecting value: line 1 column 7 (char 6)'),
+    ("{broken", 'Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
+    ("\ufeff{}", 'Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)'),
+    ('{"t": "\x01"}', 'Invalid control character at: line 1 column 8 (char 7)'),
+]
+
+
+def test_load_log_error_messages():
+    for line, message in _LOG_ERRORS:
+        with pytest.raises(MalformedLog) as excinfo:
+            list(load_log([line]))
+        assert str(excinfo.value) == f"line 1: {message}", line
+
+
+def test_load_log_rejects_a_line_that_is_not_text():
+    lines = [_line("ScanStarted", {"round": 0})] * 3
+    lines[1] = lines[1].encode()
+    with pytest.raises(MalformedLog, match="^line 2: a log line must be text, got bytes$"):
+        list(load_log(lines))
+
+
+def test_sim_event_is_an_immutable_record():
+    event = SimEvent(t=1.5, kind="ScanStarted", observer=A, subject=A, detail={"round": 0})
+    assert event == SimEvent(1.5, "ScanStarted", A, A, {"round": 0})
+    assert event != SimEvent(1.5, "ScanStarted", A, B, {"round": 0})
+    with pytest.raises(AttributeError):
+        event.t = 2.0
+    with pytest.raises(AttributeError):
+        event.extra = 1
+    for event in _two_device_log(3):
+        assert SimEvent.from_dict(json.loads(event.to_json())) == event
+
+
 def test_load_log_rejects_decreasing_time():
     log = _two_device_log(3)
     lines = [e.to_json() for e in log[:5]]
