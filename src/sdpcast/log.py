@@ -119,7 +119,7 @@ _DETAIL_CHECKS = {
 _REASSEMBLED_BODY = {FRAMED: _checks("message"), RAW: _checks("payloads")}
 
 _raw_decode = json.JSONDecoder().raw_decode
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens
 
 
 def _parse(line: str) -> Any:
@@ -130,11 +130,11 @@ def _parse(line: str) -> Any:
     except TypeError:  # json.loads would also take bytes; a log is read as text
         raise ValueError(f"a log line must be text, got {type(line).__name__}") from None
     except json.JSONDecodeError:
-        if line.startswith("\ufeff"):
-            raise json.JSONDecodeError(
-                "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
-            ) from None
-        raise
+        if not line.startswith("\ufeff"):
+            raise
+        # json.loads names a leading byte order mark before it decodes
+        bom = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        raise json.JSONDecodeError(bom, line, 0) from None
     if end != len(line):
         raise json.JSONDecodeError("Extra data", line, _JSON_SPACE.match(line, end).end())
     return obj
