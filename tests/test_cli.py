@@ -218,7 +218,8 @@ def test_report_stdin(tmp_path, capsys, monkeypatch):
     log = tmp_path / "log.jsonl"
     main(["scenario-gen", "two-device-default", "--out", str(scenario)])
     main(["simulate", "--scenario", str(scenario), "--out", str(log)])
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(log.read_bytes())))
+    stdin = io.TextIOWrapper(io.BytesIO(log.read_bytes()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
     assert main(["report", "-"]) == 0
     assert "latency" in capsys.readouterr().out
 
