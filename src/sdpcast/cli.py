@@ -14,6 +14,7 @@ import io
 import os
 import shutil
 import sys
+from typing import Iterable
 
 from . import __version__
 from .codec import CodecConfig, decode, encode, printable_text
@@ -74,31 +75,23 @@ def cmd_unframe(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scenario_gen(args: argparse.Namespace) -> int:
-    text = scenario_to_json(scenario_gen(args.name))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+def _write_out(out: str | None, lines: Iterable[str]) -> None:
+    """Write `lines` to stdout, or to the path `out`.
 
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    events = run(scenario, seed=args.seed, duration_s=args.duration)
-    lines = (event.to_json() + "\n" for event in events)
-    if not args.out:
+    A regular file is written beside its target and renamed over it on
+    success, so a failure part-way leaves no partial file and keeps any file
+    already at `out`; a symlink keeps pointing at it and its permission bits
+    stay. A device, FIFO or other special file cannot be renamed over, so it
+    is written in place.
+    """
+    if not out:
         sys.stdout.writelines(lines)
-        return 0
-    if os.path.exists(args.out) and not os.path.isfile(args.out):
-        # A device, FIFO or other special file cannot be renamed over.
-        with open(args.out, "w", encoding="utf-8") as fh:
+        return
+    if os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
-        return 0
-    target = os.path.realpath(args.out)  # through a symlink, to what it names
-    # Write beside the target and rename on success, so a run that fails
-    # part-way leaves no partial log and keeps any file already at --out.
+        return
+    target = os.path.realpath(out)  # through a symlink, to what it names
     partial = f"{target}.{os.getpid()}.tmp"
     fh = open(partial, "x", encoding="utf-8")
     try:
@@ -110,6 +103,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except BaseException:
         os.remove(partial)
         raise
+
+
+def cmd_scenario_gen(args: argparse.Namespace) -> int:
+    _write_out(args.out, [scenario_to_json(scenario_gen(args.name))])
+    return 0
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    scenario = load_scenario(args.scenario)
+    events = run(scenario, seed=args.seed, duration_s=args.duration)
+    _write_out(args.out, (event.to_json() + "\n" for event in events))
     return 0
 
 

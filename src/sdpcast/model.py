@@ -73,8 +73,10 @@ class AdvertisementTable:
 class Device:
     """One simulated node; `message`/`mode` describe its initial advertisement.
 
-    `wellknown_records` are the non-payload service UUIDs it also lists,
-    after its payload slots. `table` holds what it advertises during a run.
+    `mode` holds from the start of a run, even when `message` is None, so a
+    later `set_message` without a mode sends in it. `wellknown_records` are
+    the non-payload service UUIDs it also lists, after its payload slots.
+    `table` holds what it advertises during a run.
     """
 
     address: str
@@ -137,8 +139,13 @@ class TimingModel:
 
 DEFAULT_TIMING = TimingModel()
 
-# Each schedule action and the field that holds its value.
-_ACTIONS = dict(set_message="message", set_position="position", set_discoverable="discoverable")
+# Each schedule action, the field that holds its value, and the fields it
+# does not read, which must be None.
+_ACTIONS = dict(
+    set_message=("message", ("position", "discoverable")),
+    set_position=("position", ("message", "mode", "discoverable")),
+    set_discoverable=("discoverable", ("message", "mode", "position")),
+)
 
 
 @dataclass(frozen=True)
@@ -169,8 +176,12 @@ class Mutation:
             raise InvalidScenario(
                 f"schedule: unknown action {self.action!r}, expected one of {tuple(_ACTIONS)}"
             )
-        if getattr(self, _ACTIONS[self.action]) is None:
+        value, unused = _ACTIONS[self.action]
+        if getattr(self, value) is None:
             raise InvalidScenario(f"schedule: action {self.action!r} is missing its value field")
+        for name in unused:
+            if getattr(self, name) is not None:
+                raise InvalidScenario(f"schedule: action {self.action!r} takes no {name}")
         if self.mode is not None and self.mode not in MODES:
             raise InvalidScenario(
                 f"schedule: mode must be {RAW!r}, {FRAMED!r} or null, got {self.mode!r}"
@@ -229,14 +240,10 @@ class Scenario:
         schedule is walked in the order the run applies it: by time, then index.
         """
         capacity = {FRAMED: self.limits.framed_capacity, RAW: self.limits.outbound_ceiling}
-        mode: dict[str, str] = {}
+        mode = {dev.address: dev.mode for dev in self.devices}
         for dev in self.devices:
-            if dev.message is None:  # never advertised at t=0: a fresh table's mode stays
-                mode[dev.address] = FRAMED
-            else:
-                mode[dev.address] = dev.mode
-                if len(dev.message) > capacity.get(dev.mode, -1):
-                    _reject_message(f"device {dev.address}", dev.message, dev.mode, capacity)
+            if dev.message is not None and len(dev.message) > capacity.get(dev.mode, -1):
+                _reject_message(f"device {dev.address}", dev.message, dev.mode, capacity)
         changes = sorted(
             (m.t, i, m) for i, m in enumerate(self.schedule) if m.action == "set_message"
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MalformedLog, SdpcastError
-from .framing import DEFAULT_LIMITS, CapacityLimits, raw_payloads, raw_read
+from .framing import DEFAULT_LIMITS, raw_payloads, raw_read
 from .log import (
     _ENCODER, DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, SCAN_STARTED, UUIDS_FETCHED,
     SimEvent,
@@ -125,13 +125,11 @@ def _delivered(detail: dict) -> str | list[str]:
     return detail["message"]
 
 
-def build_report(
-    events: Iterable[SimEvent],
-    threshold_s: float = DELIVERY_THRESHOLD_S,
-    limits: CapacityLimits = DEFAULT_LIMITS,
-) -> Report:
+def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRESHOLD_S) -> Report:
     """Aggregate a run's events in one pass; pure and deterministic for a given log.
 
+    A log does not record its scenario's limits, so octets are counted
+    against the default ones (7 outbound slots, 21 inbound records).
     Raises SdpcastError, before reading any event, unless `threshold_s` is
     finite and non-negative.
     """
@@ -139,6 +137,7 @@ def build_report(
         raise SdpcastError(
             f"threshold must be a finite, non-negative number of seconds, got {threshold_s!r}"
         )
+    limits = DEFAULT_LIMITS
     scanners: set[str] = set()
     # (subject, generation) -> (change time, advertised content)
     changes: dict[tuple[str, int], tuple[float, str | list[str]]] = {}
@@ -309,27 +308,7 @@ def format_lines(report: Report) -> str:
             "misdelivered": lat.changes_misdelivered,
         }
     )
-    for dev in bw.devices:
-        rows.append(
-            {
-                "metric": "device",
-                "device": dev.device,
-                "slots": dev.slots,
-                "advertised_octets": dev.advertised_octets,
-                "utilization": dev.utilization,
-            }
-        )
-    for fetch in bw.fetches:
-        rows.append(
-            {
-                "metric": "fetch",
-                "t": fetch.t,
-                "observer": fetch.observer,
-                "subject": fetch.subject,
-                "records": fetch.records,
-                "payload_records": fetch.payload_records,
-                "decoded_octets": fetch.decoded_octets,
-                "utilization": fetch.utilization,
-            }
-        )
+    # a row's keys are its dataclass fields, in field order
+    rows += ({"metric": "device", **vars(dev)} for dev in bw.devices)
+    rows += ({"metric": "fetch", **vars(fetch)} for fetch in bw.fetches)
     return "\n".join(map(_ENCODER.encode, rows)) + "\n"

@@ -264,12 +264,22 @@ def scenario_from_json(text: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidScenario(f"scenario is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise InvalidScenario(f"scenario cannot be read: {exc}") from None
     except RecursionError:
         raise InvalidScenario("scenario is nested deeper than the recursion limit") from None
     return _load(Scenario, obj, "scenario")
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read a scenario file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_json(fh.read())
+    """Read a scenario file from disk; it must be UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = data[exc.start:exc.end]
+        raise InvalidScenario(
+            f"scenario is not UTF-8 at octet {exc.start} ({bad!r}: {exc.reason})"
+        ) from None
+    return scenario_from_json(text)

@@ -84,22 +84,21 @@ def fetch_snapshot(
     subject: Device,
     limits: CapacityLimits = DEFAULT_LIMITS,
     *,
-    torn_read_mode: bool = False,
     window: tuple[float, float] | None = None,
     change: tuple[list[str], float] | None = None,
 ) -> list[str]:
     """The subject's records as one SDP fetch sees them.
 
     Payload slots come first, then well-known records, truncated at
-    max_inbound_records.  In torn-read mode, a `change` (previous slots and
-    the change time) strictly inside `window` splits the payload slots into
-    an old-generation prefix plus a new-generation suffix.  Raises OutOfRange
+    max_inbound_records.  A `change` (previous slots and the change time)
+    strictly inside `window` splits the payload slots into an old-generation
+    prefix plus a new-generation suffix: a torn read.  Raises OutOfRange
     when the subject is not reachable.
     """
     if not in_range(observer, subject):
         raise OutOfRange(f"{subject.address} is not reachable from {observer.address}")
     slots = subject.table.payload_slots
-    if torn_read_mode and window is not None and change is not None:
+    if window is not None and change is not None:
         t_start, t_now = window
         old_slots, t_change = change
         if t_start < t_change < t_now and len(old_slots) >= 2:
@@ -139,7 +138,7 @@ class _Runner:
         # fresh table, never on `sc` itself.
         self.devices = {d.address: copy.copy(d) for d in sc.devices}
         for dev in self.devices.values():
-            dev.table = AdvertisementTable()
+            dev.table = AdvertisementTable(mode=dev.mode)
         # Uniform grid hash over positions (Teschner et al., VMV 2003). Any
         # pair in range lies in the same or an adjacent cell, so a scan only
         # looks at its 3x3 neighbourhood. Cells are twice the largest range,
@@ -267,15 +266,9 @@ class _Runner:
         cached: bool,
     ) -> None:
         obs, subj = self.devices[observer], self.devices[subject]
+        change = self.history.get(subject) if self.sc.torn_read_mode else None
         try:
-            records = fetch_snapshot(
-                obs,
-                subj,
-                self.sc.limits,
-                torn_read_mode=self.sc.torn_read_mode,
-                window=(t_start, t),
-                change=self.history.get(subject),
-            )
+            records = fetch_snapshot(obs, subj, self.sc.limits, window=(t_start, t), change=change)
         except OutOfRange:
             return  # moved or toggled mid-flight; the fetch just never completes
         fetched = records.copy()

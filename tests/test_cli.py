@@ -157,48 +157,59 @@ def test_simulate_over_the_event_budget_leaves_no_log(tmp_path, capsys, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dense.json", "log.jsonl"]
 
 
-def test_simulate_out_through_a_symlink_writes_its_target(tmp_path):
+def _out_writers(tmp_path):
+    """Each command that writes an --out file, with a fresh directory of its own.
+
+    Both go through one writer, so the --out tests below run over both.
+    """
     scenario = tmp_path / "sc.json"
     main(["scenario-gen", "two-device-default", "--out", str(scenario)])
-    expected = tmp_path / "expected.jsonl"
-    main(["simulate", "--scenario", str(scenario), "--out", str(expected)])
-    target = tmp_path / "logs" / "run.jsonl"
-    target.parent.mkdir()
-    target.write_text("old\n")
-    target.chmod(0o640)
-    link = tmp_path / "link.jsonl"
-    link.symlink_to(target)
-    assert main(["simulate", "--scenario", str(scenario), "--out", str(link)]) == 0
-    assert link.is_symlink() and link.resolve() == target
-    assert target.read_bytes() == expected.read_bytes()
-    assert stat.S_IMODE(target.stat().st_mode) == 0o640
-    assert [p.name for p in target.parent.iterdir()] == ["run.jsonl"]
+    for command in (["scenario-gen", "crowd-20"], ["simulate", "--scenario", str(scenario)]):
+        workdir = tmp_path / command[0]
+        workdir.mkdir()
+        yield command, workdir
+
+
+def test_simulate_out_through_a_symlink_writes_its_target(tmp_path):
+    for command, workdir in _out_writers(tmp_path):
+        expected = workdir / "expected.jsonl"
+        main(command + ["--out", str(expected)])
+        target = workdir / "logs" / "run.jsonl"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = workdir / "link.jsonl"
+        link.symlink_to(target)
+        assert main(command + ["--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == expected.read_bytes()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert [p.name for p in target.parent.iterdir()] == ["run.jsonl"]
 
 
 def test_simulate_out_to_a_fifo_writes_into_it(tmp_path):
     # A special file is written in place, not renamed over; a FIFO stands
     # in for a device such as os.devnull, which a regression would replace.
-    scenario = tmp_path / "sc.json"
-    main(["scenario-gen", "two-device-default", "--out", str(scenario)])
-    expected = tmp_path / "expected.jsonl"
-    main(["simulate", "--scenario", str(scenario), "--out", str(expected)])
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    received = []
+    for command, workdir in _out_writers(tmp_path):
+        expected = workdir / "expected.jsonl"
+        main(command + ["--out", str(expected)])
+        fifo = workdir / "fifo"
+        os.mkfifo(fifo)
+        received = []
 
-    def drain():
-        with open(fifo, "rb") as fh:
-            received.append(fh.read())
+        def drain():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
 
-    reader = threading.Thread(target=drain, daemon=True)
-    reader.start()
-    try:
-        assert main(["simulate", "--scenario", str(scenario), "--out", str(fifo)]) == 0
-    finally:
-        reader.join(timeout=10)
-    assert received == [expected.read_bytes()]
-    assert stat.S_ISFIFO(fifo.stat().st_mode)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.jsonl", "fifo", "sc.json"]
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            assert main(command + ["--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=10)
+        assert received == [expected.read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in workdir.iterdir()) == ["expected.jsonl", "fifo"]
 
 
 def test_simulate_missing_file_exits_1(capsys):
@@ -211,6 +222,25 @@ def test_simulate_invalid_scenario_exits_1(tmp_path, capsys):
     bad.write_text('{"duration_s": 10.0, "devices": [], "warp": 1}')
     assert main(["simulate", "--scenario", str(bad)]) == 1
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace('"name": ""', '"name": "\xff"').encode("latin-1"),
+        # Python refuses to parse an integer literal of more than 4300 digits
+        lambda text: text.replace('"seed": 0', '"seed": ' + "9" * 5000).encode(),
+    ],
+    ids=["not-utf8", "overlong-integer"],
+)
+def test_simulate_undecodable_scenario_exits_1(tmp_path, capsys, edit):
+    bad = tmp_path / "bad.json"
+    sc = Scenario(devices=[Device(address="aa:00:00:00:00:01")], duration_s=1.0)
+    bad.write_bytes(edit(scenario_to_json(sc)))
+    assert main(["simulate", "--scenario", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sdpcast: scenario ")
+    assert captured.out == ""
 
 
 def test_report_stdin(tmp_path, capsys, monkeypatch):

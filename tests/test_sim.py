@@ -155,13 +155,7 @@ def test_fetch_snapshot_torn_mix_prefix_suffix():
     advertise(subject, b"o" * 82, FRAMED)
     old_slots = list(subject.table.payload_slots)
     advertise(subject, b"n" * 64, FRAMED)
-    records = fetch_snapshot(
-        _device(A),
-        subject,
-        torn_read_mode=True,
-        window=(0.0, 10.0),
-        change=(old_slots, 5.0),
-    )
+    records = fetch_snapshot(_device(A), subject, window=(0.0, 10.0), change=(old_slots, 5.0))
     headers = [(int(r[0], 16), int(r[1], 16)) for r in records]
     split = 1 + int(0.5 * 6)
     assert headers[:split] == [(i, 7) for i in range(split)]
@@ -173,13 +167,7 @@ def test_fetch_snapshot_change_outside_window_is_clean():
     advertise(subject, b"o" * 82, FRAMED)
     old_slots = list(subject.table.payload_slots)
     advertise(subject, b"n" * 64, FRAMED)
-    records = fetch_snapshot(
-        _device(A),
-        subject,
-        torn_read_mode=True,
-        window=(6.0, 10.0),
-        change=(old_slots, 5.0),
-    )
+    records = fetch_snapshot(_device(A), subject, window=(6.0, 10.0), change=(old_slots, 5.0))
     assert records == subject.table.payload_slots
 
 
@@ -652,7 +640,9 @@ def test_scenario_rejects_unknown_keys():
         lambda o: o.update(timing=[]),
         lambda o: o.update(duration_s=float("inf")),
         lambda o: o["devices"][0].update(position=[float("nan"), 0.0]),
-        lambda o: o["schedule"][0].update(action="set_position", position=[0.0, float("inf")]),
+        lambda o: o["schedule"][0].update(
+            action="set_position", message=None, position=[0.0, float("inf")]
+        ),
         lambda o: o["limits"].update(max_inbound_records=float("inf")),
         # messages that do not fit, or a mode that does not exist, fail at load
         lambda o: o["limits"].update(max_outbound_slots=1),
@@ -660,7 +650,9 @@ def test_scenario_rejects_unknown_keys():
         # JSON values of the wrong type are rejected, never converted
         lambda o: o["devices"][1].update(discoverable="false"),
         lambda o: o.update(torn_read_mode="false"),
-        lambda o: o["schedule"][0].update(action="set_discoverable", discoverable="false"),
+        lambda o: o["schedule"][0].update(
+            action="set_discoverable", message=None, discoverable="false"
+        ),
         lambda o: o.update(name=5),
         lambda o: o["devices"][0].update(wellknown_records=[5, None]),
         # runs that would not end in reasonable time exceed the scan budget
@@ -744,6 +736,29 @@ def test_scenario_rejects_bad_schedule():
             duration_s=10.0,
             schedule=[Mutation(t=1.0, device=B, action="set_message", message=b"x")],
         )
+    # a value field the action does not read is refused, never ignored; null is fine
+    with pytest.raises(InvalidScenario, match="takes no message"):
+        Mutation(
+            t=1.0,
+            device=A,
+            action="set_position",
+            position=(1.0, 2.0),
+            message=b"x" * 500,
+            mode="raw",
+            discoverable=False,
+        )
+    for action, value, extra in (
+        ("set_position", dict(position=(1.0, 2.0)), dict(message=b"x")),
+        ("set_position", dict(position=(1.0, 2.0)), dict(mode=RAW)),
+        ("set_discoverable", dict(discoverable=True), dict(mode=FRAMED)),
+        ("set_discoverable", dict(discoverable=True), dict(position=(1.0, 2.0))),
+        ("set_message", dict(message=b"x"), dict(discoverable=False)),
+        ("set_message", dict(message=b"x"), dict(position=(1.0, 2.0))),
+    ):
+        with pytest.raises(InvalidScenario, match="takes no"):
+            Mutation(t=1.0, device=A, action=action, **value, **extra)
+        nulls = {name: None for name in extra}
+        assert Mutation(t=1.0, device=A, action=action, **value, **nulls).action == action
 
 
 @pytest.mark.parametrize("action", ["explode", None, 3, [], {}, ["set_message"]])
@@ -779,6 +794,19 @@ def test_scenario_checks_capacity_in_the_mode_each_message_is_sent_in():
         Scenario(devices=[_device(A, message=b"x" * 92, mode=RAW)], duration_s=10.0)
     with pytest.raises(InvalidScenario):
         Mutation(t=1.0, device=A, action="set_message", message=b"x", mode="bogus")
+
+
+def test_declared_raw_mode_applies_without_an_initial_message():
+    # 90 octets fit raw (91), not framed (82); the modeless set_message keeps
+    # the device's declared mode although it advertised nothing at t=0
+    sc = Scenario(
+        devices=[_device(A, mode=RAW)],
+        duration_s=10.0,
+        schedule=[Mutation(t=5.0, device=A, action="set_message", message=b"x" * 90)],
+    )
+    sc = scenario_from_json(scenario_to_json(sc))
+    (changed,) = [e.detail for e in run(sc) if e.kind == "MessageChanged"]
+    assert (changed["mode"], changed["slots"]) == (RAW, 7)
 
 
 def test_scenario_rejects_bad_message_hex():
