@@ -5,11 +5,19 @@ keys depend on the kind. `SimEvent`, an immutable named tuple of those five
 fields, is the event a run yields and a log holds: `SimEvent.to_json` writes
 it as a line, and `load_log` reads a log back, checking every value against
 one table of checks per key and that timestamps never decrease.
+
+Both directions first try the fixed shape of each detail that `_Runner`
+writes: a hand-written template writes a line whose values all have their
+exact types, and a line read back with exactly the keys and value types of
+its kind skips the table. Anything else goes through `json` and the table,
+which stay the definition of a line: the fast paths give the same text, the
+same events and the same errors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -39,27 +47,56 @@ class SimEvent(NamedTuple):
     detail: dict[str, Any]
 
     def to_json(self) -> str:
+        """The event as `_ENCODER` writes it: by its detail's template when
+        every value fits one, else by `_ENCODER` itself."""
+        t, kind, observer, subject, detail = self
+        if (
+            type(t) is float and -_INF < t < _INF
+            and type(kind) is str and kind in _KINDS
+            and type(observer) is str and _plain(observer)
+            and type(subject) is str and _plain(subject)
+            and type(detail) is dict
+        ):
+            template = _TEMPLATES.get(tuple(detail))
+            if template is not None:
+                body = template(*detail.values())
+                if body is not None:
+                    return (
+                        f'{{"t":{t!r},"kind":"{kind}","observer":"{observer}",'
+                        f'"subject":"{subject}","detail":{body}}}'
+                    )
         return _ENCODER.encode(
-            {
-                "t": self.t,
-                "kind": self.kind,
-                "observer": self.observer,
-                "subject": self.subject,
-                "detail": self.detail,
-            }
+            {"t": t, "kind": kind, "observer": observer, "subject": subject, "detail": detail}
         )
 
     @classmethod
     def from_dict(cls, obj: Any) -> SimEvent:
         """The event a parsed log line holds; ValueError unless each value has
-        the JSON type that `_Runner` writes there. Nothing is converted."""
-        _check(obj, *_EVENT_CHECKS)
-        kind, detail = obj["kind"], obj.get("detail")
-        what, checks = _DETAIL_CHECKS[kind]
-        _check(detail, what, checks)
-        if kind == MESSAGE_REASSEMBLED:  # its mode, checked above, says what else it holds
-            _check(detail, what, _REASSEMBLED_BODY[detail["mode"]])
-        return cls(float(obj["t"]), kind, obj["observer"], obj["subject"], detail)
+        the JSON type that `_Runner` writes there. Nothing is converted.
+        A line of a fixed shape skips the table, which checks any other."""
+        if type(obj) is dict and tuple(obj) == _LINE_KEYS:
+            t, kind, observer, subject, detail = obj.values()
+            if (
+                type(t) is float and -_INF < t < _INF
+                and type(kind) is str and type(observer) is str and type(subject) is str
+                and type(detail) is dict
+            ):
+                shape = _SHAPES.get((kind, tuple(detail)))
+                if shape is not None and shape(*detail.values()):
+                    return cls(t, kind, observer, subject, detail)
+        return _from_table(cls, obj)
+
+
+def _from_table(cls: type[SimEvent], obj: Any) -> SimEvent:
+    """`SimEvent.from_dict` by the table of checks alone: the path of every
+    line off a fixed shape, and the oracle its tests hold the shapes to."""
+    _check(obj, *_EVENT_CHECKS)
+    kind, detail = obj["kind"], obj.get("detail")
+    what, checks = _DETAIL_CHECKS[kind]
+    _check(detail, what, checks)
+    if kind == MESSAGE_REASSEMBLED:  # its mode, checked above, says what else it holds
+        _check(detail, what, _REASSEMBLED_BODY[detail["mode"]])
+    return cls(float(obj["t"]), kind, obj["observer"], obj["subject"], detail)
 
 
 _Checks = tuple[tuple[str, Callable[[Any], bool]], ...]
@@ -117,6 +154,136 @@ _DETAIL_CHECKS = {
     )
 }
 _REASSEMBLED_BODY = {FRAMED: _checks("message"), RAW: _checks("payloads")}
+
+# The fixed shapes: for each detail `_Runner` writes, a writer template and
+# a reader shape, both taking the detail's values in the order of its keys.
+# A template returns the detail as `_ENCODER` writes it, or None unless
+# every value has its exact type (a subclass such as bool or IntEnum may
+# format otherwise than json writes it), every float is finite and every
+# string is `_plain`. A shape passes a subset of what the table passes:
+# exact types, then the table's own check of what a type cannot say.
+_INF = math.inf
+_LINE_KEYS = ("t", "kind", "observer", "subject", "detail")
+_KINDS = frozenset(EVENT_KINDS)
+
+
+def _plain(text: str) -> bool:
+    """True iff json writes the string `text` as it is between two quotes."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _plain_list(items: Any) -> str | None:
+    """A list of `_plain` strings as json writes it, or None."""
+    if type(items) is not list:
+        return None
+    if not items:
+        return "[]"
+    try:
+        body = '","'.join(items)  # json, too, writes a str subclass as its text
+    except TypeError:  # an item that is not a string
+        return None
+    # the separators hold all the quotes iff no item holds one
+    if body.isascii() and body.isprintable() and "\\" not in body and (
+        body.count('"') == 2 * len(items) - 2
+    ):
+        return f'["{body}"]'
+    return None
+
+
+def _round_json(rnd: Any) -> str | None:
+    if type(rnd) is int:
+        return f'{{"round":{rnd}}}'
+    return None
+
+
+def _fetched_json(rnd: Any, cached: Any, delay: Any, records: Any) -> str | None:
+    if type(rnd) is int and type(cached) is bool and type(delay) is float and -_INF < delay < _INF:
+        records_json = _plain_list(records)
+        if records_json is not None:
+            cached_json = "true" if cached else "false"
+            return (
+                f'{{"round":{rnd},"cached":{cached_json},"delay":{delay!r},'
+                f'"records":{records_json}}}'
+            )
+    return None
+
+
+def _framed_json(generation: Any, mode: Any, message: Any) -> str | None:
+    if (
+        type(generation) is int
+        and type(mode) is str and _plain(mode)
+        and type(message) is str and _plain(message)
+    ):
+        return f'{{"generation":{generation},"mode":"{mode}","message":"{message}"}}'
+    return None
+
+
+def _raw_json(generation: Any, mode: Any, payloads: Any) -> str | None:
+    if type(generation) is int and type(mode) is str and _plain(mode):
+        payloads_json = _plain_list(payloads)
+        if payloads_json is not None:
+            return f'{{"generation":{generation},"mode":"{mode}","payloads":{payloads_json}}}'
+    return None
+
+
+def _changed_json(generation: Any, mode: Any, slots: Any, message: Any) -> str | None:
+    if (
+        type(generation) is int
+        and type(mode) is str and _plain(mode)
+        and type(slots) is int
+        and type(message) is str and _plain(message)
+    ):
+        return (
+            f'{{"generation":{generation},"mode":"{mode}","slots":{slots},'
+            f'"message":"{message}"}}'
+        )
+    return None
+
+
+def _round_shape(rnd: Any) -> bool:
+    return type(rnd) is int
+
+
+def _fetched_shape(rnd: Any, cached: Any, delay: Any, records: Any) -> bool:
+    return (
+        type(rnd) is int and type(cached) is bool and type(delay) is float and -_INF < delay < _INF
+        and type(records) is list and all(map(str.__instancecheck__, records))
+    )
+
+
+def _framed_shape(generation: Any, mode: Any, message: Any) -> bool:
+    return type(generation) is int and mode == FRAMED and _is_hex(message)
+
+
+def _raw_shape(generation: Any, mode: Any, payloads: Any) -> bool:
+    return (
+        type(generation) is int and mode == RAW
+        and type(payloads) is list and all(map(_is_hex, payloads))
+    )
+
+
+def _changed_shape(generation: Any, mode: Any, slots: Any, message: Any) -> bool:
+    return type(generation) is int and mode in MODES and type(slots) is int and _is_hex(message)
+
+
+def _detail_keys(kind: str, mode: str | None = None) -> tuple[str, ...]:
+    """The keys, in order, of a `kind` detail (in `mode`, for a reassembly)."""
+    checks = _DETAIL_CHECKS[kind][1] + (_REASSEMBLED_BODY[mode] if mode else ())
+    return tuple(key for key, _ in checks)
+
+
+# (kind, mode of a reassembly, writer template, reader shape)
+_FIXED_SHAPES = (
+    (SCAN_STARTED, None, _round_json, _round_shape),
+    (DEVICE_FOUND, None, _round_json, _round_shape),
+    (UUIDS_FETCHED, None, _fetched_json, _fetched_shape),
+    (MESSAGE_REASSEMBLED, FRAMED, _framed_json, _framed_shape),
+    (MESSAGE_REASSEMBLED, RAW, _raw_json, _raw_shape),
+    (MESSAGE_CHANGED, None, _changed_json, _changed_shape),
+)
+# A template depends only on the keys; a shape also on the kind.
+_TEMPLATES = {_detail_keys(kind, mode): template for kind, mode, template, _ in _FIXED_SHAPES}
+_SHAPES = {(kind, _detail_keys(kind, mode)): shape for kind, mode, _, shape in _FIXED_SHAPES}
 
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens
