@@ -66,7 +66,6 @@ class CapacityLimits:
 
     max_outbound_slots: int = 7
     max_inbound_records: int = 21
-    payload_per_uuid: int = PAYLOAD_OCTETS
 
     def __post_init__(self) -> None:
         slots, records = self.max_outbound_slots, self.max_inbound_records
@@ -76,18 +75,16 @@ class CapacityLimits:
             )
         if not (_is_int(records) and records >= 1):
             raise ValueError(f"max_inbound_records must be a positive integer, got {records}")
-        if self.payload_per_uuid != PAYLOAD_OCTETS:
-            raise ValueError(f"payload_per_uuid is fixed at {PAYLOAD_OCTETS} by the UUID layout")
 
     @property
     def outbound_ceiling(self) -> int:
         """Raw outbound octets: 7 * 13 = 91 with defaults."""
-        return self.max_outbound_slots * self.payload_per_uuid
+        return self.max_outbound_slots * PAYLOAD_OCTETS
 
     @property
     def inbound_ceiling(self) -> int:
         """Octets decodable from one fetch: 21 * 13 = 273 with defaults."""
-        return self.max_inbound_records * self.payload_per_uuid
+        return self.max_inbound_records * PAYLOAD_OCTETS
 
     @property
     def framed_capacity(self) -> int:

@@ -3,15 +3,15 @@
 A line holds `t`, `kind`, `observer`, `subject` and a `detail` object whose
 keys depend on the kind. `SimEvent`, an immutable named tuple of those five
 fields, is the event a run yields and a log holds: `SimEvent.to_json` writes
-it as a line, and `load_log` reads a log back, checking every value against
-one table of checks per key and that timestamps never decrease.
+it as a line, and `load_log` reads a log back and checks that timestamps
+never decrease.
 
-Both directions first try the fixed shape of each detail that `_Runner`
-writes: a hand-written template writes a line whose values all have their
-exact types, and a line read back with exactly the keys and value types of
-its kind skips the table. Anything else goes through `json` and the table,
-which stay the definition of a line: the fast paths give the same text, the
-same events and the same errors.
+One table of checks per key defines a line. `SimEvent.from_dict` is its only
+reader: it passes a line whose keys are exactly those of its kind, each
+holding a value of the JSON type the runner writes there, and names the first
+key that fails otherwise. The writer formats each detail the runner writes
+by a hand-written template; an event whose values fit no template goes
+through `json`, whose text the templates match exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import re
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLog
-from .framing import _is_int
 from .model import FRAMED, MODES, RAW, _is_finite
 
 SCAN_STARTED = "ScanStarted"
@@ -71,43 +70,50 @@ class SimEvent(NamedTuple):
 
     @classmethod
     def from_dict(cls, obj: Any) -> SimEvent:
-        """The event a parsed log line holds; ValueError unless each value has
-        the JSON type that `_Runner` writes there. Nothing is converted.
-        A line of a fixed shape skips the table, which checks any other."""
-        if type(obj) is dict and tuple(obj) == _LINE_KEYS:
-            t, kind, observer, subject, detail = obj.values()
-            if (
-                type(t) is float and -_INF < t < _INF
-                and type(kind) is str and type(observer) is str and type(subject) is str
-                and type(detail) is dict
-            ):
-                shape = _SHAPES.get((kind, tuple(detail)))
-                if shape is not None and shape(*detail.values()):
-                    return cls(t, kind, observer, subject, detail)
-        return _from_table(cls, obj)
+        """The event a parsed log line holds; ValueError unless the line and
+        its detail hold exactly the keys of their kind, each with the JSON
+        type that `_Runner` writes there. Only an integer `t` is converted."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"event must be an object, got {obj!r}")
+        for key, check in _EVENT_CHECKS:
+            if not check(value := obj.get(key)):
+                raise ValueError(f"event: {key!r} is missing or malformed: {value!r}")
+        kind, detail = obj["kind"], obj.get("detail")
+        what, checks = _DETAIL_CHECKS[kind]
+        if not isinstance(detail, dict):
+            raise ValueError(f"{what} must be an object, got {detail!r}")
+        if kind == MESSAGE_REASSEMBLED and detail.get("mode") in MODES:
+            checks = _REASSEMBLED_CHECKS[detail["mode"]]
+        for key, check in checks:
+            if not check(value := detail.get(key)):
+                raise ValueError(f"{what}: {key!r} is missing or malformed: {value!r}")
+        # Every key checked is present, so a longer object holds another.
+        if len(detail) != len(checks):
+            raise _unknown_keys(what, detail, _keys(checks))
+        if len(obj) != len(_EVENT_CHECKS) + 1:
+            raise _unknown_keys("event", obj, (*_keys(_EVENT_CHECKS), "detail"))
+        # tuple.__new__ skips the argument handling of the generated __new__
+        return _new(cls, (float(obj["t"]), kind, obj["observer"], obj["subject"], detail))
 
 
-def _from_table(cls: type[SimEvent], obj: Any) -> SimEvent:
-    """`SimEvent.from_dict` by the table of checks alone: the path of every
-    line off a fixed shape, and the oracle its tests hold the shapes to."""
-    _check(obj, *_EVENT_CHECKS)
-    kind, detail = obj["kind"], obj.get("detail")
-    what, checks = _DETAIL_CHECKS[kind]
-    _check(detail, what, checks)
-    if kind == MESSAGE_REASSEMBLED:  # its mode, checked above, says what else it holds
-        _check(detail, what, _REASSEMBLED_BODY[detail["mode"]])
-    return cls(float(obj["t"]), kind, obj["observer"], obj["subject"], detail)
-
-
+_new = tuple.__new__
 _Checks = tuple[tuple[str, Callable[[Any], bool]], ...]
 
 
-def _check(obj: Any, what: str, checks: _Checks) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be an object, got {obj!r}")
-    for key, check in checks:
-        if not check(obj.get(key)):
-            raise ValueError(f"{what}: {key!r} is missing or malformed: {obj.get(key)!r}")
+def _unknown_keys(what: str, obj: dict, known: tuple[str, ...]) -> ValueError:
+    return ValueError(f"{what}: unknown keys {[key for key in obj if key not in known]}")
+
+
+def _is_json_number(value: Any) -> bool:
+    """True iff `value` is a JSON number that is a finite float, or an
+    integer that converts to one."""
+    if type(value) is float:
+        return -_INF < value < _INF
+    return type(value) is int and _is_finite(value)  # _is_finite: False past float range
+
+
+def _is_json_int(value: Any) -> bool:
+    return type(value) is int
 
 
 def _is_hex(value: Any) -> bool:
@@ -116,23 +122,24 @@ def _is_hex(value: Any) -> bool:
 
 
 _HEX = re.compile(r"[0-9a-f]*")
+_INF = math.inf
 
 # One check per key that a log line or its detail holds: each passes exactly
 # the JSON values that `_Runner` writes there.
 _KEY_CHECKS: dict[str, Callable[[Any], bool]] = {
-    "t": _is_finite,
+    "t": _is_json_number,
     "kind": EVENT_KINDS.__contains__,
     "observer": str.__instancecheck__,
     "subject": str.__instancecheck__,
-    "round": _is_int,
+    "round": _is_json_int,
     "cached": bool.__instancecheck__,
-    "delay": _is_finite,
-    "records": lambda value: isinstance(value, list) and all(map(str.__instancecheck__, value)),
-    "generation": _is_int,
+    "delay": _is_json_number,
+    "records": lambda value: type(value) is list and all(map(str.__instancecheck__, value)),
+    "generation": _is_json_int,
     "mode": MODES.__contains__,
-    "slots": _is_int,
+    "slots": _is_json_int,
     "message": _is_hex,
-    "payloads": lambda value: isinstance(value, list) and all(map(_is_hex, value)),
+    "payloads": lambda value: type(value) is list and all(map(_is_hex, value)),
 }
 
 
@@ -140,9 +147,14 @@ def _checks(*keys: str) -> _Checks:
     return tuple((key, _KEY_CHECKS[key]) for key in keys)
 
 
-# What a line holds, what the detail of each kind holds, and what else a
-# reassembly holds in its mode; each with the name its errors give the object.
-_EVENT_CHECKS = ("event", _checks("t", "kind", "observer", "subject"))
+def _keys(checks: _Checks) -> tuple[str, ...]:
+    return tuple(key for key, _ in checks)
+
+
+# The checks of what a line holds besides its detail, and, with the name its
+# errors give the detail, of what the detail of each kind holds. The mode of
+# a reassembly, once checked, says what else its detail holds.
+_EVENT_CHECKS = _checks("t", "kind", "observer", "subject")
 _DETAIL_CHECKS = {
     kind: (f"{kind} detail", _checks(*keys))
     for kind, keys in (
@@ -153,17 +165,16 @@ _DETAIL_CHECKS = {
         (MESSAGE_CHANGED, ("generation", "mode", "slots", "message")),
     )
 }
-_REASSEMBLED_BODY = {FRAMED: _checks("message"), RAW: _checks("payloads")}
+_REASSEMBLED_CHECKS = {
+    mode: _DETAIL_CHECKS[MESSAGE_REASSEMBLED][1] + _checks(key)
+    for mode, key in ((FRAMED, "message"), (RAW, "payloads"))
+}
 
-# The fixed shapes: for each detail `_Runner` writes, a writer template and
-# a reader shape, both taking the detail's values in the order of its keys.
-# A template returns the detail as `_ENCODER` writes it, or None unless
-# every value has its exact type (a subclass such as bool or IntEnum may
-# format otherwise than json writes it), every float is finite and every
-# string is `_plain`. A shape passes a subset of what the table passes:
-# exact types, then the table's own check of what a type cannot say.
-_INF = math.inf
-_LINE_KEYS = ("t", "kind", "observer", "subject", "detail")
+# The writer's templates: for each detail `_Runner` writes, one that takes
+# the detail's values in the order of its keys and returns the detail as
+# `_ENCODER` writes it, or None unless every value has its exact type (a
+# subclass such as bool or IntEnum may format otherwise than json writes it),
+# every float is finite and every string is `_plain`.
 _KINDS = frozenset(EVENT_KINDS)
 
 
@@ -240,50 +251,14 @@ def _changed_json(generation: Any, mode: Any, slots: Any, message: Any) -> str |
     return None
 
 
-def _round_shape(rnd: Any) -> bool:
-    return type(rnd) is int
-
-
-def _fetched_shape(rnd: Any, cached: Any, delay: Any, records: Any) -> bool:
-    return (
-        type(rnd) is int and type(cached) is bool and type(delay) is float and -_INF < delay < _INF
-        and type(records) is list and all(map(str.__instancecheck__, records))
-    )
-
-
-def _framed_shape(generation: Any, mode: Any, message: Any) -> bool:
-    return type(generation) is int and mode == FRAMED and _is_hex(message)
-
-
-def _raw_shape(generation: Any, mode: Any, payloads: Any) -> bool:
-    return (
-        type(generation) is int and mode == RAW
-        and type(payloads) is list and all(map(_is_hex, payloads))
-    )
-
-
-def _changed_shape(generation: Any, mode: Any, slots: Any, message: Any) -> bool:
-    return type(generation) is int and mode in MODES and type(slots) is int and _is_hex(message)
-
-
-def _detail_keys(kind: str, mode: str | None = None) -> tuple[str, ...]:
-    """The keys, in order, of a `kind` detail (in `mode`, for a reassembly)."""
-    checks = _DETAIL_CHECKS[kind][1] + (_REASSEMBLED_BODY[mode] if mode else ())
-    return tuple(key for key, _ in checks)
-
-
-# (kind, mode of a reassembly, writer template, reader shape)
-_FIXED_SHAPES = (
-    (SCAN_STARTED, None, _round_json, _round_shape),
-    (DEVICE_FOUND, None, _round_json, _round_shape),
-    (UUIDS_FETCHED, None, _fetched_json, _fetched_shape),
-    (MESSAGE_REASSEMBLED, FRAMED, _framed_json, _framed_shape),
-    (MESSAGE_REASSEMBLED, RAW, _raw_json, _raw_shape),
-    (MESSAGE_CHANGED, None, _changed_json, _changed_shape),
-)
-# A template depends only on the keys; a shape also on the kind.
-_TEMPLATES = {_detail_keys(kind, mode): template for kind, mode, template, _ in _FIXED_SHAPES}
-_SHAPES = {(kind, _detail_keys(kind, mode)): shape for kind, mode, _, shape in _FIXED_SHAPES}
+# A template depends only on the keys, so ScanStarted and DeviceFound share one.
+_TEMPLATES = {
+    _keys(_DETAIL_CHECKS[SCAN_STARTED][1]): _round_json,
+    _keys(_DETAIL_CHECKS[UUIDS_FETCHED][1]): _fetched_json,
+    _keys(_REASSEMBLED_CHECKS[FRAMED]): _framed_json,
+    _keys(_REASSEMBLED_CHECKS[RAW]): _raw_json,
+    _keys(_DETAIL_CHECKS[MESSAGE_CHANGED][1]): _changed_json,
+}
 
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens

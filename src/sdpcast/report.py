@@ -17,6 +17,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable
 
+from .codec import PAYLOAD_OCTETS
 from .errors import MalformedLog, SdpcastError
 from .framing import DEFAULT_LIMITS, raw_payloads, raw_read
 from .log import (
@@ -169,7 +170,7 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
                 if record not in memo:
                     memo[record] = len(raw_read([record]))
             payload_records = sum(map(memo.__getitem__, records))
-            payload_octets = payload_records * limits.payload_per_uuid
+            payload_octets = payload_records * PAYLOAD_OCTETS
             fetches.append(
                 FetchBandwidth(
                     t=event.t,
@@ -219,8 +220,8 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
         DeviceBandwidth(
             device=device,
             slots=slots,
-            advertised_octets=slots * limits.payload_per_uuid,
-            utilization=slots * limits.payload_per_uuid / limits.outbound_ceiling,
+            advertised_octets=slots * PAYLOAD_OCTETS,
+            utilization=slots * PAYLOAD_OCTETS / limits.outbound_ceiling,
         )
         for device, slots in sorted(latest_slots.items())
     )

@@ -192,7 +192,8 @@ class _Runner:
         heapq.heappush(self.heap, (t, self.seq, action))
 
     def _emit(self, t: float, kind: str, observer: str, subject: str, detail: dict) -> None:
-        self.pending.append(SimEvent(t, kind, observer, subject, detail))
+        # as `SimEvent.from_dict` does, skip the argument handling of SimEvent(...)
+        self.pending.append(tuple.__new__(SimEvent, (t, kind, observer, subject, detail)))
 
     def _advertise(self, dev: Device, message: bytes, mode: str, t: float) -> None:
         previous = list(dev.table.payload_slots)

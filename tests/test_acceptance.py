@@ -60,13 +60,13 @@ def test_criterion_2_anchor_uuid_fidelity(capsys):
 
 def test_criterion_3_capacity_arithmetic(capsys):
     values = (
-        DEFAULT_LIMITS.payload_per_uuid,
+        PAYLOAD_OCTETS,
         DEFAULT_LIMITS.outbound_ceiling,
         DEFAULT_LIMITS.inbound_ceiling,
     )
     ok = values == (13, 91, 273)
     _verdict(capsys, "3 capacity arithmetic", ok, f"13/91/273 == {values}")
-    assert DEFAULT_LIMITS.payload_per_uuid == 13
+    assert PAYLOAD_OCTETS == 13
     assert DEFAULT_LIMITS.outbound_ceiling == 13 * 7 == 91
     assert DEFAULT_LIMITS.inbound_ceiling == 13 * 21 == 273
 

@@ -11,6 +11,7 @@ from sdpcast import (
     CHUNK_BODY_OCTETS,
     DEFAULT_LIMITS,
     MAX_CHUNKS,
+    PAYLOAD_OCTETS,
     CapacityLimits,
     ConflictingDuplicate,
     FrameHeader,
@@ -35,7 +36,7 @@ def _tamper(uuids, index, new_payload):
 
 
 def test_capacity_constants():
-    assert DEFAULT_LIMITS.payload_per_uuid == 13
+    assert PAYLOAD_OCTETS == 13
     assert DEFAULT_LIMITS.outbound_ceiling == 91
     assert DEFAULT_LIMITS.inbound_ceiling == 273
     assert DEFAULT_LIMITS.framed_capacity == 82
@@ -50,7 +51,7 @@ def test_capacity_limits_validation():
         CapacityLimits(max_outbound_slots=16)
     with pytest.raises(ValueError):
         CapacityLimits(max_inbound_records=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # 13 octets per UUID is fixed by the UUID layout
         CapacityLimits(payload_per_uuid=14)
 
 

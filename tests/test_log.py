@@ -1,22 +1,20 @@
-"""The event log's fixed-shape fast paths against json and the check table.
+"""The event log's writer templates against json, and what its reader accepts.
 
-`SimEvent.to_json` writes a line by a per-shape template when every value
-fits one, and `SimEvent.from_dict` skips the table of checks for a line of a
-fixed shape. `_ENCODER` and `_from_table` stay the definition of a line: the
-templates must write exactly their text, and the shapes must give exactly
-their events and errors.
+`SimEvent.to_json` writes a line by a per-detail template when every value
+fits one. `_ENCODER` stays the definition of a line's text: the templates
+must write exactly what it writes. `SimEvent.from_dict` reads every line
+through one table of checks; `test_report._LOG_ERRORS` pins the lines it
+rejects and their messages.
 """
 
 import enum
 import json
 import math
 
-import pytest
-
 from sdpcast import BUILTIN_SCENARIOS, RAW, SimEvent, load_log, run, scenario_gen
 from sdpcast import log
-from sdpcast.log import _ENCODER, _from_table
-from test_report import _LOG_ERRORS, _edited, _line, _log_edits, _two_device_log
+from sdpcast.log import _ENCODER
+from test_report import _line
 
 A = "aa:00:00:00:00:01"
 B = "aa:00:00:00:00:02"
@@ -154,14 +152,12 @@ def _unused(*args):
 
 
 def test_runner_events_take_the_fixed_shapes(monkeypatch):
-    """Every line a run writes, and reads back, skips json's encoder and the
-    table: the fast paths are taken, not only correct."""
+    """Every line a run writes skips json's encoder, and reads back to the
+    event written: the templates are taken, not only correct."""
     logs = list(_builtin_logs((0,)))
     monkeypatch.setattr(log._ENCODER, "encode", _unused)
-    lines = [[event.to_json() for event in events] for events in logs]
-    monkeypatch.setattr(log, "_from_table", _unused)
-    for events, written in zip(logs, lines):
-        assert list(load_log(written)) == events
+    for events in logs:
+        assert list(load_log([event.to_json() for event in events])) == events
 
 
 def test_each_template_writes_its_kinds_table_keys_in_order():
@@ -169,111 +165,45 @@ def test_each_template_writes_its_kinds_table_keys_in_order():
         "round": 0, "cached": False, "delay": 1.0, "records": [UUID], "generation": 1,
         "mode": "raw", "slots": 1, "message": "00", "payloads": ["00"],
     }
-    shapes = set()
-    for kind, (_, checks) in log._DETAIL_CHECKS.items():
-        bodies = log._REASSEMBLED_BODY.values() if kind == "MessageReassembled" else [()]
-        for body in bodies:
-            keys = tuple(key for key, _ in checks + body)
-            template = log._TEMPLATES[keys]
-            written = template(*(sample[key] for key in keys))
-            assert written == _ENCODER.encode({key: sample[key] for key in keys})
-            assert tuple(json.loads(written)) == keys
-            assert (kind, keys) in log._SHAPES
-            shapes.add((kind, keys))
-    assert set(log._SHAPES) == shapes
-    assert set(log._TEMPLATES) == {keys for _, keys in shapes}
-
-
-def _outcome(read, obj):
-    """What reading `obj` gives: the event and its detail's key order, or the error."""
-    try:
-        event = read(obj)
-    except ValueError as exc:
-        return "error", str(exc)
-    return event, list(event.detail)
-
-
-def _table_only(obj):
-    return _from_table(SimEvent, obj)
-
-
-def _assert_same_outcome(obj):
-    assert _outcome(SimEvent.from_dict, obj) == _outcome(_table_only, obj), obj
-
-
-def test_from_dict_agrees_with_the_table_on_edited_logs():
-    torn = scenario_gen("torn-read")
-    torn.devices[0].mode = RAW
-    for events in (_two_device_log(3), list(run(torn, seed=0))):
-        lines = [event.to_json() for event in events]
-        for line in lines:
-            _assert_same_outcome(json.loads(line))
-        for index, path, value in _log_edits(events):
-            _assert_same_outcome(json.loads(_edited(lines[index], path, value)))
-
-
-def test_from_dict_agrees_with_the_table_on_malformed_lines():
-    for line, message in _LOG_ERRORS:
-        try:
-            obj = log._parse(line)
-        except ValueError:
-            continue  # not JSON: neither path sees it
-        _assert_same_outcome(obj)
-        with pytest.raises(ValueError) as excinfo:
-            SimEvent.from_dict(obj)
-        assert str(excinfo.value) == message
+    details = [
+        checks for kind, (_, checks) in log._DETAIL_CHECKS.items() if kind != "MessageReassembled"
+    ]
+    details += log._REASSEMBLED_CHECKS.values()
+    for keys in map(log._keys, details):
+        written = log._TEMPLATES[keys](*(sample[key] for key in keys))
+        assert written == _ENCODER.encode({key: sample[key] for key in keys})
+        assert tuple(json.loads(written)) == keys
+    assert set(log._TEMPLATES) == set(map(log._keys, details))
 
 
 _FETCHED = {"round": 0, "cached": False, "delay": 6.0, "records": [UUID]}
-_FRAMED = {"generation": 1, "mode": "framed", "message": "6869"}
-_RAW = {"generation": 1, "mode": "raw", "payloads": ["6869"]}
 _CHANGED = {"generation": 1, "mode": "raw", "slots": 1, "message": "6869"}
 
-# Lines of a fixed shape's keys that its checks must still reject.
-_NEAR_MISSES = [
-    _line("ScanStarted", {"round": True}),
-    _line("DeviceFound", {"round": False}),
-    _line("UuidsFetched", {**_FETCHED, "round": True}),
-    _line("ScanStarted", {"round": 0}, t=1.5).replace("1.5", "1e400"),
-    _line("ScanStarted", {"round": 0}, t=1.5).replace("1.5", "-1e400"),
-    _line("UuidsFetched", _FETCHED).replace("6.0", "1e400"),
-    _line("UuidsFetched", {**_FETCHED, "records": [UUID, 5]}),
-    _line("UuidsFetched", {**_FETCHED, "cached": 0}),
-    _line("MessageReassembled", {**_FRAMED, "message": "686"}),
-    _line("MessageReassembled", {**_FRAMED, "message": "686A"}),
-    _line("MessageReassembled", {**_RAW, "payloads": ["6869", "ABCD"]}),
-    _line("MessageReassembled", {**_RAW, "payloads": ["abc"]}),
-    _line("MessageReassembled", {**_RAW, "payloads": [5]}),
-    _line("MessageChanged", {**_CHANGED, "message": "686"}),
-    _line("MessageChanged", {**_CHANGED, "message": "6869AB"}),
-    _line("MessageChanged", {**_CHANGED, "mode": "bogus"}),
-    _line("MessageChanged", {**_CHANGED, "slots": True}),
-    _line("MessageReassembled", {"generation": 1, "mode": "raw", "message": "6869"}),
-    _line("MessageReassembled", {"generation": 1, "mode": "framed", "payloads": ["6869"]}),
-    _line(["ScanStarted"], {"round": 0}),
-    _line({"ScanStarted": 0}, {"round": 0}),
-    _line("Mystery", {"round": 0}),
-]
-
-# Lines off every fixed shape that the table still accepts.
-_OFF_SHAPE = [
-    _line("ScanStarted", {"round": 0}, t=0),
-    _line("UuidsFetched", {**_FETCHED, "delay": 6}),
-    _line("ScanStarted", {"round": 0, "extra": None}),
-    _line("MessageChanged", dict(reversed(_CHANGED.items()))),
-    _line("MessageReassembled", {**_RAW, "message": "6869"}),
-    json.dumps({"detail": {"round": 0}, "t": 0.5, "kind": "ScanStarted", "observer": A, "subject": A}),
-    json.dumps({"t": 0.5, "kind": "ScanStarted", "observer": A, "subject": A, "detail": {"round": 0}, "x": 1}),
+# Lines the runner writes otherwise that still load, each with the event it
+# holds: an integer `t` or `delay`, and keys in another order.
+_ACCEPTED = [
+    (_line("ScanStarted", {"round": 0}, t=0), SimEvent(0.0, "ScanStarted", A, A, {"round": 0})),
+    (
+        _line("UuidsFetched", {**_FETCHED, "delay": 6}),
+        SimEvent(0.0, "UuidsFetched", A, A, _FETCHED),
+    ),
+    (
+        _line("MessageChanged", dict(reversed(_CHANGED.items()))),
+        SimEvent(0.0, "MessageChanged", A, A, _CHANGED),
+    ),
+    (
+        json.dumps(
+            {"detail": {"round": 0}, "t": 0.5, "kind": "ScanStarted", "observer": A, "subject": A}
+        ),
+        SimEvent(0.5, "ScanStarted", A, A, {"round": 0}),
+    ),
 ]
 
 
-def test_from_dict_agrees_with_the_table_off_the_fixed_shapes():
-    for line in _NEAR_MISSES:
-        obj = log._parse(line)
-        _assert_same_outcome(obj)
-        with pytest.raises(ValueError):
-            SimEvent.from_dict(obj)
-    for line in _OFF_SHAPE:
-        obj = log._parse(line)
-        _assert_same_outcome(obj)
-        assert SimEvent.from_dict(obj).detail is obj["detail"]
+def test_load_log_takes_integer_numbers_and_any_key_order():
+    """`t` becomes a float; the detail is kept as the line holds it."""
+    for line, event in _ACCEPTED:
+        [loaded] = load_log([line])
+        assert loaded == event
+        assert type(loaded.t) is float
+        assert list(loaded.detail.items()) == list(json.loads(line)["detail"].items())

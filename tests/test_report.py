@@ -27,6 +27,7 @@ from sdpcast import (
 
 A = "aa:00:00:00:00:01"
 B = "aa:00:00:00:00:02"
+UUID = "01000268-6900-4000-8000-00000000c0de"
 
 
 def _two_device_log(seed=0):
@@ -294,7 +295,10 @@ def test_load_log_rejects_wrong_types():
 
 # Each line with the exact text `load_log` raises for it, after "line 1: ".
 _FETCHED = {"round": 0, "cached": False, "delay": 6.0, "records": []}
+_FRAMED = {"generation": 1, "mode": "framed", "message": "6869"}
+_RAW = {"generation": 1, "mode": "raw", "payloads": ["6869"]}
 _CHANGED = {"generation": 1, "mode": "raw", "slots": 1, "message": "00"}
+_HUGE = 10**400
 _LOG_ERRORS = [
     (_line("ScanStarted", {}), "ScanStarted detail: 'round' is missing or malformed: None"),
     (
@@ -374,6 +378,105 @@ _LOG_ERRORS = [
     (
         _line("ScanStarted", {"round": 0}, subject=None),
         "event: 'subject' is missing or malformed: None",
+    ),
+    # an integer past float range converts to no float, so it is no finite time or delay
+    (_line("ScanStarted", {"round": 0}, t=_HUGE), f"event: 't' is missing or malformed: {_HUGE}"),
+    (
+        _line("ScanStarted", {"round": 0}, t=-_HUGE),
+        f"event: 't' is missing or malformed: {-_HUGE}",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "delay": _HUGE}),
+        f"UuidsFetched detail: 'delay' is missing or malformed: {_HUGE}",
+    ),
+    # each key of the runner's lines, in their order, with a value that is
+    # almost but not quite what the runner writes there
+    (
+        _line("ScanStarted", {"round": True}),
+        "ScanStarted detail: 'round' is missing or malformed: True",
+    ),
+    (
+        _line("DeviceFound", {"round": False}),
+        "DeviceFound detail: 'round' is missing or malformed: False",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "round": True}),
+        "UuidsFetched detail: 'round' is missing or malformed: True",
+    ),
+    (
+        _line("ScanStarted", {"round": 0}, t=1.5).replace("1.5", "1e400"),
+        "event: 't' is missing or malformed: inf",
+    ),
+    (
+        _line("ScanStarted", {"round": 0}, t=1.5).replace("1.5", "-1e400"),
+        "event: 't' is missing or malformed: -inf",
+    ),
+    (
+        _line("UuidsFetched", _FETCHED).replace("6.0", "1e400"),
+        "UuidsFetched detail: 'delay' is missing or malformed: inf",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "records": [UUID, 5]}),
+        f"UuidsFetched detail: 'records' is missing or malformed: ['{UUID}', 5]",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "cached": 0}),
+        "UuidsFetched detail: 'cached' is missing or malformed: 0",
+    ),
+    (
+        _line("MessageReassembled", {**_FRAMED, "message": "686"}),
+        "MessageReassembled detail: 'message' is missing or malformed: '686'",
+    ),
+    (
+        _line("MessageReassembled", {**_FRAMED, "message": "686A"}),
+        "MessageReassembled detail: 'message' is missing or malformed: '686A'",
+    ),
+    (
+        _line("MessageReassembled", {**_RAW, "payloads": ["6869", "ABCD"]}),
+        "MessageReassembled detail: 'payloads' is missing or malformed: ['6869', 'ABCD']",
+    ),
+    (
+        _line("MessageReassembled", {**_RAW, "payloads": ["abc"]}),
+        "MessageReassembled detail: 'payloads' is missing or malformed: ['abc']",
+    ),
+    (
+        _line("MessageReassembled", {**_RAW, "payloads": [5]}),
+        "MessageReassembled detail: 'payloads' is missing or malformed: [5]",
+    ),
+    (
+        _line("MessageReassembled", {"generation": 1, "mode": "framed", "payloads": ["6869"]}),
+        "MessageReassembled detail: 'message' is missing or malformed: None",
+    ),
+    (
+        _line("MessageChanged", {**_CHANGED, "message": "686"}),
+        "MessageChanged detail: 'message' is missing or malformed: '686'",
+    ),
+    (
+        _line("MessageChanged", {**_CHANGED, "message": "6869AB"}),
+        "MessageChanged detail: 'message' is missing or malformed: '6869AB'",
+    ),
+    (
+        _line(["ScanStarted"], {"round": 0}),
+        "event: 'kind' is missing or malformed: ['ScanStarted']",
+    ),
+    (
+        _line({"ScanStarted": 0}, {"round": 0}),
+        "event: 'kind' is missing or malformed: {'ScanStarted': 0}",
+    ),
+    # a key that the line's kind, or its reassembly's mode, does not have
+    (
+        _line("ScanStarted", {"round": 0, "extra": None}),
+        "ScanStarted detail: unknown keys ['extra']",
+    ),
+    (
+        _line("MessageReassembled", {**_RAW, "message": "6869"}),
+        "MessageReassembled detail: unknown keys ['message']",
+    ),
+    (
+        json.dumps(
+            {"t": 0.5, "kind": "ScanStarted", "observer": A, "subject": A, "detail": {"round": 0}, "x": 1}
+        ),
+        "event: unknown keys ['x']",
     ),
     ('{"t": 0} {}', 'Extra data: line 1 column 10 (char 9)'),
     ('{"t": 0}x', 'Extra data: line 1 column 9 (char 8)'),

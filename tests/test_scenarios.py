@@ -98,6 +98,15 @@ def test_torn_read_shape():
     assert len(change.message) == 64
 
 
+
+def test_limits_no_longer_take_payload_per_uuid():
+    """13 octets per UUID is fixed by the UUID layout, so it is no setting."""
+    obj = json.loads(scenario_to_json(scenario_gen("two-device-default")))
+    obj["limits"]["payload_per_uuid"] = 13
+    with pytest.raises(InvalidScenario, match=r"^scenario\.limits: unknown keys \['payload_per_uuid'\]$"):
+        scenario_from_json(json.dumps(obj))
+
+
 # -- scenario file fuzzing ----------------------------------------------------
 
 _FUZZ_BASES = ("two-device-default", "torn-read")
