@@ -29,12 +29,6 @@ from sdpcast.framing import raw_payloads
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 
 
-def _tamper(uuids, index, new_payload):
-    out = list(uuids)
-    out[index] = encode(new_payload)
-    return out
-
-
 def test_capacity_constants():
     assert PAYLOAD_OCTETS == 13
     assert DEFAULT_LIMITS.outbound_ceiling == 91

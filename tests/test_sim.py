@@ -494,31 +494,50 @@ def test_fetched_records_decode_to_the_following_reassembly(same_records_scenari
 class _BruteForceRunner(_Runner):
     """The all-pairs scan the grid replaces: every address, in sorted order."""
 
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.candidate_calls = 0
+
     def _candidates(self, dev):
+        self.candidate_calls += 1
         return sorted(self.devices)
 
 
 def _grid_and_brute_force_logs(sc, seed):
     grid = [e.to_json() for e in run(sc, seed=seed)]
-    brute = [e.to_json() for e in _BruteForceRunner(dataclasses.replace(sc, seed=seed)).execute()]
-    return grid, brute
+    brute_runner = _BruteForceRunner(dataclasses.replace(sc, seed=seed))
+    brute_events = list(brute_runner.execute())
+    # every scan went through the all-pairs override, so the oracle is not the grid itself
+    assert brute_runner.candidate_calls == sum(e.kind == "ScanStarted" for e in brute_events)
+    return grid, [e.to_json() for e in brute_events]
 
 
 _RANGES = (1.0, 2.5, 7.3, 10.0, 33.3, 100.0)
+# Layout origins: far from 0, float `x // cell` stops being the exact floor
+# (from about 2**52 cells out), and at 1e300 a whole layout is a few floats.
+_ORIGINS = (0.0, 1e6, -1e6, 1e16, -1e16, 4e16, -4e16, 1e17, -1e17, 1e300, -1e300)
+
+
+def _cell_size(ranges):
+    """The grid cell size the runner picks for devices of these ranges."""
+    devices = [Device(address=f"aa:00:00:00:00:{k:02x}", range_m=r) for k, r in enumerate(ranges)]
+    return _Runner(Scenario(devices=devices, duration_s=1.0)).cell_size
 
 
 @st.composite
 def _grid_scenarios(draw):
     n = draw(st.integers(min_value=2, max_value=8))
     ranges = draw(st.lists(st.sampled_from(_RANGES), min_size=n, max_size=n))
-    cell = 2.0 * max(ranges)
+    cell = _cell_size(ranges)
+    origin = draw(st.sampled_from(_ORIGINS))
+    base = math.floor(origin / cell)
     placed = []
 
     def on_cell_line():
-        # a multiple of half the cell size (the largest range), on either side
-        # of the origin, or one float step off it: where rounding can put a
-        # pair at range two cells apart if the cells are too small
-        value = draw(st.integers(min_value=-8, max_value=8)) * (cell / 2)
+        # a multiple of half the cell size near the origin, or one float
+        # step off it: where rounding can put a pair at range two cells
+        # apart if the cells are too small or the floor is inexact
+        value = (2 * base + draw(st.integers(min_value=-8, max_value=8))) * (cell / 2)
         step = draw(st.sampled_from((None, -math.inf, math.inf)))
         return value if step is None else math.nextafter(value, step)
 
@@ -534,7 +553,7 @@ def _grid_scenarios(draw):
             dx, dy = draw(st.sampled_from(((r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r))))
             return (px + dx, py + dy)
         span = 3.0 * cell
-        return tuple(draw(st.floats(min_value=-span, max_value=span)) for _ in "xy")
+        return tuple(origin + draw(st.floats(min_value=-span, max_value=span)) for _ in "xy")
 
     devices = []
     for k, range_m in enumerate(ranges):
@@ -571,11 +590,21 @@ def _grid_scenarios(draw):
 @settings(max_examples=80, deadline=None)
 @given(_grid_scenarios())
 @example(
-    # exactly in range, yet two cells apart if cells were one range wide
+    # exactly in range, yet two cells apart if cells were exactly one range wide
     Scenario(
         devices=[
             _device(A, position=(-5e-324, 0.0), message=b"a"),
             _device(B, position=(10.0, 0.0), message=b"b"),
+        ],
+        duration_s=30.0,
+    )
+)
+@example(
+    # 8 m apart, yet two cells apart if the cell index were float `x // cell`
+    Scenario(
+        devices=[
+            _device(A, position=(-3.974646809685754e16, 0.0), message=b"a"),
+            _device(B, position=(-3.9746468096857544e16, 0.0), message=b"b"),
         ],
         duration_s=30.0,
     )
@@ -590,6 +619,101 @@ def test_grid_scan_matches_brute_force_on_builtins():
         for seed in (0, 1, 42):
             grid, brute = _grid_and_brute_force_logs(scenario_gen(name), seed)
             assert grid == brute, (name, seed)
+
+
+def _address(k):
+    return f"02:00:00:00:{k >> 8:02x}:{k & 0xFF:02x}"
+
+
+def test_grid_scan_matches_brute_force_on_a_400_device_layout():
+    # mixed ranges, some devices hidden at the start; moves across the whole
+    # square and discoverability toggles through three scan rounds
+    rng = random.Random(400)
+    side, n = 190.0, 400
+
+    def spot():
+        return (rng.uniform(0.0, side), rng.uniform(0.0, side))
+
+    devices = [
+        Device(
+            address=_address(k),
+            position=spot(),
+            range_m=rng.choice((1.0, 5.0, 10.0, 20.0)),
+            scan_interval_s=30.0,
+            discoverable=rng.random() < 0.9,
+            message=rng.randbytes(rng.randint(0, 40)),
+        )
+        for k in range(n)
+    ]
+    schedule = []
+    for i, t in enumerate(sorted(rng.uniform(0.0, 60.0) for _ in range(800))):
+        device = _address(rng.randrange(n))
+        if i % 2:
+            schedule.append(Mutation(t=t, device=device, action="set_position", position=spot()))
+        else:
+            toggle = Mutation(t=t, device=device, action="set_discoverable", discoverable=rng.random() < 0.5)
+            schedule.append(toggle)
+    sc = Scenario(devices=devices, duration_s=60.0, schedule=schedule)
+    grid, brute = _grid_and_brute_force_logs(sc, 3)
+    assert sum('"kind":"DeviceFound"' in line for line in grid) > 1000
+    assert grid == brute
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    origin=st.sampled_from(_ORIGINS),
+    offset=st.tuples(*[st.floats(min_value=-250.0, max_value=250.0)] * 4),
+    ranges=st.tuples(st.sampled_from(_RANGES), st.sampled_from(_RANGES)),
+    discoverable=st.booleans(),
+    at_edge=st.booleans(),
+)
+def test_scan_finds_exactly_the_devices_in_range(origin, offset, ranges, discoverable, at_edge):
+    # the scan tests distance inline; it must agree with `in_range` pair by
+    # pair, also for a subject exactly the smaller range away
+    x, y = origin + offset[0], origin + offset[1]
+    a = _device(A, position=(x, y), range_m=ranges[0])
+    b = _device(
+        B,
+        position=(x + min(ranges), y) if at_edge else (origin + offset[2], origin + offset[3]),
+        range_m=ranges[1],
+        scan_interval_s=None,
+        discoverable=discoverable,
+    )
+    found = {e.subject for e in run(Scenario(devices=[a, b], duration_s=20.0)) if e.kind == "DeviceFound"}
+    assert found == ({B} if in_range(a, b) else set())
+
+
+class _CountingRunner(_Runner):
+    """The grid runner, recording how many candidates each scan examines."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.candidate_counts = []
+
+    def _candidates(self, dev):
+        found = super()._candidates(dev)
+        self.candidate_counts.append(len(found))
+        return found
+
+
+def test_scan_examines_few_candidates_at_sparse_density():
+    # sparse-1000's density: 1 000 devices, 10 m range, in a 600 m square,
+    # one scan round. A 3x3 block of range-wide cells holds 2.5 devices on
+    # average besides the scanner; cells twice as wide would hold 10.
+    rng = random.Random(1000)
+    devices = [
+        Device(
+            address=_address(k),
+            position=(rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)),
+            range_m=10.0,
+            scan_interval_s=30.0,
+        )
+        for k in range(1000)
+    ]
+    runner = _CountingRunner(Scenario(devices=devices, duration_s=25.0))
+    scans = sum(e.kind == "ScanStarted" for e in runner.execute())
+    assert scans == len(runner.candidate_counts) == 1000
+    assert sum(runner.candidate_counts) / scans <= 5.0
 
 
 def test_set_position_moves_device_between_grid_cells():
