@@ -259,17 +259,7 @@ class _Runner:
         dev = self.devices[address]
         self._emit(t, SCAN_STARTED, address, address, {"round": rnd})
         devices = self.devices
-        (x, y), range_m = dev.position, dev.range_m
-        hits = []
-        for subject in self._candidates(dev):
-            other = devices[subject]
-            # `in_range(dev, other)`, written out: a scan runs it on every candidate
-            if not other.discoverable or subject == address:
-                continue
-            dx = x - other.position[0]
-            dy = y - other.position[1]
-            if (dx * dx + dy * dy) ** 0.5 <= min(range_m, other.range_m):
-                hits.append(subject)
+        hits = [s for s in self._candidates(dev) if s != address and in_range(dev, devices[s])]
         hits.sort()  # the RNG draws go in address order, whatever order the cells hold
         uniform, inquiry_s = self.rng.uniform, self.sc.timing.inquiry_duration_s
         for subject in hits:

@@ -659,30 +659,6 @@ def test_grid_scan_matches_brute_force_on_a_400_device_layout():
     assert grid == brute
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    origin=st.sampled_from(_ORIGINS),
-    offset=st.tuples(*[st.floats(min_value=-250.0, max_value=250.0)] * 4),
-    ranges=st.tuples(st.sampled_from(_RANGES), st.sampled_from(_RANGES)),
-    discoverable=st.booleans(),
-    at_edge=st.booleans(),
-)
-def test_scan_finds_exactly_the_devices_in_range(origin, offset, ranges, discoverable, at_edge):
-    # the scan tests distance inline; it must agree with `in_range` pair by
-    # pair, also for a subject exactly the smaller range away
-    x, y = origin + offset[0], origin + offset[1]
-    a = _device(A, position=(x, y), range_m=ranges[0])
-    b = _device(
-        B,
-        position=(x + min(ranges), y) if at_edge else (origin + offset[2], origin + offset[3]),
-        range_m=ranges[1],
-        scan_interval_s=None,
-        discoverable=discoverable,
-    )
-    found = {e.subject for e in run(Scenario(devices=[a, b], duration_s=20.0)) if e.kind == "DeviceFound"}
-    assert found == ({B} if in_range(a, b) else set())
-
-
 class _CountingRunner(_Runner):
     """The grid runner, recording how many candidates each scan examines."""
 

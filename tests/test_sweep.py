@@ -4,8 +4,6 @@ import importlib.util
 import math
 from pathlib import Path
 
-import sdpcast
-
 SWEEP = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
 
 
@@ -28,7 +26,7 @@ def test_sweep_points_cover_both_series():
 
 def test_sweep_measures_one_tiny_point():
     sweep = _sweep()
-    row = sweep.measure(sdpcast, n=20, side_m=20.0, repeats=2)
+    row = sweep.measure(n=20, side_m=20.0, repeats=2)
     assert set(row) == {
         "scans",
         "in_range_per_scan",
@@ -43,4 +41,4 @@ def test_sweep_measures_one_tiny_point():
     assert row["in_range_per_scan"] + 1 <= row["candidates_per_scan"] <= 20
     assert len(row["run_us_per_device_samples"]) == 2
     assert row["run_us_per_device"] > 0 and row["scaled_us_per_device"] > 0
-    assert sweep.layout(sdpcast, 20, 20.0).devices == sweep.layout(sdpcast, 20, 20.0).devices
+    assert sweep.layout(20, 20.0).devices == sweep.layout(20, 20.0).devices

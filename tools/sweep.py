@@ -19,7 +19,7 @@ range, one scan round (sparse-1000's shape). Two series:
 Per point it records the scans, the mean devices in range per scan
 (DeviceFound events over scans), the mean grid candidates per scan (the
 length of `_Runner._candidates`, which counts the scanner itself), and the
-median of `--repeats` timed runs of `run` in µs per device: host time, and
+median of `REPEATS` timed runs of `run` in µs per device: host time, and
 host time scaled to the benchmark's reference host speed (`bench/hostspeed.py`).
 No figure is checked against a bound; the sweep is a record, not a gate.
 """
@@ -45,6 +45,7 @@ SIZES = (20, 100, 400, 1000, 4000, 10000)
 IN_RANGE = (1, 4, 16, 64)  # mean devices in range, for the density series
 DENSITY_N = 400
 MAX_FRAMED_OCTETS = 82
+REPEATS = 3  # timed runs per (point, tree)
 CHILD_TIMEOUT_S = 600
 
 
@@ -64,8 +65,10 @@ def points() -> list[dict]:
     return out
 
 
-def layout(sdp, n: int, side_m: float, seed: int = 0):
+def layout(n: int, side_m: float, seed: int = 0):
     """`n` framed devices uniform in a `side_m` square; every one scans at t = 0, once."""
+    import sdpcast as sdp
+
     rng = random.Random(seed)
     devices = [
         sdp.Device(
@@ -81,8 +84,9 @@ def layout(sdp, n: int, side_m: float, seed: int = 0):
     return sdp.Scenario(name=f"sweep-{n}", duration_s=25.0, seed=0, devices=devices)
 
 
-def measure(sdp, n: int, side_m: float, repeats: int, seed: int = 0) -> dict:
+def measure(n: int, side_m: float, repeats: int, seed: int = 0) -> dict:
     """Counts from one instrumented run and µs per device from `repeats` plain ones."""
+    import sdpcast as sdp
     from sdpcast.sim import _Runner
 
     class Counting(_Runner):
@@ -94,7 +98,7 @@ def measure(sdp, n: int, side_m: float, repeats: int, seed: int = 0) -> dict:
             return found
 
     hostspeed = _load_hostspeed()
-    sc = layout(sdp, n, side_m, seed)
+    sc = layout(n, side_m, seed)
     runner = Counting(sc)
     kinds = [event.kind for event in runner.execute()]
     scans, found = kinds.count("ScanStarted"), kinds.count("DeviceFound")
@@ -118,11 +122,9 @@ def measure(sdp, n: int, side_m: float, repeats: int, seed: int = 0) -> dict:
     }
 
 
-def _child(tree: Path, n: int, side_m: float, repeats: int) -> None:
-    sys.path.insert(0, str(tree / "src"))
-    import sdpcast
-
-    print(json.dumps(measure(sdpcast, n, side_m, repeats)))
+def _child(tree: Path, n: int, side_m: float) -> None:
+    sys.path.insert(0, str(tree / "src"))  # `measure` imports the tree's sdpcast
+    print(json.dumps(measure(n, side_m, REPEATS)))
 
 
 def _commit(tree: Path) -> str | None:
@@ -139,15 +141,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH")
     parser.add_argument("--out", type=Path, default=Path("BENCH_sweep.json"))
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--n", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--side", type=float, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     if args.child is not None:
-        _child(args.child, args.n, args.side, args.repeats)
+        _child(args.child, args.n, args.side)
         return 0
     trees = {}
     for spec in args.tree or [f"this={ROOT}"]:
@@ -161,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         for label in order:
             cmd = [
                 sys.executable, __file__, "--child", str(trees[label]),
-                "--n", str(point["n"]), "--side", repr(point["side_m"]), "--repeats", str(args.repeats),
+                "--n", str(point["n"]), "--side", repr(point["side_m"]),
             ]
             out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=CHILD_TIMEOUT_S)
             results[label].append({**point, **json.loads(out.stdout)})
@@ -178,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         "range_m": RANGE_M,
         "density_per_m2": DENSITY,
         "layout_seed": 0,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "trees": {
             label: {"commit": _commit(trees[label]), "points": results[label]} for label in trees
         },
