@@ -26,7 +26,6 @@ from .errors import (
     MalformedUuid,
     MessageTooLong,
     NotAPayloadUuid,
-    OutOfRange,
     PayloadTooLong,
     PayloadTooShort,
     ReassemblyError,
@@ -45,7 +44,7 @@ from .framing import (
     unframe,
 )
 from .log import SimEvent, load_log
-from .model import FRAMED, RAW, AdvertisementTable, Device, Mutation, Scenario, TimingModel
+from .model import FRAMED, RAW, Device, Mutation, Scenario, TimingModel
 from .report import (
     BandwidthReport,
     DeviceBandwidth,
@@ -69,7 +68,6 @@ from .sim import advertise, fetch_snapshot, in_range, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvertisementTable",
     "BUILTIN_SCENARIOS",
     "BandwidthReport",
     "CHUNK_BODY_OCTETS",
@@ -96,7 +94,6 @@ __all__ = [
     "MessageTooLong",
     "Mutation",
     "NotAPayloadUuid",
-    "OutOfRange",
     "PAYLOAD_OCTETS",
     "PairLatency",
     "PayloadTooLong",

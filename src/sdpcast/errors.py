@@ -55,10 +55,6 @@ class InvalidScenario(SdpcastError):
     """Scenario fails validation; message carries the diagnosis."""
 
 
-class OutOfRange(SdpcastError):
-    """Fetch precondition violated: subject no longer reachable."""
-
-
 class UnknownScenario(SdpcastError):
     """No built-in scenario with the requested name."""
 

@@ -61,22 +61,12 @@ def _check_mode(mode: Any, where: str = "") -> None:
 
 
 @dataclass
-class AdvertisementTable:
-    """Current payload slots of one device; run state, never scenario input."""
-
-    payload_slots: list[str] = field(default_factory=list)
-    generation: int = 0
-    mode: str = FRAMED
-
-
-@dataclass
 class Device:
     """One simulated node; `message`/`mode` describe its initial advertisement.
 
     `mode` holds from the start of a run, even when `message` is None, so a
     later `set_message` without a mode sends in it. `wellknown_records` are
     the non-payload service UUIDs it also lists, after its payload slots.
-    `table` holds what it advertises during a run.
     """
 
     address: str
@@ -87,9 +77,6 @@ class Device:
     message: bytes | None = None
     mode: str = FRAMED
     wellknown_records: tuple[str, ...] = ()
-    table: AdvertisementTable = field(
-        default_factory=AdvertisementTable, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         _expect(self.address, str, "device", "address must be a string")

@@ -262,7 +262,7 @@ def format_text(report: Report) -> str:
         )
     out.append(
         f"  changes: {lat.changes_total} opportunities, {lat.changes_delivered} delivered, "
-        f"{lat.changes_within_threshold} within {lat.threshold_s:.0f} s "
+        f"{lat.changes_within_threshold} within {lat.threshold_s:g} s "
         f"(fraction {lat.fraction_within:.2f}), {lat.changes_misdelivered} misdelivered"
     )
     out.append("bandwidth")

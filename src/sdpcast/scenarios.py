@@ -193,12 +193,12 @@ _NESTED: dict[str, Any] = {
     "message": bytes,
 }
 _CLASSES = (Scenario, Device, Mutation, TimingModel, CapacityLimits)
-_KEYS = {cls: frozenset(f.name for f in fields(cls) if f.init) for cls in _CLASSES}
+_KEYS = {cls: frozenset(f.name for f in fields(cls)) for cls in _CLASSES}
 _REQUIRED = {
     cls: frozenset(
         f.name
         for f in fields(cls)
-        if f.init and f.default is MISSING and f.default_factory is MISSING
+        if f.default is MISSING and f.default_factory is MISSING
     )
     for cls in _CLASSES
 }

@@ -1,7 +1,10 @@
 """Deterministic discrete-event simulation of the discovery pipeline.
 
-Virtual devices sit on a plane, advertise payload UUIDs through their service
-tables, and run periodic inquiry scans.  A scan finds every discoverable
+Virtual devices sit on a plane, advertise payload UUIDs as SDP service
+records, and run periodic inquiry scans.  `advertise` and `fetch_snapshot`
+are pure functions of a message and of a record list; the scenario's
+devices are input only, and the runner keeps every device's generation,
+mode, slots and previous slots itself.  A scan finds every discoverable
 device inside radio range (symmetric disc model, min of the two ranges);
 each found device is fetched after a fixed latency, longer for the first
 encounter than for later ones, and the fetched records are decoded and
@@ -28,12 +31,12 @@ import random
 from typing import Iterator
 
 from .codec import encode
-from .errors import InvalidScenario, MessageTooLong, OutOfRange, ReassemblyError
+from .errors import InvalidScenario, MessageTooLong, ReassemblyError
 from .framing import DEFAULT_LIMITS, CapacityLimits, frame, raw_payloads, raw_read, reassemble
 from .log import (
     DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, SCAN_STARTED, UUIDS_FETCHED, SimEvent
 )
-from .model import FRAMED, RAW, AdvertisementTable, Device, Mutation, Scenario, _check_mode
+from .model import FRAMED, RAW, Device, Mutation, Scenario, _check_mode
 
 # Upper bound on the events of one run, checked as they are emitted. The work
 # of a scan grows with the devices in range, so a dense layout can stay under
@@ -51,63 +54,42 @@ def in_range(a: Device, b: Device) -> bool:
 
 
 def advertise(
-    device: Device,
     message: bytes,
     mode: str = FRAMED,
     limits: CapacityLimits = DEFAULT_LIMITS,
-) -> AdvertisementTable:
-    """Replace the device's payload slots with the encoding of `message`.
+) -> list[str]:
+    """The payload slots that advertise `message` in `mode`.
 
     Framed mode splits across headered chunks (capacity 82 octets with
     default limits); raw mode fills one headerless 13-octet slot per
-    segment (capacity 91 octets).  Bumps the table generation.
+    segment (capacity 91 octets).
     """
     message = bytes(message)
     _check_mode(mode)
-    table = device.table
     if mode == FRAMED:
-        slots = frame(message, limits)
-    else:
-        if len(message) > limits.outbound_ceiling:
-            raise MessageTooLong(
-                f"message is {len(message)} octets, raw capacity is {limits.outbound_ceiling}"
-            )
-        slots = [encode(payload) for payload in raw_payloads(message)]
-    table.payload_slots = slots
-    table.mode = mode
-    table.generation += 1
-    return table
+        return frame(message, limits)
+    if len(message) > limits.outbound_ceiling:
+        raise MessageTooLong(
+            f"message is {len(message)} octets, raw capacity is {limits.outbound_ceiling}"
+        )
+    return [encode(payload) for payload in raw_payloads(message)]
 
 
 def fetch_snapshot(
-    observer: Device,
-    subject: Device,
+    slots: list[str],
+    wellknown_records: tuple[str, ...],
     limits: CapacityLimits = DEFAULT_LIMITS,
     *,
     window: tuple[float, float] | None = None,
     change: tuple[list[str], float] | None = None,
 ) -> list[str]:
-    """The subject's records as one SDP fetch sees them.
+    """The records one SDP fetch sees of a subject advertising `slots`.
 
     Payload slots come first, then well-known records, truncated at
     max_inbound_records.  A `change` (previous slots and the change time)
     strictly inside `window` splits the payload slots into an old-generation
-    prefix plus a new-generation suffix: a torn read.  Raises OutOfRange
-    when the subject is not reachable.
+    prefix plus a new-generation suffix: a torn read.
     """
-    if not in_range(observer, subject):
-        raise OutOfRange(f"{subject.address} is not reachable from {observer.address}")
-    return _snapshot(subject, limits, window, change)
-
-
-def _snapshot(
-    subject: Device,
-    limits: CapacityLimits,
-    window: tuple[float, float] | None,
-    change: tuple[list[str], float] | None,
-) -> list[str]:
-    """`fetch_snapshot` past its range check."""
-    slots = subject.table.payload_slots
     if window is not None and change is not None:
         t_start, t_now = window
         old_slots, t_change = change
@@ -116,7 +98,7 @@ def _snapshot(
             split = 1 + int(fraction * (len(old_slots) - 1))
             split = min(max(split, 1), len(old_slots) - 1)
             slots = old_slots[:split] + slots[split:]
-    records = slots + list(subject.wellknown_records)
+    records = slots + list(wellknown_records)
     return records[:limits.max_inbound_records]
 
 
@@ -143,12 +125,14 @@ class _Runner:
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
         self.rng = random.Random(sc.seed)
-        # A run moves devices, toggles them and changes their tables: it does
-        # so on plain shallow copies (`sc` is valid already), each with a
-        # fresh table, never on `sc` itself.
+        # A run moves devices and toggles them: it does so on plain shallow
+        # copies (`sc` is valid already), never on `sc` itself.
         self.devices = {d.address: copy.copy(d) for d in sc.devices}
-        for dev in self.devices.values():
-            dev.table = AdvertisementTable(mode=dev.mode)
+        # address -> (generation, mode, payload slots, (slots before the
+        # latest change, change time)); the change is None before the first
+        self.adverts: dict[str, tuple[int, str, list[str], tuple[list[str], float] | None]] = {
+            d.address: (0, d.mode, [], None) for d in sc.devices
+        }
         # Uniform grid hash over positions (Teschner et al., VMV 2003). Any
         # pair in range lies in the same or an adjacent cell, so a scan only
         # looks at its 3x3 neighbourhood. Cells are the largest range wide,
@@ -169,8 +153,6 @@ class _Runner:
             self._place(dev)
         self.pending: list[SimEvent] = []  # emitted by the current handler, not yet yielded
         self.fetched: set[tuple[str, str]] = set()
-        # address -> (payload slots before the latest change, change time)
-        self.history: dict[str, tuple[list[str], float]] = {}
         # address -> (mode, unshuffled records, outcome) of its latest fetch; see `_outcome`
         self.outcomes: dict[str, tuple[str, list[str], str | list[str] | None]] = {}
         self.heap: list[tuple[float, int, tuple]] = []
@@ -180,7 +162,7 @@ class _Runner:
         """Yield the run's events, each handler's as soon as it returns."""
         for dev in self.devices.values():
             if dev.message is not None:
-                self._advertise(dev, dev.message, dev.mode, t=0.0)
+                self._advertise(dev.address, dev.message, dev.mode, t=0.0)
         for dev in self.devices.values():
             if dev.scan_interval_s is not None:
                 self._push(0.0, ("_on_scan", dev.address, 0))
@@ -213,19 +195,22 @@ class _Runner:
         # as `SimEvent.from_dict` does, skip the argument handling of SimEvent(...)
         self.pending.append(tuple.__new__(SimEvent, (t, kind, observer, subject, detail)))
 
-    def _advertise(self, dev: Device, message: bytes, mode: str, t: float) -> None:
-        previous = list(dev.table.payload_slots)
-        table = advertise(dev, message, mode, self.sc.limits)
-        self.history[dev.address] = (previous, t)
+    def _advertise(self, address: str, message: bytes, mode: str | None, t: float) -> None:
+        """Switch `address` to `message` at `t`, in `mode` or else its current mode."""
+        generation, current, previous, _ = self.adverts[address]
+        mode = mode or current
+        slots = advertise(message, mode, self.sc.limits)
+        generation += 1
+        self.adverts[address] = (generation, mode, slots, (previous, t))
         self._emit(
             t,
             MESSAGE_CHANGED,
-            dev.address,
-            dev.address,
+            address,
+            address,
             {
-                "generation": table.generation,
+                "generation": generation,
                 "mode": mode,
-                "slots": len(table.payload_slots),
+                "slots": len(slots),
                 "message": message.hex(),
             },
         )
@@ -288,8 +273,14 @@ class _Runner:
         obs, subj = self.devices[observer], self.devices[subject]
         if not in_range(obs, subj):
             return  # moved or toggled mid-flight; the fetch just never completes
-        change = self.history.get(subject) if self.sc.torn_read_mode else None
-        records = _snapshot(subj, self.sc.limits, (t_start, t), change)
+        generation, mode, slots, change = self.adverts[subject]
+        records = fetch_snapshot(
+            slots,
+            subj.wellknown_records,
+            self.sc.limits,
+            window=(t_start, t),
+            change=change if self.sc.torn_read_mode else None,
+        )
         fetched = records.copy()
         self.rng.shuffle(fetched)
         self.fetched.add((observer, subject))
@@ -300,17 +291,16 @@ class _Runner:
             subject,
             {"round": rnd, "cached": cached, "delay": latency, "records": fetched},
         )
-        table = subj.table
-        if not table.payload_slots:
+        if not slots:
             return
-        outcome = self._outcome(subject, table.mode, records)
+        outcome = self._outcome(subject, mode, records)
         if outcome is None:
             return  # torn or truncated snapshot; a later fetch will retry
-        if table.mode == FRAMED:
-            detail = {"generation": table.generation, "mode": FRAMED, "message": outcome}
+        if mode == FRAMED:
+            detail = {"generation": generation, "mode": FRAMED, "message": outcome}
         else:
             # a list of its own per event, so no consumer can change the memo's
-            detail = {"generation": table.generation, "mode": RAW, "payloads": list(outcome)}
+            detail = {"generation": generation, "mode": RAW, "payloads": list(outcome)}
         self._emit(t, MESSAGE_REASSEMBLED, observer, subject, detail)
 
     def _outcome(self, subject: str, mode: str, records: list[str]) -> str | list[str] | None:
@@ -338,7 +328,7 @@ class _Runner:
     def _on_mutate(self, t: float, mut: Mutation) -> None:
         dev = self.devices[mut.device]
         if mut.action == "set_message":
-            self._advertise(dev, mut.message, mut.mode or dev.table.mode, t)
+            self._advertise(mut.device, mut.message, mut.mode, t)
         elif mut.action == "set_position":
             dev.position = mut.position
             self._place(dev)

@@ -19,7 +19,7 @@ def same_records_scenarios():
     change see the same records.
     """
     raw_hi = bytes.fromhex("01000268690000000000000000")
-    assert frame(b"hi") == advertise(Device(A), raw_hi, RAW).payload_slots
+    assert advertise(raw_hi, RAW) == frame(b"hi")
     assert frame(b"hi") == ["01000268-6900-4000-8000-00000000c0de"]
 
     def two_devices(message, change):

@@ -320,6 +320,8 @@ def test_report_threshold_flag(tmp_path, capsys):
     (changes,) = [r for r in rows if r["metric"] == "changes"]
     assert changes["threshold_s"] == 0.5
     assert changes["fraction"] < 1.0
+    assert main(["report", str(log), "--threshold", "0.5"]) == 0
+    assert "within 0.5 s" in capsys.readouterr().out
 
 
 def test_report_rejects_a_bad_threshold(tmp_path, capsys):

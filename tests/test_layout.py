@@ -26,7 +26,6 @@ OWNERS = {
     "RAW": "model",
     "FRAMED": "model",
     "MAX_SCANS": "model",
-    "AdvertisementTable": "model",
     "Device": "model",
     "TimingModel": "model",
     "Mutation": "model",
@@ -40,13 +39,14 @@ OWNERS = {
     "run": "sim",
 }
 
-# `sdpcast.__all__` when the modules were split; each must stay importable.
+# `sdpcast.__all__` when the modules were split, less `AdvertisementTable` and
+# `OutOfRange`, removed with the run state they held; each must stay importable.
 PUBLIC = (
-    "AdvertisementTable BUILTIN_SCENARIOS BandwidthReport CHUNK_BODY_OCTETS CapacityLimits "
+    "BUILTIN_SCENARIOS BandwidthReport CHUNK_BODY_OCTETS CapacityLimits "
     "CodecConfig ConflictingDuplicate DEFAULT_CONFIG DEFAULT_LIMITS DEFAULT_MARKER Device "
     "DeviceBandwidth FRAMED FetchBandwidth FrameHeader IncompleteSet InconsistentTotals "
     "InvalidMarker InvalidScenario LENGTH_PREFIX_OCTETS LatencyReport MAX_CHUNKS MalformedLog "
-    "MalformedUuid MessageTooLong Mutation NotAPayloadUuid OutOfRange PAYLOAD_OCTETS PairLatency "
+    "MalformedUuid MessageTooLong Mutation NotAPayloadUuid PAYLOAD_OCTETS PairLatency "
     "PayloadTooLong PayloadTooShort RAW ReassemblyError Report Scenario SdpcastError SimEvent "
     "TimingModel UnknownScenario advertise build_report decode detect encode fetch_snapshot "
     "format_lines format_text frame in_range is_well_formed_v4 load_log load_scenario "

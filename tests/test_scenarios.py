@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from sdpcast import (
     scenario_gen,
     scenario_to_json,
 )
+from sdpcast.scenarios import _CLASSES
 
 DATA = Path(__file__).parent / "data"
 
@@ -105,6 +107,12 @@ def test_limits_no_longer_take_payload_per_uuid():
     obj["limits"]["payload_per_uuid"] = 13
     with pytest.raises(InvalidScenario, match=r"^scenario\.limits: unknown keys \['payload_per_uuid'\]$"):
         scenario_from_json(json.dumps(obj))
+
+
+def test_scenario_classes_hold_only_init_fields():
+    """The file format is every field of each class, so run state has no place there."""
+    for cls in _CLASSES:
+        assert [f.name for f in fields(cls) if not f.init] == [], cls.__name__
 
 
 # -- scenario file fuzzing ----------------------------------------------------

@@ -15,12 +15,10 @@ from sdpcast import (
     BUILTIN_SCENARIOS,
     FRAMED,
     RAW,
-    AdvertisementTable,
     Device,
     InvalidScenario,
     MessageTooLong,
     Mutation,
-    OutOfRange,
     ReassemblyError,
     Scenario,
     TimingModel,
@@ -97,65 +95,44 @@ def test_in_range_requires_discoverable_subject():
 
 
 def test_advertise_raw_single_slot():
-    dev = _device()
-    table = advertise(dev, b"0123456789", RAW)
-    assert len(table.payload_slots) == 1
-    assert table.generation == 1
-    assert table.mode == RAW
+    slots = advertise(b"0123456789", RAW)
+    assert len(slots) == 1
+    assert raw_read(slots) == [b"0123456789" + bytes(3)]
 
 
 def test_advertise_framed_slot_counts():
-    dev = _device()
-    assert len(advertise(dev, b"x" * 80, FRAMED).payload_slots) == 7
+    assert len(advertise(b"x" * 80, FRAMED)) == 7
     with pytest.raises(MessageTooLong):
-        advertise(dev, b"x" * 83, FRAMED)
+        advertise(b"x" * 83, FRAMED)
 
 
 def test_advertise_raw_multi_slot():
-    dev = _device()
-    assert len(advertise(dev, b"x" * 91, RAW).payload_slots) == 7
-    assert len(advertise(dev, b"x" * 14, RAW).payload_slots) == 2
-    assert len(advertise(dev, b"", RAW).payload_slots) == 1
+    assert len(advertise(b"x" * 91, RAW)) == 7
+    assert len(advertise(b"x" * 14, RAW)) == 2
+    assert len(advertise(b"", RAW)) == 1
     with pytest.raises(MessageTooLong):
-        advertise(dev, b"x" * 92, RAW)
-
-
-def test_advertise_bumps_generation_monotonically():
-    dev = _device()
-    for expected in range(1, 5):
-        assert advertise(dev, b"gen", FRAMED).generation == expected
+        advertise(b"x" * 92, RAW)
 
 
 # -- fetch_snapshot -----------------------------------------------------------
 
 
 def test_fetch_snapshot_payload_first_truncation():
-    subject = _device(B, position=(1.0, 0.0), wellknown_records=(WELLKNOWN_SPP,) * 20)
-    advertise(subject, b"x" * 80, FRAMED)  # 7 slots
-    records = fetch_snapshot(_device(A), subject)
+    slots = advertise(b"x" * 80, FRAMED)  # 7 slots
+    records = fetch_snapshot(slots, (WELLKNOWN_SPP,) * 20)
     assert len(records) == 21
-    assert records[:7] == subject.table.payload_slots
+    assert records[:7] == slots
     assert records[7:] == [WELLKNOWN_SPP] * 14
 
 
 def test_fetch_snapshot_small_table():
-    subject = _device(B, position=(1.0, 0.0), wellknown_records=(WELLKNOWN_SPP,) * 2)
-    advertise(subject, b"tiny", RAW)
-    assert len(fetch_snapshot(_device(A), subject)) == 3
-
-
-def test_fetch_snapshot_out_of_range():
-    subject = _device(B, position=(50.0, 0.0))
-    with pytest.raises(OutOfRange):
-        fetch_snapshot(_device(A), subject)
+    assert len(fetch_snapshot(advertise(b"tiny", RAW), (WELLKNOWN_SPP,) * 2)) == 3
 
 
 def test_fetch_snapshot_torn_mix_prefix_suffix():
-    subject = _device(B, position=(1.0, 0.0))
-    advertise(subject, b"o" * 82, FRAMED)
-    old_slots = list(subject.table.payload_slots)
-    advertise(subject, b"n" * 64, FRAMED)
-    records = fetch_snapshot(_device(A), subject, window=(0.0, 10.0), change=(old_slots, 5.0))
+    old_slots = advertise(b"o" * 82, FRAMED)
+    slots = advertise(b"n" * 64, FRAMED)
+    records = fetch_snapshot(slots, (), window=(0.0, 10.0), change=(old_slots, 5.0))
     headers = [(int(r[0], 16), int(r[1], 16)) for r in records]
     split = 1 + int(0.5 * 6)
     assert headers[:split] == [(i, 7) for i in range(split)]
@@ -163,12 +140,15 @@ def test_fetch_snapshot_torn_mix_prefix_suffix():
 
 
 def test_fetch_snapshot_change_outside_window_is_clean():
-    subject = _device(B, position=(1.0, 0.0))
-    advertise(subject, b"o" * 82, FRAMED)
-    old_slots = list(subject.table.payload_slots)
-    advertise(subject, b"n" * 64, FRAMED)
-    records = fetch_snapshot(_device(A), subject, window=(6.0, 10.0), change=(old_slots, 5.0))
-    assert records == subject.table.payload_slots
+    slots = advertise(b"n" * 64, FRAMED)
+    for old_message, window, t_change in [
+        (b"o" * 82, (6.0, 10.0), 5.0),  # before the window
+        (b"o" * 82, (6.0, 10.0), 6.0),  # exactly at its start: the bounds are strict
+        (b"o" * 82, (6.0, 10.0), 10.0),  # exactly at its end
+        (b"o", (0.0, 10.0), 5.0),  # inside, but a one-slot old generation cannot tear
+    ]:
+        change = (advertise(old_message, FRAMED), t_change)
+        assert fetch_snapshot(slots, (), window=window, change=change) == slots, t_change
 
 
 # -- run ----------------------------------------------------------------------
@@ -272,8 +252,6 @@ def test_run_does_not_mutate_input_scenario():
     found_b = [e.t for e in log if e.kind == "DeviceFound" and e.subject == B]
     assert found_b and max(found_b) < 40.0 + 12.0  # hidden from the scans after t=40
     assert scenario_to_json(sc) == before
-    assert sc.devices[0].table.generation == 0
-    assert sc.devices[0].table.payload_slots == []
 
 
 def test_hand_traced_event_times():
@@ -948,10 +926,3 @@ def test_seed_override_validated():
     sc = _two_device_scenario()
     with pytest.raises(InvalidScenario):
         run(sc, seed=2**64)
-
-
-def test_advertisement_table_defaults():
-    table = AdvertisementTable()
-    assert table.payload_slots == []
-    assert table.generation == 0
-    assert table.mode == FRAMED
