@@ -30,9 +30,17 @@ def _codec_config(args: argparse.Namespace) -> CodecConfig:
     return CodecConfig(marker=args.marker, text_mode=args.text)
 
 
+def _not_utf8(what: str, exc: UnicodeError) -> SdpcastError:
+    """The error for input that is not UTF-8, naming its first bad part as `load_log` does."""
+    return SdpcastError(f"{what} is not UTF-8 ({exc.object[exc.start:exc.end]!r}: {exc.reason})")
+
+
 def _parse_message(value: str, text: bool) -> bytes:
     if text:
-        return value.encode("utf-8")
+        try:
+            return value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # argv holds bytes that are not UTF-8 as surrogates
+            raise _not_utf8("the message", exc) from None
     try:
         return bytes.fromhex(value)
     except ValueError:
@@ -69,7 +77,13 @@ def cmd_frame(args: argparse.Namespace) -> int:
 
 
 def cmd_unframe(args: argparse.Namespace) -> int:
-    records = args.uuids or sys.stdin.read().split()
+    records = args.uuids
+    if not records:
+        with _utf8_stdin() as fh:
+            try:
+                records = fh.read().split()
+            except UnicodeDecodeError as exc:
+                raise _not_utf8("standard input", exc) from None
     message = unframe(records, _codec_config(args))
     _print_message(message, args.text)
     return 0

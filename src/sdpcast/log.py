@@ -132,8 +132,6 @@ _KEY_CHECKS: dict[str, Callable[[Any], bool]] = {
     "observer": str.__instancecheck__,
     "subject": str.__instancecheck__,
     "round": _is_json_int,
-    "cached": bool.__instancecheck__,
-    "delay": _is_json_number,
     "records": lambda value: type(value) is list and all(map(str.__instancecheck__, value)),
     "generation": _is_json_int,
     "mode": MODES.__contains__,
@@ -160,7 +158,7 @@ _DETAIL_CHECKS = {
     for kind, keys in (
         (SCAN_STARTED, ("round",)),
         (DEVICE_FOUND, ("round",)),
-        (UUIDS_FETCHED, ("round", "cached", "delay", "records")),
+        (UUIDS_FETCHED, ("round", "records")),
         (MESSAGE_REASSEMBLED, ("generation", "mode")),
         (MESSAGE_CHANGED, ("generation", "mode", "slots", "message")),
     )
@@ -207,15 +205,11 @@ def _round_json(rnd: Any) -> str | None:
     return None
 
 
-def _fetched_json(rnd: Any, cached: Any, delay: Any, records: Any) -> str | None:
-    if type(rnd) is int and type(cached) is bool and type(delay) is float and -_INF < delay < _INF:
+def _fetched_json(rnd: Any, records: Any) -> str | None:
+    if type(rnd) is int:
         records_json = _plain_list(records)
         if records_json is not None:
-            cached_json = "true" if cached else "false"
-            return (
-                f'{{"round":{rnd},"cached":{cached_json},"delay":{delay!r},'
-                f'"records":{records_json}}}'
-            )
+            return f'{{"round":{rnd},"records":{records_json}}}'
     return None
 
 

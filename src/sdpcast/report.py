@@ -12,7 +12,6 @@ advertised octets per device and decoded octets per fetch against the
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterable
@@ -24,7 +23,7 @@ from .log import (
     _ENCODER, DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, SCAN_STARTED, UUIDS_FETCHED,
     SimEvent,
 )
-from .model import RAW
+from .model import RAW, _is_finite
 
 DELIVERY_THRESHOLD_S = 60.0
 
@@ -131,13 +130,14 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
 
     A log does not record its scenario's limits, so octets are counted
     against the default ones (7 outbound slots, 21 inbound records).
-    Raises SdpcastError, before reading any event, unless `threshold_s` is
-    finite and non-negative.
+    Raises SdpcastError, before reading any event, unless `threshold_s` is a
+    finite, non-negative number, not a bool; the report holds it as a float.
     """
-    if not (math.isfinite(threshold_s) and threshold_s >= 0):
+    if not (_is_finite(threshold_s) and threshold_s >= 0):
         raise SdpcastError(
             f"threshold must be a finite, non-negative number of seconds, got {threshold_s!r}"
         )
+    threshold_s = float(threshold_s) + 0.0  # -0.0 + 0.0 is 0.0
     limits = DEFAULT_LIMITS
     scanners: set[str] = set()
     # (subject, generation) -> (change time, advertised content)

@@ -152,7 +152,7 @@ class _Runner:
         for dev in self.devices.values():
             self._place(dev)
         self.pending: list[SimEvent] = []  # emitted by the current handler, not yet yielded
-        self.fetched: set[tuple[str, str]] = set()
+        self.fetched: set[tuple[str, str]] = set()  # pairs with a UuidsFetched logged so far
         # address -> (mode, unshuffled records, outcome) of its latest fetch; see `_outcome`
         self.outcomes: dict[str, tuple[str, list[str], str | list[str] | None]] = {}
         self.heap: list[tuple[float, int, tuple]] = []
@@ -258,18 +258,9 @@ class _Runner:
         cached = (observer, subject) in self.fetched
         timing = self.sc.timing
         latency = timing.fetch_latency_cached_s if cached else timing.fetch_latency_fresh_s
-        self._push(t + latency, ("_on_fetch", observer, subject, rnd, t, latency, cached))
+        self._push(t + latency, ("_on_fetch", observer, subject, rnd, t))
 
-    def _on_fetch(
-        self,
-        t: float,
-        observer: str,
-        subject: str,
-        rnd: int,
-        t_start: float,
-        latency: float,
-        cached: bool,
-    ) -> None:
+    def _on_fetch(self, t: float, observer: str, subject: str, rnd: int, t_start: float) -> None:
         obs, subj = self.devices[observer], self.devices[subject]
         if not in_range(obs, subj):
             return  # moved or toggled mid-flight; the fetch just never completes
@@ -289,7 +280,7 @@ class _Runner:
             UUIDS_FETCHED,
             observer,
             subject,
-            {"round": rnd, "cached": cached, "delay": latency, "records": fetched},
+            {"round": rnd, "records": fetched},
         )
         if not slots:
             return

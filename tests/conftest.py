@@ -1,8 +1,10 @@
 """Scenarios shared by the simulator and report tests."""
 
+import dataclasses
+
 import pytest
 
-from sdpcast import RAW, Device, Mutation, Scenario, advertise, frame
+from sdpcast import RAW, Device, Mutation, Scenario, advertise, frame, scenario_gen
 
 A = "aa:00:00:00:00:01"
 B = "aa:00:00:00:00:02"
@@ -31,3 +33,12 @@ def same_records_scenarios():
         two_devices(b"hi", {"message": raw_hi, "mode": RAW}),
         two_devices(b"from a", {"message": b"from a"}),
     ]
+
+
+@pytest.fixture
+def raw_torn_read():
+    """torn-read with its advertiser in raw mode, so its reassemblies carry
+    payloads, not a message; built by `dataclasses.replace`, which checks it."""
+    sc = scenario_gen("torn-read")
+    advertiser, *others = sc.devices
+    return dataclasses.replace(sc, devices=[dataclasses.replace(advertiser, mode=RAW), *others])

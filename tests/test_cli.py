@@ -32,6 +32,14 @@ def test_encode_hex_payload(capsys):
 def test_encode_bad_hex_exits_1(capsys):
     assert main(["encode", "zz"]) == 1
     assert "hex" in capsys.readouterr().err
+    # a command line byte that is not UTF-8 reaches argv as a lone surrogate
+    for command in ("encode", "frame"):
+        assert main([command, "--text", "a\udcff"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "sdpcast: the message is not UTF-8 ('\\udcff': surrogates not allowed)\n"
+        )
+        assert captured.out == ""
 
 
 def test_encode_oversize_exits_1(capsys):
@@ -54,9 +62,20 @@ def test_frame_unframe_round_trip(capsys):
 
 def test_unframe_reads_stdin(capsys, monkeypatch):
     uuids = frame(b"stdin delivery")
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(uuids) + "\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(("\n".join(uuids) + "\n").encode()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
     assert main(["unframe", "--text"]) == 0
     assert capsys.readouterr().out.strip() == "stdin delivery"
+    # stdin is read as strict UTF-8, whatever errors sys.stdin decodes with
+    for errors in ("strict", "surrogateescape"):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["unframe"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "sdpcast: standard input is not UTF-8 (b'\\xff': invalid start byte)\n"
+        )
+        assert captured.out == ""
 
 
 def test_unframe_incomplete_exits_2(capsys):
@@ -291,7 +310,7 @@ def test_report_wrongly_typed_log_exits_1(tmp_path, capsys):
         subject = "aa:00:00:00:00:01"
         return {"t": t, "kind": kind, "observer": observer, "subject": subject, "detail": detail}
 
-    fetched = {"round": 0, "cached": False, "delay": 6.0, "records": 5}
+    fetched = {"round": 0, "records": 5}
     changed = {"generation": 1, "mode": "raw", "slots": 1, "message": "zz"}
     bad_logs = [
         [event(0.0, "MessageChanged", {})],

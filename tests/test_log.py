@@ -11,7 +11,7 @@ import enum
 import json
 import math
 
-from sdpcast import BUILTIN_SCENARIOS, RAW, SimEvent, load_log, run, scenario_gen
+from sdpcast import BUILTIN_SCENARIOS, SimEvent, load_log, run, scenario_gen
 from sdpcast import log
 from sdpcast.log import _ENCODER
 from test_report import _line
@@ -22,11 +22,9 @@ UUID = "01000268-6900-4000-8000-00000000c0de"
 WELL_KNOWN = "0000110a-0000-1000-8000-00805f9b34fb"
 
 
-def _builtin_logs(seeds):
-    """Every built-in at each seed, and a copy of torn-read in raw mode."""
-    torn = scenario_gen("torn-read")
-    torn.devices[0].mode = RAW  # raw reassemblies carry payloads, not a message
-    scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [torn]
+def _builtin_logs(raw_torn_read, seeds):
+    """Every built-in at each seed, and torn-read in raw mode."""
+    scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [raw_torn_read]
     for scenario in scenarios:
         for seed in seeds:
             yield list(run(scenario, seed=seed))
@@ -36,8 +34,8 @@ def _encoded(event):
     return _ENCODER.encode(event._asdict())
 
 
-def test_to_json_writes_what_the_encoder_writes_for_every_builtin_event():
-    for events in _builtin_logs((0, 1, 42)):
+def test_to_json_writes_what_the_encoder_writes_for_every_builtin_event(raw_torn_read):
+    for events in _builtin_logs(raw_torn_read, (0, 1, 42)):
         for event in events:
             assert event.to_json() == _encoded(event)
 
@@ -64,10 +62,7 @@ _SPECIALS = ['"', "\\", *map(chr, range(0x20)), "\x7f", "é", " ", "\U0001f600
 _BASE = (
     SimEvent(1.5, "ScanStarted", A, A, {"round": 0}),
     SimEvent(1.5, "DeviceFound", A, B, {"round": 3}),
-    SimEvent(
-        7.5, "UuidsFetched", A, B,
-        {"round": 0, "cached": True, "delay": 6.0, "records": [UUID, WELL_KNOWN]},
-    ),
+    SimEvent(7.5, "UuidsFetched", A, B, {"round": 0, "records": [UUID, WELL_KNOWN]}),
     SimEvent(7.5, "MessageReassembled", A, B, {"generation": 1, "mode": "framed", "message": "6869"}),
     SimEvent(7.5, "MessageReassembled", A, B, {"generation": 2, "mode": "raw", "payloads": ["00", "0102"]}),
     SimEvent(0.0, "MessageChanged", B, B, {"generation": 1, "mode": "framed", "slots": 1, "message": "6869"}),
@@ -111,10 +106,6 @@ def _edge_events():
     for rnd in (True, False, _Round.FIRST, -1, 2**70, 1.0, None, "0"):
         yield _with(scan, detail__round=rnd)
         yield _with(fetched, detail__round=rnd)
-    for delay in (math.nan, math.inf, -math.inf, 6, True, _Time(6.0), None):
-        yield _with(fetched, detail__delay=delay)
-    for cached in (False, 1, 0, None, "true"):
-        yield _with(fetched, detail__cached=cached)
     for number in (True, _Round.FIRST, 1.0, None):
         yield _with(framed, detail__generation=number)
         yield _with(raw, detail__generation=number)
@@ -151,10 +142,10 @@ def _unused(*args):
     raise AssertionError(f"off the fixed shapes: {args!r}")
 
 
-def test_runner_events_take_the_fixed_shapes(monkeypatch):
+def test_runner_events_take_the_fixed_shapes(monkeypatch, raw_torn_read):
     """Every line a run writes skips json's encoder, and reads back to the
     event written: the templates are taken, not only correct."""
-    logs = list(_builtin_logs((0,)))
+    logs = list(_builtin_logs(raw_torn_read, (0,)))
     monkeypatch.setattr(log._ENCODER, "encode", _unused)
     for events in logs:
         assert list(load_log([event.to_json() for event in events])) == events
@@ -162,7 +153,7 @@ def test_runner_events_take_the_fixed_shapes(monkeypatch):
 
 def test_each_template_writes_its_kinds_table_keys_in_order():
     sample = {
-        "round": 0, "cached": False, "delay": 1.0, "records": [UUID], "generation": 1,
+        "round": 0, "records": [UUID], "generation": 1,
         "mode": "raw", "slots": 1, "message": "00", "payloads": ["00"],
     }
     details = [
@@ -176,17 +167,12 @@ def test_each_template_writes_its_kinds_table_keys_in_order():
     assert set(log._TEMPLATES) == set(map(log._keys, details))
 
 
-_FETCHED = {"round": 0, "cached": False, "delay": 6.0, "records": [UUID]}
 _CHANGED = {"generation": 1, "mode": "raw", "slots": 1, "message": "6869"}
 
 # Lines the runner writes otherwise that still load, each with the event it
-# holds: an integer `t` or `delay`, and keys in another order.
+# holds: an integer `t`, and keys in another order.
 _ACCEPTED = [
     (_line("ScanStarted", {"round": 0}, t=0), SimEvent(0.0, "ScanStarted", A, A, {"round": 0})),
-    (
-        _line("UuidsFetched", {**_FETCHED, "delay": 6}),
-        SimEvent(0.0, "UuidsFetched", A, A, _FETCHED),
-    ),
     (
         _line("MessageChanged", dict(reversed(_CHANGED.items()))),
         SimEvent(0.0, "MessageChanged", A, A, _CHANGED),

@@ -279,22 +279,48 @@ def test_hand_traced_event_times():
     assert all(bytes.fromhex(e.detail["message"]) == b"hi b" for e in reassembled)
 
 
-def test_fetch_delay_detail_matches_timing():
-    log = run(_two_device_scenario(), seed=3)
-    delays = [
-        (e.observer, e.detail["cached"], e.detail["delay"])
-        for e in log
-        if e.kind == "UuidsFetched"
-    ]
-    for _, cached, delay in delays:
-        assert delay == (1.5 if cached else 6.0)
-    firsts = {}
-    for observer, cached, _ in delays:
-        if observer not in firsts:
-            firsts[observer] = cached
-            assert cached is False
-        else:
-            assert cached is True
+def _fetch_origins(log):
+    """(fetch, found time, cached) for each UuidsFetched of `log`, in order.
+
+    A fetch's DeviceFound is the one with the same (observer, subject,
+    round); the fetch is cached exactly when a UuidsFetched of the same pair
+    comes before that DeviceFound in the log.
+    """
+    found, fetched_pairs, origins = {}, set(), []
+    for event in log:
+        pair = (event.observer, event.subject)
+        if event.kind == "DeviceFound":
+            key = (*pair, event.detail["round"])
+            assert key not in found  # so "the one" DeviceFound of a fetch is well defined
+            found[key] = (event.t, pair in fetched_pairs)
+        elif event.kind == "UuidsFetched":
+            origins.append((event, *found.pop((*pair, event.detail["round"]))))
+            fetched_pairs.add(pair)
+    return origins
+
+
+def test_fetch_time_and_cache_state_follow_from_device_found(raw_torn_read):
+    # The log holds no fetch latency or cache state: each fetch's `t` is its
+    # DeviceFound's `t` plus the latency of the state `_fetch_origins` derives.
+    # In the last scenario B's round-0 fetch of A is cut off by A's move, so
+    # its round-1 fetch, after A is back, is fresh although A was found before.
+    aborted = _two_device_scenario(
+        schedule=[
+            Mutation(t=0.0, device=A, action="set_position", position=(500.0, 0.0)),
+            Mutation(t=25.0, device=A, action="set_position", position=(0.0, 0.0)),
+        ],
+    )
+    scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)]
+    scenarios += [raw_torn_read, aborted]
+    states = set()
+    for sc in scenarios:
+        timing = sc.timing
+        for seed in (0, 1, 42):
+            for fetch, t_found, cached in _fetch_origins(run(sc, seed=seed)):
+                latency = timing.fetch_latency_cached_s if cached else timing.fetch_latency_fresh_s
+                assert fetch.t == t_found + latency, fetch
+                states.add(cached)
+    assert states == {False, True}
 
 
 def test_event_json_key_order():
@@ -376,8 +402,7 @@ def test_discoverable_toggle_controls_discovery():
         assert len(found) == 2
         assert found[0] < 12.0
         assert 60.0 <= found[1] < 72.0
-        fetches = [e.detail for e in log if e.kind == "UuidsFetched"]
-        assert [f["cached"] for f in fetches] == [False, True]
+        assert [cached for _, _, cached in _fetch_origins(log)] == [False, True]
 
 
 def test_set_message_mutation_changes_payload():
@@ -423,15 +448,15 @@ def test_torn_read_scenario_tears_every_seed():
         assert set(messages[1:]) == {new}
 
 
-def test_fetched_records_decode_to_the_following_reassembly(same_records_scenarios):
+def test_fetched_records_decode_to_the_following_reassembly(
+    same_records_scenarios, raw_torn_read
+):
     # Oracle for the memoized fetch path: the public unframe / raw_read of
     # each fetch's records, in the mode of the subject's latest change, give
     # exactly the bytes of the MessageReassembled emitted with it, which
     # carries that change's generation; unframe raises exactly when none is
     # emitted.
-    raw_torn = scenario_gen("torn-read")
-    raw_torn.devices[0].mode = RAW
-    scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [raw_torn]
+    scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [raw_torn_read]
     for sc in scenarios + same_records_scenarios:
         for seed in (0, 1, 2, 42):
             log = list(run(sc, seed=seed))
