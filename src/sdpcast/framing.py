@@ -16,7 +16,6 @@ document this limitation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -95,6 +94,11 @@ class CapacityLimits:
 DEFAULT_LIMITS = CapacityLimits()
 
 
+def chunk_count(length: int) -> int:
+    """The chunks a framed message of `length` octets takes: ceil((length + 2) / 12)."""
+    return -(-(length + LENGTH_PREFIX_OCTETS) // CHUNK_BODY_OCTETS)
+
+
 def frame(
     message: bytes,
     limits: CapacityLimits = DEFAULT_LIMITS,
@@ -102,7 +106,7 @@ def frame(
 ) -> list[str]:
     """Split a message into headered, length-prefixed chunks, one UUID each.
 
-    Emits max(1, ceil((len+2)/12)) UUIDs; the final chunk is zero-padded.
+    Emits `chunk_count(len(message))` UUIDs; the final chunk is zero-padded.
     """
     message = bytes(message)
     if len(message) > limits.framed_capacity:
@@ -110,7 +114,7 @@ def frame(
             f"message is {len(message)} octets, framed capacity is {limits.framed_capacity}"
         )
     body = len(message).to_bytes(LENGTH_PREFIX_OCTETS, "big") + message
-    total = math.ceil(len(body) / CHUNK_BODY_OCTETS)
+    total = chunk_count(len(message))
     uuids = []
     for index in range(total):
         chunk = body[index * CHUNK_BODY_OCTETS:(index + 1) * CHUNK_BODY_OCTETS]
@@ -174,7 +178,7 @@ def reassemble(payloads: Iterable[bytes]) -> bytes:
 
     body = b"".join(chunks[i] for i in range(total))
     declared = int.from_bytes(body[:LENGTH_PREFIX_OCTETS], "big")
-    if math.ceil((declared + LENGTH_PREFIX_OCTETS) / CHUNK_BODY_OCTETS) != total:
+    if chunk_count(declared) != total:
         raise InconsistentTotals(
             f"declared length {declared} inconsistent with {total} chunks"
         )

@@ -4,33 +4,37 @@ A line holds `t`, `kind`, `observer`, `subject` and a `detail` object whose
 keys depend on the kind. `SimEvent`, an immutable named tuple of those five
 fields, is the event a run yields and a log holds: `SimEvent.to_json` writes
 it as a line, and `load_log` reads a log back and checks that timestamps
-never decrease.
+never decrease. A run's log begins with one RunStarted header, which states
+what the rest of the log cannot: the run's duration, its capacity limits and
+each scanner's interval. A scanner's rounds follow from the last two.
 
 One table of checks per key defines a line. `SimEvent.from_dict` is its only
 reader: it passes a line whose keys are exactly those of its kind, each
 holding a value of the JSON type the runner writes there, and names the first
 key that fails otherwise. The writer formats each detail the runner writes
-by a hand-written template; an event whose values fit no template goes
-through `json`, whose text the templates match exactly.
+by a hand-written template, apart from the one header; an event whose values
+fit no template goes through `json`, whose text the templates match exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLog
+from .framing import CapacityLimits
 from .model import FRAMED, MODES, RAW, _is_finite
 
-SCAN_STARTED = "ScanStarted"
+RUN_STARTED = "RunStarted"
 DEVICE_FOUND = "DeviceFound"
 UUIDS_FETCHED = "UuidsFetched"
 MESSAGE_REASSEMBLED = "MessageReassembled"
 MESSAGE_CHANGED = "MessageChanged"
 
-EVENT_KINDS = (SCAN_STARTED, DEVICE_FOUND, UUIDS_FETCHED, MESSAGE_REASSEMBLED, MESSAGE_CHANGED)
+EVENT_KINDS = (RUN_STARTED, DEVICE_FOUND, UUIDS_FETCHED, MESSAGE_REASSEMBLED, MESSAGE_CHANGED)
 
 # One encoder for every log line: `json.dumps` with separators builds a new one per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -112,8 +116,23 @@ def _is_json_number(value: Any) -> bool:
     return type(value) is int and _is_finite(value)  # _is_finite: False past float range
 
 
+def _is_positive(value: Any) -> bool:
+    return _is_json_number(value) and value > 0
+
+
 def _is_json_int(value: Any) -> bool:
     return type(value) is int
+
+
+def _is_limits(value: Any) -> bool:
+    """True iff `value` holds exactly the fields of `CapacityLimits`, with values it accepts."""
+    if type(value) is not dict or value.keys() != _LIMIT_FIELDS:
+        return False
+    try:
+        CapacityLimits(**value)
+    except ValueError:
+        return False
+    return True
 
 
 def _is_hex(value: Any) -> bool:
@@ -123,6 +142,7 @@ def _is_hex(value: Any) -> bool:
 
 _HEX = re.compile(r"[0-9a-f]*")
 _INF = math.inf
+_LIMIT_FIELDS = {field.name for field in dataclasses.fields(CapacityLimits)}
 
 # One check per key that a log line or its detail holds: each passes exactly
 # the JSON values that `_Runner` writes there.
@@ -131,11 +151,13 @@ _KEY_CHECKS: dict[str, Callable[[Any], bool]] = {
     "kind": EVENT_KINDS.__contains__,
     "observer": str.__instancecheck__,
     "subject": str.__instancecheck__,
+    "duration_s": _is_positive,
+    "limits": _is_limits,
+    "scanners": lambda value: type(value) is dict and all(map(_is_positive, value.values())),
     "round": _is_json_int,
     "records": lambda value: type(value) is list and all(map(str.__instancecheck__, value)),
     "generation": _is_json_int,
     "mode": MODES.__contains__,
-    "slots": _is_json_int,
     "message": _is_hex,
     "payloads": lambda value: type(value) is list and all(map(_is_hex, value)),
 }
@@ -156,11 +178,11 @@ _EVENT_CHECKS = _checks("t", "kind", "observer", "subject")
 _DETAIL_CHECKS = {
     kind: (f"{kind} detail", _checks(*keys))
     for kind, keys in (
-        (SCAN_STARTED, ("round",)),
+        (RUN_STARTED, ("duration_s", "limits", "scanners")),
         (DEVICE_FOUND, ("round",)),
         (UUIDS_FETCHED, ("round", "records")),
         (MESSAGE_REASSEMBLED, ("generation", "mode")),
-        (MESSAGE_CHANGED, ("generation", "mode", "slots", "message")),
+        (MESSAGE_CHANGED, ("generation", "mode", "message")),
     )
 }
 _REASSEMBLED_CHECKS = {
@@ -168,11 +190,11 @@ _REASSEMBLED_CHECKS = {
     for mode, key in ((FRAMED, "message"), (RAW, "payloads"))
 }
 
-# The writer's templates: for each detail `_Runner` writes, one that takes
-# the detail's values in the order of its keys and returns the detail as
-# `_ENCODER` writes it, or None unless every value has its exact type (a
-# subclass such as bool or IntEnum may format otherwise than json writes it),
-# every float is finite and every string is `_plain`.
+# The writer's templates: for each detail `_Runner` writes, bar the header's,
+# one that takes the detail's values in the order of its keys and returns the
+# detail as `_ENCODER` writes it, or None unless every value has its exact
+# type (a subclass such as bool or IntEnum may format otherwise than json
+# writes it), every float is finite and every string is `_plain`.
 _KINDS = frozenset(EVENT_KINDS)
 
 
@@ -213,7 +235,7 @@ def _fetched_json(rnd: Any, records: Any) -> str | None:
     return None
 
 
-def _framed_json(generation: Any, mode: Any, message: Any) -> str | None:
+def _message_json(generation: Any, mode: Any, message: Any) -> str | None:
     if (
         type(generation) is int
         and type(mode) is str and _plain(mode)
@@ -231,27 +253,13 @@ def _raw_json(generation: Any, mode: Any, payloads: Any) -> str | None:
     return None
 
 
-def _changed_json(generation: Any, mode: Any, slots: Any, message: Any) -> str | None:
-    if (
-        type(generation) is int
-        and type(mode) is str and _plain(mode)
-        and type(slots) is int
-        and type(message) is str and _plain(message)
-    ):
-        return (
-            f'{{"generation":{generation},"mode":"{mode}","slots":{slots},'
-            f'"message":"{message}"}}'
-        )
-    return None
-
-
-# A template depends only on the keys, so ScanStarted and DeviceFound share one.
+# A template depends only on the keys, so a MessageChanged and a framed
+# MessageReassembled share one.
 _TEMPLATES = {
-    _keys(_DETAIL_CHECKS[SCAN_STARTED][1]): _round_json,
+    _keys(_DETAIL_CHECKS[DEVICE_FOUND][1]): _round_json,
     _keys(_DETAIL_CHECKS[UUIDS_FETCHED][1]): _fetched_json,
-    _keys(_REASSEMBLED_CHECKS[FRAMED]): _framed_json,
+    _keys(_REASSEMBLED_CHECKS[FRAMED]): _message_json,
     _keys(_REASSEMBLED_CHECKS[RAW]): _raw_json,
-    _keys(_DETAIL_CHECKS[MESSAGE_CHANGED][1]): _changed_json,
 }
 
 _raw_decode = json.JSONDecoder().raw_decode

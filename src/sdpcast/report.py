@@ -1,13 +1,15 @@
 """Aggregation of event logs into latency and bandwidth reports.
 
-Latency matches each MessageChanged to the first MessageReassembled that
-carries the same generation, per observer.  A reassembly counts as delivered
+A log begins with its RunStarted header, which names the scanners and the
+capacity limits the report counts against.  Latency matches each
+MessageChanged to the first MessageReassembled that carries the same
+generation, per observer.  A reassembly counts as delivered
 only when its bytes equal what the subject advertised for that generation:
 the message in framed mode, the zero-padded 13-octet payloads in raw mode.
 Any other bytes, such as a splice of two same-sized generations read across
 a change, count as misdelivered and get no latency.  Bandwidth counts
-advertised octets per device and decoded octets per fetch against the
-91/273 octet ceilings.
+advertised octets per device and decoded octets per fetch against the run's
+outbound and inbound ceilings (91/273 octets under the default limits).
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Iterable
 
 from .codec import PAYLOAD_OCTETS
 from .errors import MalformedLog, SdpcastError
-from .framing import DEFAULT_LIMITS, raw_payloads, raw_read
+from .framing import CapacityLimits, chunk_count, raw_payloads, raw_read
 from .log import (
-    _ENCODER, DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, SCAN_STARTED, UUIDS_FETCHED,
+    _ENCODER, DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED,
     SimEvent,
 )
 from .model import RAW, _is_finite
@@ -111,11 +113,14 @@ class Report:
     bandwidth: BandwidthReport
 
 
-def _advertised(detail: dict) -> str | list[str]:
-    """What a MessageChanged promises a reader: the message hex, or the sorted raw payloads."""
+def _advertised(detail: dict) -> tuple[str | list[str], int]:
+    """What a MessageChanged promises a reader, and the slots that takes: the
+    message hex and its chunk count, or the sorted raw payloads and their count."""
+    message = detail["message"]
     if detail["mode"] == RAW:
-        return sorted(p.hex() for p in raw_payloads(bytes.fromhex(detail["message"])))
-    return detail["message"]
+        payloads = sorted(p.hex() for p in raw_payloads(bytes.fromhex(message)))
+        return payloads, len(payloads)
+    return message, chunk_count(len(message) // 2)
 
 
 def _delivered(detail: dict) -> str | list[str]:
@@ -128,18 +133,23 @@ def _delivered(detail: dict) -> str | list[str]:
 def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRESHOLD_S) -> Report:
     """Aggregate a run's events in one pass; pure and deterministic for a given log.
 
-    A log does not record its scenario's limits, so octets are counted
-    against the default ones (7 outbound slots, 21 inbound records).
     Raises SdpcastError, before reading any event, unless `threshold_s` is a
     finite, non-negative number, not a bool; the report holds it as a float.
+    Raises MalformedLog unless the first event, and only the first, is the
+    RunStarted header.
     """
     if not (_is_finite(threshold_s) and threshold_s >= 0):
         raise SdpcastError(
             f"threshold must be a finite, non-negative number of seconds, got {threshold_s!r}"
         )
     threshold_s = float(threshold_s) + 0.0  # -0.0 + 0.0 is 0.0
-    limits = DEFAULT_LIMITS
-    scanners: set[str] = set()
+    events = iter(events)
+    header = next(events, None)
+    if header is None or header.kind != RUN_STARTED:
+        begins = "is empty" if header is None else f"begins with a {header.kind}"
+        raise MalformedLog(f"a log must begin with its {RUN_STARTED} header; this one {begins}")
+    limits = CapacityLimits(**header.detail["limits"])
+    scanners = header.detail["scanners"]
     # (subject, generation) -> (change time, advertised content)
     changes: dict[tuple[str, int], tuple[float, str | list[str]]] = {}
     latest_slots: dict[str, int] = {}
@@ -154,12 +164,10 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     payload_counts: dict[str, dict[str, int]] = {}
 
     for event in events:
-        if event.kind == SCAN_STARTED:
-            scanners.add(event.observer)
-        elif event.kind == MESSAGE_CHANGED:
+        if event.kind == MESSAGE_CHANGED:
             generation = event.detail["generation"]
-            changes[(event.subject, generation)] = (event.t, _advertised(event.detail))
-            latest_slots[event.subject] = event.detail["slots"]
+            advertised, latest_slots[event.subject] = _advertised(event.detail)
+            changes[(event.subject, generation)] = (event.t, advertised)
             payload_counts.pop(event.subject, None)
         elif event.kind == DEVICE_FOUND:
             first_found.setdefault((event.observer, event.subject), event.t)
@@ -196,6 +204,10 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
                 continue
             key = (event.observer, event.subject, generation)
             first_delivery.setdefault(key, event.t - changed_at)
+        elif event.kind == RUN_STARTED:
+            raise MalformedLog(
+                f"a log holds one {RUN_STARTED} header; a second one is at t={event.t}"
+            )
 
     pair_latencies: dict[tuple[str, str], list[float]] = {}
     for (observer, subject, _generation), latency in sorted(first_delivery.items()):

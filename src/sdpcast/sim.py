@@ -34,7 +34,7 @@ from .codec import encode
 from .errors import InvalidScenario, MessageTooLong, ReassemblyError
 from .framing import DEFAULT_LIMITS, CapacityLimits, frame, raw_payloads, raw_read, reassemble
 from .log import (
-    DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, SCAN_STARTED, UUIDS_FETCHED, SimEvent
+    DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, SimEvent
 )
 from .model import FRAMED, RAW, Device, Mutation, Scenario, _check_mode
 
@@ -159,14 +159,28 @@ class _Runner:
         self.seq = 0
 
     def execute(self) -> Iterator[SimEvent]:
-        """Yield the run's events, each handler's as soon as it returns."""
+        """Yield the run's events, each handler's as soon as it returns.
+
+        The first is the RunStarted header. A scan emits nothing: a
+        scanner's rounds are at 0.0, S, S + S, ... (float sums of its
+        interval S) up to duration_s, and the header holds both.
+        """
+        sc = self.sc
+        scanners = {
+            d.address: d.scan_interval_s for d in sc.devices if d.scan_interval_s is not None
+        }
+        header = {
+            "duration_s": sc.duration_s,
+            "limits": dataclasses.asdict(sc.limits),
+            "scanners": scanners,
+        }
+        self._emit(0.0, RUN_STARTED, "", "", header)
         for dev in self.devices.values():
             if dev.message is not None:
                 self._advertise(dev.address, dev.message, dev.mode, t=0.0)
-        for dev in self.devices.values():
-            if dev.scan_interval_s is not None:
-                self._push(0.0, ("_on_scan", dev.address, 0))
-        for mut in self.sc.schedule:
+        for address in scanners:
+            self._push(0.0, ("_on_scan", address, 0))
+        for mut in sc.schedule:
             self._push(mut.t, ("_on_mutate", mut))
         pending = self.pending
         emitted = 0
@@ -207,12 +221,7 @@ class _Runner:
             MESSAGE_CHANGED,
             address,
             address,
-            {
-                "generation": generation,
-                "mode": mode,
-                "slots": len(slots),
-                "message": message.hex(),
-            },
+            {"generation": generation, "mode": mode, "message": message.hex()},
         )
 
     def _place(self, dev: Device) -> None:
@@ -242,7 +251,6 @@ class _Runner:
 
     def _on_scan(self, t: float, address: str, rnd: int) -> None:
         dev = self.devices[address]
-        self._emit(t, SCAN_STARTED, address, address, {"round": rnd})
         devices = self.devices
         hits = [s for s in self._candidates(dev) if s != address and in_range(dev, devices[s])]
         hits.sort()  # the RNG draws go in address order, whatever order the cells hold

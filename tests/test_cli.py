@@ -311,21 +311,47 @@ def test_report_wrongly_typed_log_exits_1(tmp_path, capsys):
         return {"t": t, "kind": kind, "observer": observer, "subject": subject, "detail": detail}
 
     fetched = {"round": 0, "records": 5}
-    changed = {"generation": 1, "mode": "raw", "slots": 1, "message": "zz"}
+    changed = {"generation": 1, "mode": "raw", "message": "zz"}
     bad_logs = [
         [event(0.0, "MessageChanged", {})],
         [event(0.0, "UuidsFetched", fetched)],
         [event(0.0, "MessageChanged", changed)],
-        [event(t, "ScanStarted", {"round": 0}) for t in (5.0, float("nan"), 1.0)],
-        [event(0.0, "ScanStarted", [])],
-        [event(0.0, "ScanStarted", {"round": 0}, observer=5)],
+        [event(t, "DeviceFound", {"round": 0}) for t in (5.0, float("nan"), 1.0)],
+        [event(0.0, "DeviceFound", [])],
+        [event(0.0, "DeviceFound", {"round": 0}, observer=5)],
     ]
+    limits = {"max_outbound_slots": 7, "max_inbound_records": 21}
+    header = event(0.0, "RunStarted", {"duration_s": 60.0, "limits": limits, "scanners": {}})
     bad = tmp_path / "bad.jsonl"
     for events in bad_logs:
-        bad.write_text("".join(json.dumps(e) + "\n" for e in events))
+        bad.write_text("".join(json.dumps(e) + "\n" for e in [header, *events]))
         assert main(["report", str(bad)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("sdpcast: line ")
+        assert captured.out == ""
+
+
+def test_report_of_a_log_without_its_header_exits_1(tmp_path, capsys):
+    scenario = tmp_path / "sc.json"
+    log = tmp_path / "log.jsonl"
+    main(["scenario-gen", "two-device-default", "--out", str(scenario)])
+    main(["simulate", "--scenario", str(scenario), "--out", str(log)])
+    header, *lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert json.loads(header)["kind"] == "RunStarted"
+    # a log written before the header, whose MessageChanged lines held `slots`
+    old = [line.replace('"mode":"framed",', '"mode":"framed","slots":3,') for line in lines]
+    for text, error in (
+        (
+            "".join(lines),
+            "sdpcast: a log must begin with its RunStarted header; "
+            "this one begins with a MessageChanged\n",
+        ),
+        ("".join(old), "sdpcast: line 1: MessageChanged detail: unknown keys ['slots']\n"),
+    ):
+        log.write_text(text, encoding="utf-8")
+        assert main(["report", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == error
         assert captured.out == ""
 
 

@@ -21,6 +21,7 @@ ORDER = [
 # Facts more than one module uses, each defined in exactly one module.
 OWNERS = {
     "_is_int": "framing",
+    "chunk_count": "framing",
     "_is_finite": "model",
     "MODES": "model",
     "RAW": "model",
@@ -32,6 +33,7 @@ OWNERS = {
     "Scenario": "model",
     "EVENT_KINDS": "log",
     "MESSAGE_CHANGED": "log",
+    "RUN_STARTED": "log",
     "_ENCODER": "log",
     "SimEvent": "log",
     "load_log": "log",

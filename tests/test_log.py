@@ -1,8 +1,8 @@
 """The event log's writer templates against json, and what its reader accepts.
 
 `SimEvent.to_json` writes a line by a per-detail template when every value
-fits one. `_ENCODER` stays the definition of a line's text: the templates
-must write exactly what it writes. `SimEvent.from_dict` reads every line
+fits one; the RunStarted header has none. `_ENCODER` stays the definition
+of a line's text: the templates must write exactly what it writes. `SimEvent.from_dict` reads every line
 through one table of checks; `test_report._LOG_ERRORS` pins the lines it
 rejects and their messages.
 """
@@ -58,14 +58,25 @@ class _Time(float):
 
 _SPECIALS = ['"', "\\", *map(chr, range(0x20)), "\x7f", "é", " ", "\U0001f600"]
 
+_HEADER = SimEvent(
+    0.0,
+    "RunStarted",
+    "",
+    "",
+    {
+        "duration_s": 60.0,
+        "limits": {"max_outbound_slots": 7, "max_inbound_records": 21},
+        "scanners": {A: 30.0, B: 7.5},
+    },
+)
+
 # One event of each fixed shape.
 _BASE = (
-    SimEvent(1.5, "ScanStarted", A, A, {"round": 0}),
     SimEvent(1.5, "DeviceFound", A, B, {"round": 3}),
     SimEvent(7.5, "UuidsFetched", A, B, {"round": 0, "records": [UUID, WELL_KNOWN]}),
     SimEvent(7.5, "MessageReassembled", A, B, {"generation": 1, "mode": "framed", "message": "6869"}),
     SimEvent(7.5, "MessageReassembled", A, B, {"generation": 2, "mode": "raw", "payloads": ["00", "0102"]}),
-    SimEvent(0.0, "MessageChanged", B, B, {"generation": 1, "mode": "framed", "slots": 1, "message": "6869"}),
+    SimEvent(0.0, "MessageChanged", B, B, {"generation": 1, "mode": "framed", "message": "6869"}),
 )
 
 
@@ -79,12 +90,13 @@ def _with(event, **changes):
 
 
 def _edge_events():
-    scan, found, fetched, framed, raw, changed = _BASE
+    found, fetched, framed, raw, changed = _BASE
+    yield _HEADER
     yield from _BASE
     # strings
     for char in _SPECIALS:
         text = f"a{char}b"
-        yield _with(scan, observer=text)
+        yield _with(found, observer=text)
         yield _with(found, subject=text)
         yield _with(fetched, detail__records=[UUID, text])
         yield _with(fetched, detail__records=[text])
@@ -93,24 +105,24 @@ def _edge_events():
         yield _with(raw, detail__payloads=["00", text])
         yield _with(changed, detail__mode=text)
         yield _with(changed, detail__message=text)
-    yield _with(scan, observer="é")
-    yield _with(scan, observer=_Text(A))
+    yield _with(found, observer="é")
+    yield _with(found, observer=_Text(A))
     yield _with(framed, detail__message=_Text("6869"))
     yield _with(fetched, detail__records=[_Text(UUID), WELL_KNOWN])
-    yield _with(scan, observer="")
+    yield _with(found, observer="")
     yield _with(fetched, detail__records=[""])
     yield _with(fetched, detail__records=["", ""])
     # numbers
     for t in (math.nan, math.inf, -math.inf, 1, 0, True, -0.0, 1e300, 5e-324, _Time(1.5)):
-        yield _with(scan, t=t)
+        yield _with(found, t=t)
     for rnd in (True, False, _Round.FIRST, -1, 2**70, 1.0, None, "0"):
-        yield _with(scan, detail__round=rnd)
+        yield _with(found, detail__round=rnd)
         yield _with(fetched, detail__round=rnd)
     for number in (True, _Round.FIRST, 1.0, None):
         yield _with(framed, detail__generation=number)
         yield _with(raw, detail__generation=number)
         yield _with(changed, detail__generation=number)
-        yield _with(changed, detail__slots=number)
+        yield _with(_HEADER, detail__duration_s=number)
     # records and payloads
     for items in ([], [5], [UUID, None], [UUID, [UUID]], (UUID,), UUID, None):
         yield _with(fetched, detail__records=items)
@@ -119,18 +131,19 @@ def _edge_events():
         yield _with(framed, detail__message=message)
         yield _with(changed, detail__message=message)
     # details
-    yield _with(scan, detail__extra=1)
+    yield _with(found, detail__extra=1)
     yield _with(fetched, detail__round=0, detail__extra=[1])
-    yield scan._replace(detail={})
-    yield scan._replace(detail=[0])
-    yield scan._replace(detail=None)
+    yield found._replace(detail={})
+    yield found._replace(detail=[0])
+    yield found._replace(detail=None)
     yield fetched._replace(detail=dict(reversed(fetched.detail.items())))
-    yield changed._replace(detail={"mode": "framed", "generation": 1, "slots": 1, "message": "6869"})
+    yield changed._replace(detail={"mode": "framed", "generation": 1, "message": "6869"})
+    yield _with(changed, detail__slots=1)
     yield framed._replace(detail={"generation": 1, "mode": "framed", "payloads": ["00"]})
     # kinds
-    for kind in ("Mystery", "", "a\"b", ["ScanStarted"], 5, None, _Text("ScanStarted")):
-        yield _with(scan, kind=kind)
-    yield _with(framed, kind="ScanStarted")
+    for kind in ("Mystery", "", "a\"b", ["DeviceFound"], 5, None, _Text("DeviceFound")):
+        yield _with(found, kind=kind)
+    yield _with(framed, kind="DeviceFound")
 
 
 def test_to_json_writes_what_the_encoder_writes_for_edge_events():
@@ -143,21 +156,26 @@ def _unused(*args):
 
 
 def test_runner_events_take_the_fixed_shapes(monkeypatch, raw_torn_read):
-    """Every line a run writes skips json's encoder, and reads back to the
-    event written: the templates are taken, not only correct."""
+    """Every line a run writes after its header skips json's encoder, and
+    reads back to the event written: the templates are taken, not only
+    correct."""
     logs = list(_builtin_logs(raw_torn_read, (0,)))
+    headers = [events[0].to_json() for events in logs]
     monkeypatch.setattr(log._ENCODER, "encode", _unused)
-    for events in logs:
-        assert list(load_log([event.to_json() for event in events])) == events
+    for header, events in zip(headers, logs):
+        lines = [header] + [event.to_json() for event in events[1:]]
+        assert list(load_log(lines)) == events
 
 
 def test_each_template_writes_its_kinds_table_keys_in_order():
     sample = {
         "round": 0, "records": [UUID], "generation": 1,
-        "mode": "raw", "slots": 1, "message": "00", "payloads": ["00"],
+        "mode": "raw", "message": "00", "payloads": ["00"],
     }
     details = [
-        checks for kind, (_, checks) in log._DETAIL_CHECKS.items() if kind != "MessageReassembled"
+        checks
+        for kind, (_, checks) in log._DETAIL_CHECKS.items()
+        if kind not in ("MessageReassembled", "RunStarted")
     ]
     details += log._REASSEMBLED_CHECKS.values()
     for keys in map(log._keys, details):
@@ -167,21 +185,26 @@ def test_each_template_writes_its_kinds_table_keys_in_order():
     assert set(log._TEMPLATES) == set(map(log._keys, details))
 
 
-_CHANGED = {"generation": 1, "mode": "raw", "slots": 1, "message": "6869"}
+_CHANGED = {"generation": 1, "mode": "raw", "message": "6869"}
 
 # Lines the runner writes otherwise that still load, each with the event it
 # holds: an integer `t`, and keys in another order.
 _ACCEPTED = [
-    (_line("ScanStarted", {"round": 0}, t=0), SimEvent(0.0, "ScanStarted", A, A, {"round": 0})),
+    (_line("DeviceFound", {"round": 0}, t=0), SimEvent(0.0, "DeviceFound", A, A, {"round": 0})),
     (
         _line("MessageChanged", dict(reversed(_CHANGED.items()))),
         SimEvent(0.0, "MessageChanged", A, A, _CHANGED),
     ),
     (
         json.dumps(
-            {"detail": {"round": 0}, "t": 0.5, "kind": "ScanStarted", "observer": A, "subject": A}
+            {"detail": {"round": 0}, "t": 0.5, "kind": "DeviceFound", "observer": A, "subject": A}
         ),
-        SimEvent(0.5, "ScanStarted", A, A, {"round": 0}),
+        SimEvent(0.5, "DeviceFound", A, A, {"round": 0}),
+    ),
+    # a header with integer numbers, as a hand-written log may hold them
+    (
+        _line("RunStarted", {**_HEADER.detail, "duration_s": 60, "scanners": {A: 30}}, 0.0, "", ""),
+        _HEADER._replace(detail={**_HEADER.detail, "duration_s": 60, "scanners": {A: 30}}),
     ),
 ]
 

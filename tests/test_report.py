@@ -9,6 +9,7 @@ import pytest
 from sdpcast import (
     BUILTIN_SCENARIOS,
     RAW,
+    CapacityLimits,
     Device,
     MalformedLog,
     Scenario,
@@ -28,6 +29,13 @@ from sdpcast import (
 A = "aa:00:00:00:00:01"
 B = "aa:00:00:00:00:02"
 UUID = "01000268-6900-4000-8000-00000000c0de"
+_LIMITS = {"max_outbound_slots": 7, "max_inbound_records": 21}
+_HEADER = {"duration_s": 60.0, "limits": _LIMITS, "scanners": {A: 30.0}}
+
+
+def _header(**changes):
+    """A RunStarted header: `_HEADER` with `changes` to its detail."""
+    return SimEvent(0.0, "RunStarted", "", "", {**_HEADER, **changes})
 
 
 def _two_device_log(seed=0):
@@ -35,7 +43,7 @@ def _two_device_log(seed=0):
 
 
 def test_empty_log_empty_report():
-    report = build_report([])
+    report = build_report([_header(scanners={})])
     assert report.latency.pairs == ()
     assert report.latency.changes_total == 0
     assert report.latency.fraction_within == 1.0
@@ -89,6 +97,45 @@ def test_raw_seven_slot_advertiser_bandwidth():
     assert b"".join(bytes.fromhex(p) for p in sorted(payloads)) != b""
 
 
+def test_bandwidth_is_measured_against_the_logged_limits():
+    # 150 octets take ceil(152 / 12) = 13 framed chunks: over the default 7
+    # slots, within the 15 this scenario's limits allow.
+    sc = Scenario(
+        devices=[
+            Device(address=A, scan_interval_s=None, message=b"m" * 150),
+            Device(address=B, position=(5.0, 0.0)),
+        ],
+        duration_s=60.0,
+        limits=CapacityLimits(max_outbound_slots=15, max_inbound_records=30),
+    )
+    report = build_report(run(sc, seed=1))
+    text = format_text(report)
+    assert f"  {A}: 13 slots, 169 octets advertised (86.7% of 195)\n" in text
+    assert "(ceiling 390)" in text
+    bw = report.bandwidth
+    assert (bw.outbound_ceiling, bw.inbound_ceiling) == (195, 390)
+    assert bw.fetches
+    for fetch in bw.fetches:
+        assert fetch.decoded_octets == 169
+        assert fetch.utilization == 169 / 390
+
+
+def test_report_requires_one_header_first():
+    header, changed = _header(), SimEvent(0.0, "MessageChanged", A, A, _CHANGED)
+    first = "a log must begin with its RunStarted header; this one "
+    second = "a log holds one RunStarted header; a second one is at "
+    for events, message in (
+        ([], first + "is empty"),
+        ([changed], first + "begins with a MessageChanged"),
+        ([changed, header], first + "begins with a MessageChanged"),
+        ([header, header], second + "t=0.0"),
+        ([header, changed, header._replace(t=5.0)], second + "t=5.0"),
+    ):
+        with pytest.raises(MalformedLog) as excinfo:
+            build_report(load_log([event.to_json() for event in events]))
+        assert str(excinfo.value) == message
+
+
 def test_ceilings_respected_on_crowd():
     report = build_report(run(scenario_gen("crowd-20"), seed=2))
     for dev in report.bandwidth.devices:
@@ -115,7 +162,7 @@ def test_spliced_reassembly_is_misdelivered():
     assert splice not in (old, new)
 
     def changed(t, generation, message):
-        detail = {"generation": generation, "mode": "framed", "slots": 7, "message": message.hex()}
+        detail = {"generation": generation, "mode": "framed", "message": message.hex()}
         return SimEvent(t, "MessageChanged", A, A, detail)
 
     def reassembled(t, message):
@@ -123,7 +170,7 @@ def test_spliced_reassembly_is_misdelivered():
         return SimEvent(t, "MessageReassembled", B, A, detail)
 
     log = [
-        SimEvent(0.0, "ScanStarted", B, B, {"round": 0}),
+        _header(scanners={B: 30.0}),
         changed(0.0, 1, old),
         SimEvent(5.0, "DeviceFound", B, A, {"round": 0}),
         changed(10.0, 2, new),
@@ -184,10 +231,10 @@ def test_threshold_must_be_finite_and_non_negative():
             build_report([], threshold_s=threshold)
     # the report holds the threshold as a float, and zero without a sign
     for threshold, held in ((0.0, "0.0"), (-0.0, "0.0"), (0, "0.0"), (60, "60.0"), (0.5, "0.5")):
-        report = build_report([], threshold_s=threshold)
+        report = build_report([_header()], threshold_s=threshold)
         assert repr(report.latency.threshold_s) == held
         assert f'"threshold_s":{held},' in format_lines(report)
-    assert "within 0 s" in format_text(build_report([], threshold_s=-0.0))
+    assert "within 0 s" in format_text(build_report([_header()], threshold_s=-0.0))
 
 
 def test_report_of_a_log_file_holds_little_beyond_the_report(tmp_path):
@@ -232,8 +279,9 @@ def test_load_log_reports_line_numbers():
 
 
 def test_load_log_rejects_unknown_kind():
-    # PayloadDecoded was a kind of older logs; it is derivable from UuidsFetched.
-    for kind in ("Mystery", "PayloadDecoded"):
+    # PayloadDecoded and ScanStarted were kinds of older logs; they are
+    # derivable from UuidsFetched and from the RunStarted header.
+    for kind in ("Mystery", "PayloadDecoded", "ScanStarted"):
         line = json.dumps(
             {"t": 0.0, "kind": kind, "observer": A, "subject": A, "detail": {}}
         )
@@ -247,14 +295,18 @@ def _line(kind, detail, t=0.0, observer=A, subject=A):
     )
 
 
+def _header_line(**changes):
+    return _header(**changes).to_json()
+
+
 # Each line with the exact text `load_log` raises for it, after "line 1: ".
 _FETCHED = {"round": 0, "records": []}
 _FRAMED = {"generation": 1, "mode": "framed", "message": "6869"}
 _RAW = {"generation": 1, "mode": "raw", "payloads": ["6869"]}
-_CHANGED = {"generation": 1, "mode": "raw", "slots": 1, "message": "00"}
+_CHANGED = {"generation": 1, "mode": "raw", "message": "00"}
 _HUGE = 10**400
 _LOG_ERRORS = [
-    (_line("ScanStarted", {}), "ScanStarted detail: 'round' is missing or malformed: None"),
+    (_line("DeviceFound", {}), "DeviceFound detail: 'round' is missing or malformed: None"),
     (
         _line("DeviceFound", {"round": "0"}),
         "DeviceFound detail: 'round' is missing or malformed: '0'",
@@ -301,14 +353,6 @@ _LOG_ERRORS = [
         "MessageChanged detail: 'generation' is missing or malformed: True",
     ),
     (
-        _line("MessageChanged", {**_CHANGED, "slots": True}),
-        "MessageChanged detail: 'slots' is missing or malformed: True",
-    ),
-    (
-        _line("MessageChanged", {**_CHANGED, "slots": 1.0}),
-        "MessageChanged detail: 'slots' is missing or malformed: 1.0",
-    ),
-    (
         _line("MessageChanged", {**_CHANGED, "message": "zz"}),
         "MessageChanged detail: 'message' is missing or malformed: 'zz'",
     ),
@@ -348,40 +392,49 @@ _LOG_ERRORS = [
         _line("MessageReassembled", {"generation": 1, "mode": ["raw"], "payloads": []}),
         "MessageReassembled detail: 'mode' is missing or malformed: ['raw']",
     ),
-    (_line("ScanStarted", []), 'ScanStarted detail must be an object, got []'),
+    (_line("DeviceFound", []), 'DeviceFound detail must be an object, got []'),
     (
-        json.dumps({"t": 0.0, "kind": "ScanStarted", "observer": A, "subject": A}),
-        'ScanStarted detail must be an object, got None',
+        json.dumps({"t": 0.0, "kind": "DeviceFound", "observer": A, "subject": A}),
+        'DeviceFound detail must be an object, got None',
     ),
     ("[]", 'event must be an object, got []'),
     ("NaN", 'event must be an object, got nan'),
-    (_line("ScanStarted", {"round": 0}, t=math.inf), "event: 't' is missing or malformed: inf"),
-    (_line("ScanStarted", {"round": 0}, t=True), "event: 't' is missing or malformed: True"),
-    (_line("ScanStarted", {"round": 0}, t="0"), "event: 't' is missing or malformed: '0'"),
+    (_line("DeviceFound", {"round": 0}, t=math.inf), "event: 't' is missing or malformed: inf"),
+    (_line("DeviceFound", {"round": 0}, t=True), "event: 't' is missing or malformed: True"),
+    (_line("DeviceFound", {"round": 0}, t="0"), "event: 't' is missing or malformed: '0'"),
     (
-        json.dumps({"t": 0.0, "kind": "ScanStarted"}),
+        json.dumps({"t": 0.0, "kind": "DeviceFound"}),
         "event: 'observer' is missing or malformed: None",
     ),
     (_line("Mystery", {}), "event: 'kind' is missing or malformed: 'Mystery'"),
     (
-        _line("ScanStarted", {"round": 0}, observer=5),
+        _line("DeviceFound", {"round": 0}, observer=5),
         "event: 'observer' is missing or malformed: 5",
     ),
     (
-        _line("ScanStarted", {"round": 0}, subject=None),
+        _line("DeviceFound", {"round": 0}, subject=None),
         "event: 'subject' is missing or malformed: None",
     ),
     # an integer past float range converts to no float, so it is no finite time
-    (_line("ScanStarted", {"round": 0}, t=_HUGE), f"event: 't' is missing or malformed: {_HUGE}"),
+    (_line("DeviceFound", {"round": 0}, t=_HUGE), f"event: 't' is missing or malformed: {_HUGE}"),
     (
-        _line("ScanStarted", {"round": 0}, t=-_HUGE),
+        _line("DeviceFound", {"round": 0}, t=-_HUGE),
         f"event: 't' is missing or malformed: {-_HUGE}",
     ),
     # each key of the runner's lines, in their order, with a value that is
     # almost but not quite what the runner writes there
     (
-        _line("ScanStarted", {"round": True}),
-        "ScanStarted detail: 'round' is missing or malformed: True",
+        _header_line(duration_s=True),
+        "RunStarted detail: 'duration_s' is missing or malformed: True",
+    ),
+    (
+        _header_line(limits={**_LIMITS, "max_inbound_records": True}),
+        "RunStarted detail: 'limits' is missing or malformed: "
+        "{'max_outbound_slots': 7, 'max_inbound_records': True}",
+    ),
+    (
+        _header_line(scanners={A: True}),
+        f"RunStarted detail: 'scanners' is missing or malformed: {{'{A}': True}}",
     ),
     (
         _line("DeviceFound", {"round": False}),
@@ -392,11 +445,11 @@ _LOG_ERRORS = [
         "UuidsFetched detail: 'round' is missing or malformed: True",
     ),
     (
-        _line("ScanStarted", {"round": 0}, t=1.5).replace("1.5", "1e400"),
+        _line("DeviceFound", {"round": 0}, t=1.5).replace("1.5", "1e400"),
         "event: 't' is missing or malformed: inf",
     ),
     (
-        _line("ScanStarted", {"round": 0}, t=1.5).replace("1.5", "-1e400"),
+        _line("DeviceFound", {"round": 0}, t=1.5).replace("1.5", "-1e400"),
         "event: 't' is missing or malformed: -inf",
     ),
     (
@@ -436,19 +489,25 @@ _LOG_ERRORS = [
         "MessageChanged detail: 'message' is missing or malformed: '6869AB'",
     ),
     (
-        _line(["ScanStarted"], {"round": 0}),
-        "event: 'kind' is missing or malformed: ['ScanStarted']",
+        _line(["DeviceFound"], {"round": 0}),
+        "event: 'kind' is missing or malformed: ['DeviceFound']",
     ),
     (
-        _line({"ScanStarted": 0}, {"round": 0}),
-        "event: 'kind' is missing or malformed: {'ScanStarted': 0}",
+        _line({"DeviceFound": 0}, {"round": 0}),
+        "event: 'kind' is missing or malformed: {'DeviceFound': 0}",
     ),
     # a key that the line's kind, or its reassembly's mode, does not have
     (
-        _line("ScanStarted", {"round": 0, "extra": None}),
-        "ScanStarted detail: unknown keys ['extra']",
+        _line("DeviceFound", {"round": 0, "extra": None}),
+        "DeviceFound detail: unknown keys ['extra']",
     ),
-    # a fetch line that still holds `cached` and `delay`, as older logs did
+    # lines of older logs: a fetch that still holds `cached` and `delay`, a
+    # change that still holds `slots`, and a scan
+    (
+        _line("MessageChanged", {**_CHANGED, "slots": 1}),
+        "MessageChanged detail: unknown keys ['slots']",
+    ),
+    (_line("ScanStarted", {"round": 0}), "event: 'kind' is missing or malformed: 'ScanStarted'"),
     (
         _line("UuidsFetched", {"round": 0, "cached": False, "delay": 6.0, "records": []}),
         "UuidsFetched detail: unknown keys ['cached', 'delay']",
@@ -459,10 +518,57 @@ _LOG_ERRORS = [
     ),
     (
         json.dumps(
-            {"t": 0.5, "kind": "ScanStarted", "observer": A, "subject": A, "detail": {"round": 0}, "x": 1}
+            {"t": 0.5, "kind": "DeviceFound", "observer": A, "subject": A, "detail": {"round": 0}, "x": 1}
         ),
         "event: unknown keys ['x']",
     ),
+    # the header's values: a duration, the limits `CapacityLimits` takes, and
+    # each scanner's interval, all finite and positive
+    *(
+        (
+            _header_line(duration_s=value),
+            f"RunStarted detail: 'duration_s' is missing or malformed: {value!r}",
+        )
+        for value in (0, -0.0, -60.0, math.nan, math.inf, -math.inf, "60", None, [60.0])
+    ),
+    *(
+        (
+            _header_line(limits=value),
+            f"RunStarted detail: 'limits' is missing or malformed: {value!r}",
+        )
+        for value in (
+            {"max_outbound_slots": 7},
+            {"max_inbound_records": 21},
+            {**_LIMITS, "payload_per_uuid": 13},
+            {**_LIMITS, "max_outbound_slots": 0},
+            {**_LIMITS, "max_outbound_slots": 16},
+            {**_LIMITS, "max_outbound_slots": 7.0},
+            {**_LIMITS, "max_inbound_records": 0},
+            {},
+            [7, 21],
+            None,
+        )
+    ),
+    *(
+        (
+            _header_line(scanners={A: value}),
+            f"RunStarted detail: 'scanners' is missing or malformed: {{'{A}': {value!r}}}",
+        )
+        for value in (0, 0.0, -30.0, math.nan, math.inf, False, "30", None)
+    ),
+    *(
+        (
+            _header_line(scanners=value),
+            f"RunStarted detail: 'scanners' is missing or malformed: {value!r}",
+        )
+        for value in ([], [A], A, None)
+    ),
+    (
+        _line("RunStarted", {"duration_s": 60.0, "scanners": {}}, observer="", subject=""),
+        "RunStarted detail: 'limits' is missing or malformed: None",
+    ),
+    (_header_line(seed=0), "RunStarted detail: unknown keys ['seed']"),
+    (_line("RunStarted", []), "RunStarted detail must be an object, got []"),
     ('{"t": 0} {}', 'Extra data: line 1 column 10 (char 9)'),
     ('{"t": 0}x', 'Extra data: line 1 column 9 (char 8)'),
     ('{"t": tru}', 'Expecting value: line 1 column 7 (char 6)'),
@@ -480,16 +586,16 @@ def test_load_log_error_messages():
 
 
 def test_load_log_rejects_a_line_that_is_not_text():
-    lines = [_line("ScanStarted", {"round": 0})] * 3
+    lines = [_line("DeviceFound", {"round": 0})] * 3
     lines[1] = lines[1].encode()
     with pytest.raises(MalformedLog, match="^line 2: a log line must be text, got bytes$"):
         list(load_log(lines))
 
 
 def test_sim_event_is_an_immutable_record():
-    event = SimEvent(t=1.5, kind="ScanStarted", observer=A, subject=A, detail={"round": 0})
-    assert event == SimEvent(1.5, "ScanStarted", A, A, {"round": 0})
-    assert event != SimEvent(1.5, "ScanStarted", A, B, {"round": 0})
+    event = SimEvent(t=1.5, kind="DeviceFound", observer=A, subject=A, detail={"round": 0})
+    assert event == SimEvent(1.5, "DeviceFound", A, A, {"round": 0})
+    assert event != SimEvent(1.5, "DeviceFound", A, B, {"round": 0})
     with pytest.raises(AttributeError):
         event.t = 2.0
     with pytest.raises(AttributeError):
@@ -505,17 +611,18 @@ def test_load_log_rejects_decreasing_time():
     with pytest.raises(MalformedLog, match="decreases"):
         list(load_log(lines))
     # NaN compares false either way, so 5, NaN, 1 would pass the ordering check alone
-    lines = [_line("ScanStarted", {"round": 0}, t=t) for t in (5.0, math.nan, 1.0)]
+    lines = [_line("DeviceFound", {"round": 0}, t=t) for t in (5.0, math.nan, 1.0)]
     with pytest.raises(MalformedLog, match="line 2"):
         list(load_log(lines))
 
 
 def test_unknown_generation_rejected():
-    changed = {"generation": 1, "mode": "framed", "slots": 1, "message": ""}
+    changed = {"generation": 1, "mode": "framed", "message": ""}
     # "1" and true are not generation 1: a log is read as written, never converted
     for generation in (9, "1", True):
         detail = {"generation": generation, "mode": "framed", "message": ""}
         lines = [
+            _header_line(),
             _line("MessageChanged", changed),
             _line("MessageReassembled", detail, t=1.0, observer=B),
         ]
@@ -585,7 +692,7 @@ def test_format_text_smoke():
 
 
 def test_format_text_empty():
-    text = format_text(build_report([]))
+    text = format_text(build_report([_header(scanners={})]))
     assert "no pairs observed" in text
     assert "no advertisers observed" in text
 

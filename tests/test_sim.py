@@ -2,15 +2,18 @@
 
 import dataclasses
 import gc
+import importlib.util
 import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sdpcast
 from sdpcast import (
     BUILTIN_SCENARIOS,
     FRAMED,
@@ -60,6 +63,24 @@ def _two_device_scenario(**kw):
 
 def _kinds(log):
     return {e.kind for e in log}
+
+
+def _scan_rounds(header):
+    """(scanner, round, t) of every scan that a run's RunStarted header implies.
+
+    A scanner's rounds are at 0.0, S, S + S, ...: float sums of its interval
+    S, added as the runner adds them, for as long as the sum is at most
+    duration_s.
+    """
+    assert header.kind == "RunStarted"
+    duration = header.detail["duration_s"]
+    rounds = []
+    for scanner, interval in header.detail["scanners"].items():
+        t, rnd = 0.0, 0
+        while t <= duration:
+            rounds.append((scanner, rnd, t))
+            t, rnd = t + interval, rnd + 1
+    return rounds
 
 
 # -- in_range -----------------------------------------------------------------
@@ -157,8 +178,10 @@ def test_fetch_snapshot_change_outside_window_is_clean():
 def test_single_device_log_has_only_self_events():
     sc = Scenario(devices=[_device(A, message=b"solo")], duration_s=90.0)
     log = list(run(sc))
-    assert _kinds(log) == {"ScanStarted", "MessageChanged"}
-    assert all(e.observer == e.subject == A for e in log)
+    assert _kinds(log) == {"RunStarted", "MessageChanged"}
+    assert log[0].kind == "RunStarted"
+    assert log[0].detail["scanners"] == {A: 30.0}
+    assert all(e.observer == e.subject == A for e in log[1:])
 
 
 def test_two_device_first_reassembly_within_60s():
@@ -511,7 +534,7 @@ def _grid_and_brute_force_logs(sc, seed):
     brute_runner = _BruteForceRunner(dataclasses.replace(sc, seed=seed))
     brute_events = list(brute_runner.execute())
     # every scan went through the all-pairs override, so the oracle is not the grid itself
-    assert brute_runner.candidate_calls == sum(e.kind == "ScanStarted" for e in brute_events)
+    assert brute_runner.candidate_calls == len(_scan_rounds(brute_events[0]))
     return grid, [e.to_json() for e in brute_events]
 
 
@@ -690,9 +713,50 @@ def test_scan_examines_few_candidates_at_sparse_density():
         for k in range(1000)
     ]
     runner = _CountingRunner(Scenario(devices=devices, duration_s=25.0))
-    scans = sum(e.kind == "ScanStarted" for e in runner.execute())
+    scans = len(_scan_rounds(list(runner.execute())[0]))
     assert scans == len(runner.candidate_counts) == 1000
     assert sum(runner.candidate_counts) / scans <= 5.0
+
+
+class _ScanRecorder(_Runner):
+    """The runner, recording (scanner, round, t) of each scan it runs."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.scans = []
+
+    def _on_scan(self, t, address, rnd):
+        self.scans.append((address, rnd, t))
+        super()._on_scan(t, address, rnd)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scan_rounds_follow_from_the_header():
+    # No event marks a scan, so `_scan_rounds` must find exactly the runner's.
+    workloads = _bench_workloads()
+    scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)]
+    scenarios += [
+        workloads.sparse_1000(sdpcast, random.Random(0)),
+        workloads.churn_400(sdpcast, random.Random(0)),
+        # 0.1 added seven times is 0.7, so the sums give 8 rounds, where
+        # duration_s // interval + 1 gives 7
+        Scenario(devices=[_device(A, scan_interval_s=0.1)], duration_s=0.7),
+    ]
+    for sc in scenarios:
+        runner = _ScanRecorder(sc)
+        events = runner.execute()
+        header = next(events)
+        for _ in events:
+            pass
+        assert sorted(_scan_rounds(header)) == sorted(runner.scans), sc.name
+    assert len(runner.scans) == 8
 
 
 def test_set_position_moves_device_between_grid_cells():
@@ -909,7 +973,7 @@ def test_declared_raw_mode_applies_without_an_initial_message():
     )
     sc = scenario_from_json(scenario_to_json(sc))
     (changed,) = [e.detail for e in run(sc) if e.kind == "MessageChanged"]
-    assert (changed["mode"], changed["slots"]) == (RAW, 7)
+    assert changed == {"generation": 1, "mode": RAW, "message": (b"x" * 90).hex()}
 
 
 def test_scenario_rejects_bad_message_hex():

@@ -16,11 +16,12 @@ range, one scan round (sparse-1000's shape). Two series:
 - N = 400, in a square sized for {1, 4, 16, 64} devices in range on
   average, away from the edges.
 
-Per point it records the scans, the mean devices in range per scan
-(DeviceFound events over scans), the mean grid candidates per scan (the
-length of `_Runner._candidates`, which counts the scanner itself), and the
-median of `REPEATS` timed runs of `run` in µs per device: host time, and
-host time scaled to the benchmark's reference host speed (`bench/hostspeed.py`).
+Per point it records the scans (one `_Runner._candidates` call each), the
+mean devices in range per scan (DeviceFound events over scans), the mean
+grid candidates per scan (the length of `_Runner._candidates`, which counts
+the scanner itself), and the median of `REPEATS` timed runs of `run` in µs
+per device: host time, and host time scaled to the benchmark's reference
+host speed (`bench/hostspeed.py`).
 No figure is checked against a bound; the sweep is a record, not a gate.
 """
 
@@ -90,18 +91,19 @@ def measure(n: int, side_m: float, repeats: int, seed: int = 0) -> dict:
     from sdpcast.sim import _Runner
 
     class Counting(_Runner):
-        candidates = 0
+        scans = candidates = 0
 
         def _candidates(self, dev):
             found = super()._candidates(dev)
+            self.scans += 1
             self.candidates += len(found)
             return found
 
     hostspeed = _load_hostspeed()
     sc = layout(n, side_m, seed)
     runner = Counting(sc)
-    kinds = [event.kind for event in runner.execute()]
-    scans, found = kinds.count("ScanStarted"), kinds.count("DeviceFound")
+    found = sum(event.kind == "DeviceFound" for event in runner.execute())
+    scans = runner.scans
     host_us, scaled_us = [], []
     for _ in range(repeats):
         before = hostspeed.batch()
