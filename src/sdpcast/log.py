@@ -11,9 +11,10 @@ each scanner's interval. A scanner's rounds follow from the last two.
 One table of checks per key defines a line. `SimEvent.from_dict` is its only
 reader: it passes a line whose keys are exactly those of its kind, each
 holding a value of the JSON type the runner writes there, and names the first
-key that fails otherwise. The writer formats each detail the runner writes
-by a hand-written template, apart from the one header; an event whose values
-fit no template goes through `json`, whose text the templates match exactly.
+key that fails otherwise. The writer formats a detail by the exact type of
+each value (an int, a plain string or a list of them) under a key the table
+checks; any other event, such as the header, goes through `json`, whose text
+the writer matches exactly. A format change edits the table alone.
 """
 
 from __future__ import annotations
@@ -50,24 +51,21 @@ class SimEvent(NamedTuple):
     detail: dict[str, Any]
 
     def to_json(self) -> str:
-        """The event as `_ENCODER` writes it: by its detail's template when
-        every value fits one, else by `_ENCODER` itself."""
+        """The event as `_ENCODER` writes it: by `_detail_json` when its
+        detail's keys and values allow, else by `_ENCODER` itself."""
         t, kind, observer, subject, detail = self
         if (
             type(t) is float and -_INF < t < _INF
-            and type(kind) is str and kind in _KINDS
+            and type(kind) is str and kind in _DETAIL_CHECKS
             and type(observer) is str and _plain(observer)
             and type(subject) is str and _plain(subject)
             and type(detail) is dict
+            and (body := _detail_json(detail)) is not None
         ):
-            template = _TEMPLATES.get(tuple(detail))
-            if template is not None:
-                body = template(*detail.values())
-                if body is not None:
-                    return (
-                        f'{{"t":{t!r},"kind":"{kind}","observer":"{observer}",'
-                        f'"subject":"{subject}","detail":{body}}}'
-                    )
+            return (
+                f'{{"t":{t!r},"kind":"{kind}","observer":"{observer}",'
+                f'"subject":"{subject}","detail":{body}}}'
+            )
         return _ENCODER.encode(
             {"t": t, "kind": kind, "observer": observer, "subject": subject, "detail": detail}
         )
@@ -190,13 +188,6 @@ _REASSEMBLED_CHECKS = {
     for mode, key in ((FRAMED, "message"), (RAW, "payloads"))
 }
 
-# The writer's templates: for each detail `_Runner` writes, bar the header's,
-# one that takes the detail's values in the order of its keys and returns the
-# detail as `_ENCODER` writes it, or None unless every value has its exact
-# type (a subclass such as bool or IntEnum may format otherwise than json
-# writes it), every float is finite and every string is `_plain`.
-_KINDS = frozenset(EVENT_KINDS)
-
 
 def _plain(text: str) -> bool:
     """True iff json writes the string `text` as it is between two quotes."""
@@ -221,46 +212,31 @@ def _plain_list(items: Any) -> str | None:
     return None
 
 
-def _round_json(rnd: Any) -> str | None:
-    if type(rnd) is int:
-        return f'{{"round":{rnd}}}'
-    return None
+# Each key the reader checks, as `_ENCODER` writes it before a value. A
+# detail key that is not here goes through `_ENCODER`, so the check table
+# also bounds what the writer formats.
+_KEY_HEADS = {key: f'"{key}":' for key in _KEY_CHECKS}
 
 
-def _fetched_json(rnd: Any, records: Any) -> str | None:
-    if type(rnd) is int:
-        records_json = _plain_list(records)
-        if records_json is not None:
-            return f'{{"round":{rnd},"records":{records_json}}}'
-    return None
+def _detail_json(detail: dict) -> str | None:
+    """`detail` as `_ENCODER` writes it, or None unless each key is in
+    `_KEY_HEADS` and each value is an int, a `_plain` str or a list of them,
+    by exact type: a subclass such as bool may format otherwise than json."""
+    heads, body = _KEY_HEADS, []
+    for key, value in detail.items():
+        if key not in heads:
+            return None
+        kind = type(value)
+        if kind is int:
+            body.append(f"{heads[key]}{value}")
+        elif kind is str and _plain(value):
+            body.append(f'{heads[key]}"{value}"')
+        elif (text := _plain_list(value)) is not None:
+            body.append(heads[key] + text)
+        else:
+            return None
+    return "{" + ",".join(body) + "}"
 
-
-def _message_json(generation: Any, mode: Any, message: Any) -> str | None:
-    if (
-        type(generation) is int
-        and type(mode) is str and _plain(mode)
-        and type(message) is str and _plain(message)
-    ):
-        return f'{{"generation":{generation},"mode":"{mode}","message":"{message}"}}'
-    return None
-
-
-def _raw_json(generation: Any, mode: Any, payloads: Any) -> str | None:
-    if type(generation) is int and type(mode) is str and _plain(mode):
-        payloads_json = _plain_list(payloads)
-        if payloads_json is not None:
-            return f'{{"generation":{generation},"mode":"{mode}","payloads":{payloads_json}}}'
-    return None
-
-
-# A template depends only on the keys, so a MessageChanged and a framed
-# MessageReassembled share one.
-_TEMPLATES = {
-    _keys(_DETAIL_CHECKS[DEVICE_FOUND][1]): _round_json,
-    _keys(_DETAIL_CHECKS[UUIDS_FETCHED][1]): _fetched_json,
-    _keys(_REASSEMBLED_CHECKS[FRAMED]): _message_json,
-    _keys(_REASSEMBLED_CHECKS[RAW]): _raw_json,
-}
 
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens

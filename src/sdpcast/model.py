@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, NoReturn
 
@@ -202,17 +203,24 @@ class Scenario:
         _expect(self.torn_read_mode, bool, "scenario", "torn_read_mode must be true or false")
         _expect(self.name, str, "scenario", "name must be a string")
         seen: set[str] = set()
-        scans = 0.0
         for dev in self.devices:
             if dev.address in seen:
                 raise InvalidScenario(f"duplicate device address {dev.address}")
             seen.add(dev.address)
-            if dev.scan_interval_s is not None:
-                scans += self.duration_s // dev.scan_interval_s + 1
-        if scans > MAX_SCANS:
-            raise InvalidScenario(
-                f"the devices would scan {scans:.3g} times, more than the budget of {MAX_SCANS}"
-            )
+        # The scanners of one interval S scan together, at the runner's float
+        # sums 0.0, S, S + S, ... up to duration_s. The count stops at the
+        # budget, which also ends a sum that has stopped growing.
+        scanners = Counter(d.scan_interval_s for d in self.devices if d.scan_interval_s is not None)
+        scans = 0
+        for interval, count in scanners.items():
+            t = 0.0
+            while t <= self.duration_s:
+                scans += count
+                if scans > MAX_SCANS:
+                    raise InvalidScenario(
+                        f"the devices would scan more than the budget of {MAX_SCANS} times"
+                    )
+                t += interval
         for i, mut in enumerate(self.schedule):
             if not 0 <= mut.t <= self.duration_s:
                 raise InvalidScenario(f"schedule[{i}]: t={mut.t} outside [0, {self.duration_s}]")

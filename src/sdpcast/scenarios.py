@@ -26,9 +26,10 @@ WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 def two_device_default() -> Scenario:
     """Two scanners 5 m apart exchanging framed messages, with mid-run changes.
 
-    Worst-case change-to-reassembly under default timing is bounded by
-    scan_interval (30) + inquiry (12) + fresh fetch (6) = 48 s, so every
-    change lands inside the one-minute envelope on every seed.
+    Under default timing the message at t = 0 arrives within inquiry (12) +
+    fresh fetch (6) = 18 s, and a later change within scan_interval (30) +
+    inquiry (12) = 42 s, so every change lands inside the one-minute
+    envelope on every seed (README, "Latency and bandwidth").
     """
     return Scenario(
         name="two-device-default",

@@ -1,20 +1,24 @@
-"""The event log's writer templates against json, and what its reader accepts.
+"""The event log's writer against json, and what its reader accepts.
 
-`SimEvent.to_json` writes a line by a per-detail template when every value
-fits one; the RunStarted header has none. `_ENCODER` stays the definition
-of a line's text: the templates must write exactly what it writes. `SimEvent.from_dict` reads every line
-through one table of checks; `test_report._LOG_ERRORS` pins the lines it
-rejects and their messages.
+`SimEvent.to_json` writes a detail by the exact type of each value under a
+key the check table holds, and any other event, such as the RunStarted
+header, through `_ENCODER`. `_ENCODER` stays the definition of a line's
+text: the writer must write exactly what it writes. `SimEvent.from_dict`
+reads every line through the same table; `test_report._LOG_ERRORS` pins
+the lines it rejects and their messages.
 """
 
 import enum
 import json
 import math
+import random
 
+import sdpcast
 from sdpcast import BUILTIN_SCENARIOS, SimEvent, load_log, run, scenario_gen
 from sdpcast import log
 from sdpcast.log import _ENCODER
 from test_report import _line
+from test_sim import _bench_workloads
 
 A = "aa:00:00:00:00:01"
 B = "aa:00:00:00:00:02"
@@ -35,7 +39,15 @@ def _encoded(event):
 
 
 def test_to_json_writes_what_the_encoder_writes_for_every_builtin_event(raw_torn_read):
-    for events in _builtin_logs(raw_torn_read, (0, 1, 42)):
+    # The benchmark's churn-400 and sparse-1000 layouts add empty and
+    # random-length messages, raw torn splices and a 1 000-device log.
+    workloads = _bench_workloads()
+    logs = list(_builtin_logs(raw_torn_read, (0, 1, 42)))
+    logs += [
+        run(workloads.churn_400(sdpcast, random.Random(0)), seed=1),
+        run(workloads.sparse_1000(sdpcast, random.Random(0)), seed=1),
+    ]
+    for events in logs:
         for event in events:
             assert event.to_json() == _encoded(event)
 
@@ -140,6 +152,9 @@ def _edge_events():
     yield changed._replace(detail={"mode": "framed", "generation": 1, "message": "6869"})
     yield _with(changed, detail__slots=1)
     yield framed._replace(detail={"generation": 1, "mode": "framed", "payloads": ["00"]})
+    yield found._replace(detail={"records": [UUID], "round": 0, "message": "00"})
+    yield found._replace(detail={_Text("round"): 0})
+    yield _with(found, detail__t=1.5)
     # kinds
     for kind in ("Mystery", "", "a\"b", ["DeviceFound"], 5, None, _Text("DeviceFound")):
         yield _with(found, kind=kind)
@@ -157,32 +172,14 @@ def _unused(*args):
 
 def test_runner_events_take_the_fixed_shapes(monkeypatch, raw_torn_read):
     """Every line a run writes after its header skips json's encoder, and
-    reads back to the event written: the templates are taken, not only
-    correct."""
+    reads back to the event written: the type-driven writer is taken, not
+    only correct."""
     logs = list(_builtin_logs(raw_torn_read, (0,)))
     headers = [events[0].to_json() for events in logs]
     monkeypatch.setattr(log._ENCODER, "encode", _unused)
     for header, events in zip(headers, logs):
         lines = [header] + [event.to_json() for event in events[1:]]
         assert list(load_log(lines)) == events
-
-
-def test_each_template_writes_its_kinds_table_keys_in_order():
-    sample = {
-        "round": 0, "records": [UUID], "generation": 1,
-        "mode": "raw", "message": "00", "payloads": ["00"],
-    }
-    details = [
-        checks
-        for kind, (_, checks) in log._DETAIL_CHECKS.items()
-        if kind not in ("MessageReassembled", "RunStarted")
-    ]
-    details += log._REASSEMBLED_CHECKS.values()
-    for keys in map(log._keys, details):
-        written = log._TEMPLATES[keys](*(sample[key] for key in keys))
-        assert written == _ENCODER.encode({key: sample[key] for key in keys})
-        assert tuple(json.loads(written)) == keys
-    assert set(log._TEMPLATES) == set(map(log._keys, details))
 
 
 _CHANGED = {"generation": 1, "mode": "raw", "message": "6869"}

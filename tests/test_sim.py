@@ -999,6 +999,18 @@ def test_scan_budget_bounds_scenarios_and_overrides():
         one_scanner(float(MAX_SCANS))
     with pytest.raises(InvalidScenario):
         run(_two_device_scenario(), duration_s=2.0**64)
+    # 1e300 + 1e-300 is 1e300: a count that did not stop at the budget would never end
+    with pytest.raises(InvalidScenario):
+        Scenario(devices=[_device(A, scan_interval_s=1e-300)], duration_s=1e300)
+
+
+def test_scan_budget_counts_the_runners_float_sums(monkeypatch):
+    # 0.1 added seven times is 0.7, so the runner scans 8 times, where
+    # duration_s // interval + 1 counts 7
+    monkeypatch.setattr(sdpcast.model, "MAX_SCANS", 7)
+    with pytest.raises(InvalidScenario, match="more than the budget of 7"):
+        Scenario(devices=[_device(A, scan_interval_s=0.1)], duration_s=0.7)
+    Scenario(devices=[_device(A, scan_interval_s=0.1)], duration_s=0.6)
 
 
 def test_duration_override_revalidates_schedule():
