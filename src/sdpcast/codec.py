@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InvalidMarker,
@@ -55,12 +55,33 @@ class CodecConfig:
 
     marker: str = DEFAULT_MARKER
     text_mode: bool = False
+    # `detect`'s pattern for this marker, compiled once per config
+    _pattern: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.marker, str):
+            raise InvalidMarker(f"marker must be 4 hex digits, got {self.marker!r}")
         marker = self.marker.lower()
         if not _MARKER_SHAPE.fullmatch(marker):
             raise InvalidMarker(f"marker must be 4 hex digits, got {self.marker!r}")
         object.__setattr__(self, "marker", marker)
+        object.__setattr__(self, "_pattern", _payload_pattern(marker))
+
+
+def _payload_uuid(d: str, marker: str) -> str:
+    """The payload UUID of the 26 hex digits `d` under `marker`: the one statement of its layout."""
+    return f"{d[0:8]}-{d[8:12]}-4{d[12:15]}-8{d[15:18]}-{d[18:26]}{marker}"
+
+
+def _payload_pattern(marker: str) -> re.Pattern:
+    """Matches exactly the payload UUIDs under `marker`, in any case; its groups are the 26 digits.
+
+    Built from `_payload_uuid` itself, so the layout is written down once.
+    Only the marker is matched under IGNORECASE: the digit runs list both
+    cases instead, which halves the time of a match.
+    """
+    template = _payload_uuid("." * (2 * PAYLOAD_OCTETS), f"(?i:{marker})")
+    return re.compile(re.sub(r"\.+", lambda run: f"([0-9a-fA-F]{{{len(run[0])}}})", template))
 
 
 DEFAULT_CONFIG = CodecConfig()
@@ -82,18 +103,17 @@ def encode(payload: bytes, config: CodecConfig = DEFAULT_CONFIG) -> str:
     mode requires exactly 13 octets.
     """
     payload = bytes(payload)
-    if len(payload) > PAYLOAD_OCTETS:
-        raise PayloadTooLong(
-            f"payload is {len(payload)} octets, capacity is {PAYLOAD_OCTETS}"
-        )
-    if len(payload) < PAYLOAD_OCTETS:
+    if len(payload) != PAYLOAD_OCTETS:
+        if len(payload) > PAYLOAD_OCTETS:
+            raise PayloadTooLong(
+                f"payload is {len(payload)} octets, capacity is {PAYLOAD_OCTETS}"
+            )
         if not config.text_mode:
             raise PayloadTooShort(
                 f"raw mode needs exactly {PAYLOAD_OCTETS} octets, got {len(payload)}"
             )
         payload = payload.ljust(PAYLOAD_OCTETS, b"\x00")
-    d = payload.hex()
-    return f"{d[0:8]}-{d[8:12]}-4{d[12:15]}-8{d[15:18]}-{d[18:26]}{config.marker}"
+    return _payload_uuid(payload.hex(), config.marker)
 
 
 def detect(uuid_str: str, config: CodecConfig = DEFAULT_CONFIG) -> bytes | None:
@@ -103,16 +123,15 @@ def detect(uuid_str: str, config: CodecConfig = DEFAULT_CONFIG) -> bytes | None:
     and the trailing 4 digits equal the configured marker.  Matching is
     case-insensitive; raises MalformedUuid for non-UUID input.
     """
-    digits = _hex32(uuid_str)
-    if digits[_VERSION_NIBBLE] != "4":
-        return None
-    if digits[_VARIANT_NIBBLE] != "8":
-        return None
-    if digits[28:32] != config.marker:
+    try:
+        match = config._pattern.fullmatch(uuid_str)
+    except TypeError:  # not a string
+        match = None
+    if match is None:
+        _hex32(uuid_str)  # raises unless it is a UUID, which then carries no payload
         return None
     # Direct nibble-to-octet mapping: leading zeros survive.
-    data = digits[0:12] + digits[13:16] + digits[17:20] + digits[20:28]
-    return bytes.fromhex(data)
+    return bytes.fromhex("".join(match.groups()))
 
 
 def decode(uuid_str: str, config: CodecConfig = DEFAULT_CONFIG) -> bytes:

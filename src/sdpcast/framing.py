@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .codec import DEFAULT_CONFIG, PAYLOAD_OCTETS, CodecConfig, detect, encode
+from .codec import DEFAULT_CONFIG, PAYLOAD_OCTETS, CodecConfig, _payload_uuid, detect
 from .errors import (
     ConflictingDuplicate,
     IncompleteSet,
@@ -53,6 +53,18 @@ class FrameHeader(NamedTuple):
     @property
     def valid(self) -> bool:
         return self.total >= 1 and 0 <= self.index < self.total
+
+
+# The header octet as `frame` and `reassemble` use it, tabulated from
+# FrameHeader: the hex of each (index, total) header by total, and
+# (index, total) by octet, None for an invalid header.
+_HEADER_HEX = {
+    total: [f"{FrameHeader(index, total).pack():02x}" for index in range(total)]
+    for total in range(1, MAX_CHUNKS + 1)
+}
+_HEADER_OF = tuple(
+    tuple(header) if header.valid else None for header in map(FrameHeader.unpack, range(256))
+)
 
 
 def _is_int(value: object) -> bool:
@@ -113,15 +125,14 @@ def frame(
         raise MessageTooLong(
             f"message is {len(message)} octets, framed capacity is {limits.framed_capacity}"
         )
-    body = len(message).to_bytes(LENGTH_PREFIX_OCTETS, "big") + message
     total = chunk_count(len(message))
-    uuids = []
-    for index in range(total):
-        chunk = body[index * CHUNK_BODY_OCTETS:(index + 1) * CHUNK_BODY_OCTETS]
-        chunk = chunk.ljust(CHUNK_BODY_OCTETS, b"\x00")
-        header = FrameHeader(index, total).pack()
-        uuids.append(encode(bytes([header]) + chunk, codec))
-    return uuids
+    body = len(message).to_bytes(LENGTH_PREFIX_OCTETS, "big") + message
+    digits = body.ljust(total * CHUNK_BODY_OCTETS, b"\x00").hex()
+    step = 2 * CHUNK_BODY_OCTETS
+    return [
+        _payload_uuid(header + digits[start:start + step], codec.marker)
+        for header, start in zip(_HEADER_HEX[total], range(0, len(digits), step))
+    ]
 
 
 def raw_payloads(message: bytes) -> list[bytes]:
@@ -154,14 +165,15 @@ def reassemble(payloads: Iterable[bytes]) -> bytes:
     conflicts: set[int] = set()
     totals: set[int] = set()
     for payload in payloads:
-        header = FrameHeader.unpack(payload[0])
-        if not header.valid:
+        header = _HEADER_OF[payload[0]]
+        if header is None:
             continue
+        index, total = header
         body = payload[1:]
-        if header.index in chunks and chunks[header.index] != body:
-            conflicts.add(header.index)
-        chunks[header.index] = body
-        totals.add(header.total)
+        if index in chunks and chunks[index] != body:
+            conflicts.add(index)
+        chunks[index] = body
+        totals.add(total)
 
     if conflicts:
         raise ConflictingDuplicate(
@@ -172,11 +184,11 @@ def reassemble(payloads: Iterable[bytes]) -> bytes:
     if not chunks:
         raise IncompleteSet("no frame chunks found")
     total = totals.pop()
-    missing = sorted(set(range(total)) - chunks.keys())
-    if missing:
+    if len(chunks) < total:  # every index is below the one total
+        missing = sorted(set(range(total)) - chunks.keys())
         raise IncompleteSet(f"missing chunk indices {missing} of {total}")
 
-    body = b"".join(chunks[i] for i in range(total))
+    body = b"".join([chunks[i] for i in range(total)])
     declared = int.from_bytes(body[:LENGTH_PREFIX_OCTETS], "big")
     if chunk_count(declared) != total:
         raise InconsistentTotals(

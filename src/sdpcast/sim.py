@@ -126,8 +126,10 @@ class _Runner:
         self.sc = sc
         self.rng = random.Random(sc.seed)
         # A run moves devices and toggles them: it does so on plain shallow
-        # copies (`sc` is valid already), never on `sc` itself.
-        self.devices = {d.address: copy.copy(d) for d in sc.devices}
+        # copies (`sc` is valid already), never on `sc` itself. A device is
+        # copied the first time it changes (see `_changed`); most never do.
+        self.devices = {d.address: d for d in sc.devices}
+        self.copied: set[str] = set()
         # address -> (generation, mode, payload slots, (slots before the
         # latest change, change time)); the change is None before the first
         self.adverts: dict[str, tuple[int, str, list[str], tuple[list[str], float] | None]] = {
@@ -325,12 +327,19 @@ class _Runner:
         return outcome
 
     def _on_mutate(self, t: float, mut: Mutation) -> None:
-        dev = self.devices[mut.device]
         if mut.action == "set_message":
             self._advertise(mut.device, mut.message, mut.mode, t)
         elif mut.action == "set_position":
+            dev = self._changed(mut.device)
             dev.position = mut.position
             self._place(dev)
         elif mut.action == "set_discoverable":
-            dev.discoverable = mut.discoverable
+            self._changed(mut.device).discoverable = mut.discoverable
+
+    def _changed(self, address: str) -> Device:
+        """The run's own copy of `address`'s device, made on its first change."""
+        if address not in self.copied:
+            self.copied.add(address)
+            self.devices[address] = copy.copy(self.devices[address])
+        return self.devices[address]
 

@@ -118,6 +118,12 @@ def test_invalid_marker_rejected():
             CodecConfig(marker=bad)
 
 
+def test_non_string_marker_rejected():
+    for bad in (123, None, b"c0de", 0xC0DE, ["c0de"]):
+        with pytest.raises(InvalidMarker, match="marker must be 4 hex digits"):
+            CodecConfig(marker=bad)
+
+
 def test_is_well_formed_v4():
     assert is_well_formed_v4("00000000-0000-4000-8000-00000000c0de")
     assert not is_well_formed_v4("00000000-0000-1000-8000-00000000c0de")

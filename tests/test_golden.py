@@ -1,35 +1,57 @@
-"""Golden sha256 hashes pin the built-ins' event logs and reports across commits.
+"""Golden sha256 hashes pin event logs and reports across commits.
 
-`tests/data/golden-sha256.json` holds, per built-in and seed, the sha256 of
+`tests/data/golden-sha256.json` holds, per scenario and seed, the sha256 of
 the JSONL log exactly as `sdpcast simulate` writes it and of
-`format_lines(build_report(load_log(log)))`. A change that alters a log or
-a report on purpose regenerates the file with
+`format_lines(build_report(load_log(log)))`. The scenarios are the
+built-ins and one layout each of the benchmark's sparse-1000 (framed, one
+message per device) and churn-400 (raw and framed, torn reads, moves)
+workloads; `sparse-1000/layout0` is what `bench/workloads.py` builds from
+`random.Random(0)`. A change that alters a log or a report on purpose
+regenerates the file with
 `PYTHONPATH=src python tests/test_golden.py > tests/data/golden-sha256.json`
 and names the change.
 """
 
 import hashlib
+import importlib.util
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import sdpcast
 from sdpcast import build_report, format_lines, load_log, run, scenario_gen
 
 GOLDEN = Path(__file__).parent / "data" / "golden-sha256.json"
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 SEEDS = {
     "two-device-default": (0, 1, 42),
     "out-of-range": (0, 1, 42),
     "torn-read": (0, 1, 42),
     "crowd-20": (1,),  # about a second per seed
+    "sparse-1000/layout0": (1,),
+    "churn-400/layout0": (1,),
 }
 CASES = [(name, seed) for name, seeds in SEEDS.items() for seed in seeds]
 
 
+def _scenario(name):
+    """A built-in by name, or `<workload>/layout<k>`: the benchmark's layout k."""
+    workload, _, layout = name.partition("/layout")
+    if not layout:
+        return scenario_gen(name)
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    builder = module.WORKLOADS[workload][0]
+    return builder(sdpcast, random.Random(int(layout)))
+
+
 def _hashes(name, seed):
-    log = "".join(event.to_json() + "\n" for event in run(scenario_gen(name), seed=seed))
+    log = "".join(event.to_json() + "\n" for event in run(_scenario(name), seed=seed))
     report = format_lines(build_report(load_log(io.StringIO(log))))
     return {
         "log": hashlib.sha256(log.encode()).hexdigest(),
