@@ -156,7 +156,7 @@ def unframe(
 def reassemble(payloads: Iterable[bytes]) -> bytes:
     """Reassemble a message from an unordered batch of decoded 13-octet payloads.
 
-    Payloads without a plausible chunk header are ignored; duplicates with
+    Payloads without a plausible chunk header, or empty, are ignored; duplicates with
     identical bodies are accepted.  Raises ConflictingDuplicate,
     InconsistentTotals or IncompleteSet when the surviving chunks do not
     form exactly one complete frame.
@@ -165,7 +165,7 @@ def reassemble(payloads: Iterable[bytes]) -> bytes:
     conflicts: set[int] = set()
     totals: set[int] = set()
     for payload in payloads:
-        header = _HEADER_OF[payload[0]]
+        header = _HEADER_OF[payload[0]] if payload else None
         if header is None:
             continue
         index, total = header

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, fields
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, NamedTuple
 
 from .errors import InvalidScenario, UnknownScenario
 from .framing import CapacityLimits
@@ -194,42 +195,93 @@ _NESTED: dict[str, Any] = {
     "message": bytes,
 }
 _CLASSES = (Scenario, Device, Mutation, TimingModel, CapacityLimits)
-_KEYS = {cls: frozenset(f.name for f in fields(cls)) for cls in _CLASSES}
-_REQUIRED = {
-    cls: frozenset(
-        f.name
-        for f in fields(cls)
-        if f.default is MISSING and f.default_factory is MISSING
+
+
+class _Schema(NamedTuple):
+    """One class's file form, taken from its dataclass fields."""
+
+    keys: frozenset[str]
+    required: frozenset[str]
+    heads: tuple[tuple[str, str], ...]  # (name, '"name": ') by sorted name
+    nested: tuple[tuple[str, Any], ...]  # (name, kind) of its `_NESTED` fields, in that order
+
+
+def _schema(cls: type) -> _Schema:
+    keys = frozenset(f.name for f in fields(cls))
+    return _Schema(
+        keys=keys,
+        required=frozenset(
+            f.name
+            for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING
+        ),
+        heads=tuple((name, encode_basestring_ascii(name) + ": ") for name in sorted(keys)),
+        nested=tuple((name, kind) for name, kind in _NESTED.items() if name in keys),
     )
-    for cls in _CLASSES
-}
 
 
-def _dump(obj: Any) -> dict[str, Any]:
-    out = {name: getattr(obj, name) for name in _KEYS[type(obj)]}
-    for name, kind in _NESTED.items():
-        if name not in out:
-            continue
-        value = out[name]
-        if kind is bytes:
-            out[name] = None if value is None else value.hex()
-        elif isinstance(kind, list):
-            out[name] = [_dump(item) for item in value]
-        else:
-            out[name] = _dump(value)
-    return out
+_SCHEMAS = {cls: _schema(cls) for cls in _CLASSES}
+# json's spelling of the floats whose repr is not a JSON number
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(value: Any, out: list[str], newline: str) -> None:
+    """Append `value` to `out` as `json.dumps(..., indent=2, sort_keys=True)` writes it.
+
+    A scenario object is written as an object of its fields and bytes as a
+    hex string; the other leaves are tested in the order json tests them.
+    `newline` is the line break and indent of the line `value` starts on.
+    """
+    schema = _SCHEMAS.get(type(value))
+    if schema is not None:
+        inner = newline + "  "
+        separator = "{" + inner
+        for name, head in schema.heads:
+            out.append(separator + head)
+            _write(getattr(value, name), out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, bytes):
+        out.append(f'"{value.hex()}"')
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _load(cls: type, obj: Any, where: str) -> Any:
     """Build `cls` from a parsed JSON object, converting its nested fields in place."""
+    schema = _SCHEMAS[cls]
     if not isinstance(obj, dict):
         raise InvalidScenario(f"{where} must be a JSON object, got {obj!r}")
-    if not obj.keys() <= _KEYS[cls]:
-        raise InvalidScenario(f"{where}: unknown keys {sorted(obj.keys() - _KEYS[cls])}")
-    if not _REQUIRED[cls] <= obj.keys():
-        raise InvalidScenario(f"{where}: missing keys {sorted(_REQUIRED[cls] - obj.keys())}")
-    for name, kind in _NESTED.items():
-        if name not in obj:  # absent, or not a field of `cls` (checked above)
+    if not obj.keys() <= schema.keys:
+        raise InvalidScenario(f"{where}: unknown keys {sorted(obj.keys() - schema.keys)}")
+    if not schema.required <= obj.keys():
+        raise InvalidScenario(f"{where}: missing keys {sorted(schema.required - obj.keys())}")
+    for name, kind in schema.nested:
+        if name not in obj:
             continue
         value = obj[name]
         if kind is bytes:
@@ -255,8 +307,12 @@ def _load(cls: type, obj: Any, where: str) -> Any:
 
 
 def scenario_to_json(sc: Scenario) -> str:
-    """Serialize a scenario to byte-stable JSON (sorted keys, two-space indent)."""
-    return json.dumps(_dump(sc), indent=2, sort_keys=True) + "\n"
+    """Serialize a scenario to byte-stable JSON: the text of
+    `json.dumps(..., indent=2, sort_keys=True)` and a final newline."""
+    out: list[str] = []
+    _write(sc, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def scenario_from_json(text: str) -> Scenario:

@@ -24,7 +24,7 @@ from sdpcast import (
     unframe,
 )
 from sdpcast.codec import detect, encode
-from sdpcast.framing import raw_payloads
+from sdpcast.framing import raw_payloads, reassemble
 
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 
@@ -116,6 +116,16 @@ def test_unframe_empty_input_raises_incomplete():
         unframe([])
     with pytest.raises(IncompleteSet):
         unframe([WELLKNOWN_SPP])
+
+
+def test_reassemble_skips_empty_payloads():
+    # an empty payload has no header octet, so it is skipped like an invalid one
+    with pytest.raises(IncompleteSet, match="^no frame chunks found$"):
+        reassemble([b""])
+    payloads = raw_read(frame(b"q" * 40))
+    assert reassemble([b"", *payloads, b""]) == b"q" * 40
+    with pytest.raises(IncompleteSet, match=r"^missing chunk indices \[3\] of 4$"):
+        reassemble([b""] + payloads[:-1])
 
 
 def test_unframe_mixed_totals_raises():

@@ -12,6 +12,10 @@ completes after t_c, so its first-delivery latency D has
 The runner's latencies over many seeds must fit that law, by a
 Kolmogorov-Smirnov test at the 1% level, and stay within its bounds:
 I + L_fresh for the message at t = 0, S + I for a later change.
+
+crowd-20's graph is complete and static too, so cut to one scan round
+(`duration_s` = S) each of its 380 ordered pairs' first delivery is
+U(0, I) + L_fresh, by the same law with one round.
 """
 
 import math
@@ -57,27 +61,53 @@ def _first_deliveries(events):
     return first.values()
 
 
+def _latencies_by_change(sc, seeds, duration_s=None):
+    """Change time -> first-delivery latencies over `seeds`, and the scan starts."""
+    by_change = {}
+    for seed in seeds:
+        events = list(run(sc, seed=seed, duration_s=duration_s))
+        for t_c, latency in _first_deliveries(events):
+            by_change.setdefault(t_c, []).append(latency)
+    # every scanner shares the interval, so they scan at the same times
+    starts = sorted({t for _, _, t in _scan_rounds(events[0])})
+    return by_change, starts
+
+
+def _assert_fits_the_closed_form(latencies, t_c, starts, timing):
+    distance = _ks_distance(latencies, lambda x: _closed_form_cdf(x, t_c, starts, timing))
+    assert distance < 1.63 / math.sqrt(len(latencies)), (t_c, distance)
+
+
 def test_first_delivery_latency_follows_the_closed_form():
     sc = scenario_gen("two-device-default")
     (interval,) = {device.scan_interval_s for device in sc.devices}
     timing = sc.timing
     assert timing.inquiry_duration_s + timing.fetch_latency_fresh_s < interval
-    by_change = {}
-    for seed in SEEDS:
-        events = list(run(sc, seed=seed))
-        for t_c, latency in _first_deliveries(events):
-            by_change.setdefault(t_c, []).append(latency)
-    # both scanners share the interval, so they scan at the same times
-    starts = sorted({t for _, _, t in _scan_rounds(events[0])})
+    by_change, starts = _latencies_by_change(sc, SEEDS)
     # both messages at t = 0, then one change of A, one of B, one of A
     assert {t_c: len(latencies) for t_c, latencies in by_change.items()} == {
         0.0: 2 * len(SEEDS), 95.0: len(SEEDS), 130.0: len(SEEDS), 185.0: len(SEEDS)
     }
     for t_c, latencies in by_change.items():
-        distance = _ks_distance(latencies, lambda x: _closed_form_cdf(x, t_c, starts, timing))
-        assert distance < 1.63 / math.sqrt(len(latencies)), (t_c, distance)
+        _assert_fits_the_closed_form(latencies, t_c, starts, timing)
         if t_c == 0.0:
             bound = timing.inquiry_duration_s + timing.fetch_latency_fresh_s
         else:
             bound = interval + timing.inquiry_duration_s
         assert max(latencies) <= bound, (t_c, max(latencies))
+
+
+def test_crowd_20_first_delivery_follows_the_closed_form():
+    sc = scenario_gen("crowd-20")
+    (interval,) = {device.scan_interval_s for device in sc.devices}
+    timing = sc.timing
+    assert not sc.schedule and not sc.torn_read_mode
+    seeds = range(100)
+    by_change, starts = _latencies_by_change(sc, seeds, duration_s=interval)
+    # one scan round delivers every message to every other device
+    assert list(by_change) == [0.0]
+    (latencies,) = by_change.values()
+    assert len(latencies) == 20 * 19 * len(seeds)
+    _assert_fits_the_closed_form(latencies, 0.0, starts, timing)
+    assert timing.fetch_latency_fresh_s <= min(latencies)
+    assert max(latencies) <= timing.inquiry_duration_s + timing.fetch_latency_fresh_s

@@ -1,39 +1,60 @@
-"""The one-pass codec and framing against the straightforward versions they replaced.
+"""The one-pass codec, framing and scenario writer against the straightforward
+versions they replaced.
 
-`_reference_*` below are the former bodies of `encode`, `detect`, `frame`
-and `reassemble`, kept here step for step as oracles: per UUID they
-lower-case, shape-check, strip hyphens and test the version, variant and
-marker digits one at a time, and per chunk they build a `FrameHeader` and
-call `encode`. The package's versions must return equal results, or raise
-the same exception class with the same message, on every input.
+`_reference_*` below are the former bodies of `encode`, `detect`, `frame`,
+`reassemble` and `scenario_to_json`, kept here step for step as oracles: per
+UUID they lower-case, shape-check, strip hyphens and test the version,
+variant and marker digits one at a time; per chunk they build a
+`FrameHeader` and call `encode`; and a scenario is first turned into a tree
+of dicts, which `json.dumps` then writes. The package's versions must return
+equal results, or raise the same exception class with the same message, on
+every input.
 """
 
+import json
+import math
 import random
 import re
+from dataclasses import fields
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sdpcast
 from sdpcast import (
+    BUILTIN_SCENARIOS,
     DEFAULT_LIMITS,
+    FRAMED,
     MAX_CHUNKS,
     PAYLOAD_OCTETS,
+    RAW,
     CapacityLimits,
     CodecConfig,
     ConflictingDuplicate,
+    Device,
     FrameHeader,
     IncompleteSet,
     InconsistentTotals,
     MalformedUuid,
     MessageTooLong,
+    Mutation,
     PayloadTooLong,
     PayloadTooShort,
+    Scenario,
+    TimingModel,
     detect,
     encode,
     frame,
+    scenario_from_json,
+    scenario_gen,
+    scenario_to_json,
 )
 from sdpcast.framing import CHUNK_BODY_OCTETS, LENGTH_PREFIX_OCTETS, chunk_count, reassemble
+from sdpcast.model import MAX_SEED
+from sdpcast.scenarios import _NESTED, _write
+from test_sim import _bench_workloads
 
 _UUID_SHAPE = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
 DEFAULT = CodecConfig()
@@ -266,3 +287,148 @@ def test_reassemble_matches_reference_on_every_frame_length():
         assert reassemble(payloads) == bytes(range(length))
         for drop in range(len(payloads)):
             _same(reassemble, _reference_reassemble, payloads[:drop] + payloads[drop + 1:])
+
+
+# -- scenario files -------------------------------------------------------------
+
+
+def _reference_dump(obj):
+    out = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    for name, kind in _NESTED.items():
+        if name not in out:
+            continue
+        value = out[name]
+        if kind is bytes:
+            out[name] = None if value is None else value.hex()
+        elif isinstance(kind, list):
+            out[name] = [_reference_dump(item) for item in value]
+        else:
+            out[name] = _reference_dump(value)
+    return out
+
+
+def _reference_to_json(sc):
+    return json.dumps(_reference_dump(sc), indent=2, sort_keys=True) + "\n"
+
+
+def _same_file(sc):
+    text = scenario_to_json(sc)
+    assert text == _reference_to_json(sc)
+    assert scenario_to_json(scenario_from_json(text)) == text
+
+
+class _Seed(IntEnum):
+    LOWEST = 0
+    HIGHEST = MAX_SEED
+
+
+class _Slots(IntEnum):
+    FEWEST = 1
+    MOST = MAX_CHUNKS
+
+
+class _Records(IntEnum):
+    FEWEST = 1
+    PAST_64_BITS = 2**64
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1,
+    2**70, -1, _Seed.HIGHEST, _Records.PAST_64_BITS, True, False, None,
+    "", "é\x00\u2028\U0001f600\ud800\"\\", _Str("x"),
+    (), [], [1, [2.5, ()], "x"], (None,),
+    object(), {1}, 1j,  # json cannot write these either
+])
+def test_write_formats_leaves_as_json_does(value):
+    def write(value):
+        out = []
+        _write(value, out, "\n")
+        return "".join(out)
+
+    _same(write, lambda v: json.dumps(v, indent=2), value)
+
+
+# every code point, control characters and lone surrogates included
+texts = st.text(st.characters(exclude_categories=()), max_size=12)
+magnitudes = st.floats(1e-300, 1e300)
+coordinates = st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def timings(draw):
+    fresh, cached = sorted(draw(st.lists(magnitudes, min_size=2, max_size=2, unique=True)))[::-1]
+    return TimingModel(
+        inquiry_duration_s=draw(magnitudes),
+        fetch_latency_fresh_s=fresh,
+        fetch_latency_cached_s=cached,
+    )
+
+
+@st.composite
+def scenarios(draw):
+    """A valid scenario: every field drawn, near its limits as often as not."""
+    limits = CapacityLimits(
+        max_outbound_slots=draw(st.one_of(st.integers(1, MAX_CHUNKS), st.sampled_from(_Slots))),
+        max_inbound_records=draw(st.one_of(st.integers(1, 2**64), st.sampled_from(_Records))),
+    )
+    duration = draw(magnitudes)
+    capacity = {FRAMED: limits.framed_capacity, RAW: limits.outbound_ceiling}
+    addresses = draw(st.lists(st.integers(0, 2**48 - 1), max_size=4, unique=True))
+    addresses = [":".join(f"{k:012x}"[i:i + 2] for i in range(0, 12, 2)) for k in addresses]
+    devices = []
+    for address in addresses:
+        mode = draw(st.sampled_from((RAW, FRAMED)))
+        # at most 1 000 rounds of scans each, within the scan budget
+        interval = draw(st.one_of(st.none(), st.floats(1e-3, 1e300).map(lambda f: duration * f)))
+        devices.append(Device(
+            address=address.upper() if draw(st.booleans()) else address,
+            position=draw(coordinates),
+            range_m=draw(st.floats(1.0, 100.0)),
+            scan_interval_s=None if interval is None else min(max(interval, 1e-300), 1e300),
+            discoverable=draw(st.booleans()),
+            message=draw(st.one_of(st.none(), st.binary(max_size=capacity[mode]))),
+            mode=mode,
+            wellknown_records=tuple(draw(st.lists(texts, max_size=3))),
+        ))
+    schedule = []
+    for _ in range(draw(st.integers(0, 4) if addresses else st.just(0))):
+        t, device = draw(st.floats(0.0, duration)), draw(st.sampled_from(addresses))
+        action = draw(st.sampled_from(("set_message", "set_position", "set_discoverable")))
+        if action == "set_message":  # fits in either mode
+            value = {
+                "message": draw(st.binary(max_size=limits.framed_capacity)),
+                "mode": draw(st.sampled_from((None, RAW, FRAMED))),
+            }
+        elif action == "set_position":
+            value = {"position": draw(coordinates)}
+        else:
+            value = {"discoverable": draw(st.booleans())}
+        schedule.append(Mutation(t=t, device=device, action=action, **value))
+    return Scenario(
+        devices=devices,
+        duration_s=duration,
+        timing=draw(timings()),
+        limits=limits,
+        seed=draw(st.one_of(st.integers(0, MAX_SEED), st.sampled_from(_Seed))),
+        schedule=schedule,
+        torn_read_mode=draw(st.booleans()),
+        name=draw(texts),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_scenario_to_json_matches_reference(sc):
+    _same_file(sc)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_scenario_to_json_matches_reference_on_builtins(name):
+    _same_file(scenario_gen(name))
+
+
+@pytest.mark.parametrize("workload", ["sparse-1000", "churn-400"])
+def test_scenario_to_json_matches_reference_on_bench_layouts(workload):
+    builder = _bench_workloads().WORKLOADS[workload][0]
+    for layout in range(4):
+        _same_file(builder(sdpcast, random.Random(layout)))
