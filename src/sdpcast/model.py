@@ -2,7 +2,9 @@
 
 Every check on a scenario value lives here, so anything `sim.run` would
 reject part-way (over capacity, unknown mode, past the scan budget) is
-rejected when the scenario is built, from Python or from a file.
+rejected when the scenario is built, from Python or from a file. Each class
+is a frozen dataclass, checked once in `__post_init__`; `dataclasses.replace`
+makes a variant and checks it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NoReturn
 
 from .errors import InvalidScenario
@@ -61,7 +63,7 @@ def _check_mode(mode: Any, where: str = "") -> None:
         raise InvalidScenario(f"{where}mode must be {RAW!r} or {FRAMED!r}, got {mode!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Device:
     """One simulated node; `message`/`mode` describe its initial advertisement.
 
@@ -80,29 +82,34 @@ class Device:
     wellknown_records: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # Normal forms go in through object.__setattr__ (the class is frozen),
+        # which costs more than a type test: a value of the normal type is kept.
         _expect(self.address, str, "device", "address must be a string")
-        self.address = self.address.lower()
+        object.__setattr__(self, "address", self.address.lower())
         if not _MAC.fullmatch(self.address):
             raise InvalidScenario(
                 f"device address must be MAC-style aa:bb:cc:dd:ee:ff, got {self.address!r}"
             )
         where = f"device {self.address}"
-        self.position = _position(self.position, where)
+        object.__setattr__(self, "position", _position(self.position, where))
         _expect(self.discoverable, bool, where, "discoverable must be true or false")
         _expect(self.message, (bytes, type(None)), where, "message must be bytes or null")
         _expect(self.wellknown_records, (list, tuple), where, "wellknown_records must be a list")
-        self.wellknown_records = tuple(self.wellknown_records)
+        if type(self.wellknown_records) is not tuple:
+            object.__setattr__(self, "wellknown_records", tuple(self.wellknown_records))
         for record in self.wellknown_records:
             _expect(record, str, where, "wellknown_records must hold strings")
         if not (_is_finite(self.range_m) and 1.0 <= self.range_m <= 100.0):
             raise InvalidScenario(f"{where}: range_m must be within [1, 100], got {self.range_m!r}")
-        self.range_m = float(self.range_m)
+        if type(self.range_m) is not float:
+            object.__setattr__(self, "range_m", float(self.range_m))
         if self.scan_interval_s is not None:
             if not (_is_finite(self.scan_interval_s) and self.scan_interval_s > 0):
                 raise InvalidScenario(
                     f"{where}: scan_interval_s must be positive and finite, or null"
                 )
-            self.scan_interval_s = float(self.scan_interval_s)
+            if type(self.scan_interval_s) is not float:
+                object.__setattr__(self, "scan_interval_s", float(self.scan_interval_s))
         _check_mode(self.mode, where)
 
 
@@ -170,34 +177,36 @@ class Mutation:
         for name in unused:
             if getattr(self, name) is not None:
                 raise InvalidScenario(f"schedule: action {self.action!r} takes no {name}")
-        if self.mode is not None and self.mode not in MODES:
-            raise InvalidScenario(
-                f"schedule: mode must be {RAW!r}, {FRAMED!r} or null, got {self.mode!r}"
-            )
+        if self.mode is not None:
+            _check_mode(self.mode, "schedule")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A complete, validated simulation input."""
+    """A complete, validated simulation input; `devices` and `schedule` are stored as tuples."""
 
-    devices: list[Device]
+    devices: tuple[Device, ...]
     duration_s: float
     timing: TimingModel = DEFAULT_TIMING
     limits: CapacityLimits = DEFAULT_LIMITS
     seed: int = 0
-    schedule: list[Mutation] = field(default_factory=list)
+    schedule: tuple[Mutation, ...] = ()
     torn_read_mode: bool = False
     name: str = ""
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
+        for name, kind in (("devices", Device), ("schedule", Mutation)):
+            items = getattr(self, name)
+            if not (isinstance(items, (list, tuple)) and all(isinstance(i, kind) for i in items)):
+                raise InvalidScenario(f"scenario: {name} must be a list of {kind.__name__}")
+            object.__setattr__(self, name, tuple(items))
+        _expect(self.timing, TimingModel, "scenario", "timing must be a TimingModel")
+        _expect(self.limits, CapacityLimits, "scenario", "limits must be a CapacityLimits")
         if not (_is_finite(self.duration_s) and self.duration_s > 0):
             raise InvalidScenario(
                 f"duration_s must be positive and finite, got {self.duration_s!r}"
             )
-        self.duration_s = float(self.duration_s)
+        object.__setattr__(self, "duration_s", float(self.duration_s))
         if not (_is_int(self.seed) and 0 <= self.seed <= MAX_SEED):
             raise InvalidScenario(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         _expect(self.torn_read_mode, bool, "scenario", "torn_read_mode must be true or false")
@@ -237,19 +246,18 @@ class Scenario:
         capacity = {FRAMED: self.limits.framed_capacity, RAW: self.limits.outbound_ceiling}
         mode = {dev.address: dev.mode for dev in self.devices}
         for dev in self.devices:
-            if dev.message is not None and len(dev.message) > capacity.get(dev.mode, -1):
+            if dev.message is not None and len(dev.message) > capacity[dev.mode]:
                 _reject_message(f"device {dev.address}", dev.message, dev.mode, capacity)
         changes = sorted(
             (m.t, i, m) for i, m in enumerate(self.schedule) if m.action == "set_message"
         )
         for _, i, mut in changes:
             current = mode[mut.device] = mut.mode or mode[mut.device]
-            if len(mut.message) > capacity.get(current, -1):
+            if len(mut.message) > capacity[current]:
                 _reject_message(f"schedule[{i}]", mut.message, current, capacity)
 
 
 def _reject_message(where: str, message: bytes, mode: str, capacity: dict[str, int]) -> NoReturn:
-    _check_mode(mode, where)
     raise InvalidScenario(
         f"{where}: message is {len(message)} octets, {mode} capacity is {capacity[mode]}"
     )

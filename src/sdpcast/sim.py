@@ -2,19 +2,20 @@
 
 Virtual devices sit on a plane, advertise payload UUIDs as SDP service
 records, and run periodic inquiry scans.  `advertise` and `fetch_snapshot`
-are pure functions of a message and of a record list; the scenario's
-devices are input only, and the runner keeps every device's generation,
-mode, slots and previous slots itself.  A scan finds every discoverable
-device inside radio range (symmetric disc model, min of the two ranges);
-each found device is fetched after a fixed latency, longer for the first
-encounter than for later ones, and the fetched records are decoded and
-reassembled.  Most fetches see exactly the records their subject's previous
-fetch saw, so the runner keeps each subject's latest (mode, records,
-outcome) and decodes only when the mode or the records differ; that memo
-holds one entry per device, whatever the run length.  Everything is driven
-by one seeded RNG, so a (scenario, seed) pair always produces a
-bit-identical event log.  `run` yields that log as it is produced, so a run
-holds its devices and pending actions, never its log.
+are pure functions of a message and of a record list.  The scenario is a
+frozen value the runner only reads: it keeps every device's generation,
+mode, slots and previous slots itself, and swaps a moved or toggled copy
+of a device (`dataclasses.replace`) into its own table.  A scan finds every
+discoverable device inside radio range (symmetric disc model, min of the
+two ranges); each found device is fetched after a fixed latency, longer for
+the first encounter than for later ones, and the fetched records are
+decoded and reassembled.  Most fetches see exactly the records their
+subject's previous fetch saw, so the runner keeps each subject's latest
+(mode, records, outcome) and decodes only when the mode or the records
+differ; that memo holds one entry per device, whatever the run length.
+Everything is driven by one seeded RNG, so a (scenario, seed) pair always
+produces a bit-identical event log.  `run` yields that log as it is
+produced, so a run holds its devices and pending actions, never its log.
 
 Torn reads are opt-in: when a message change lands strictly inside a fetch
 window, the snapshot mixes a prefix of the old generation's slots with a
@@ -24,7 +25,6 @@ checks exist to catch.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import heapq
 import random
@@ -36,7 +36,7 @@ from .framing import DEFAULT_LIMITS, CapacityLimits, frame, raw_payloads, raw_re
 from .log import (
     DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, SimEvent
 )
-from .model import FRAMED, RAW, Device, Mutation, Scenario, _check_mode
+from .model import _ACTIONS, FRAMED, RAW, Device, Mutation, Scenario, _check_mode
 
 # Upper bound on the events of one run, checked as they are emitted. The work
 # of a scan grows with the devices in range, so a dense layout can stay under
@@ -112,9 +112,10 @@ def run(
     The scenario is checked here, at the call; the run itself advances as
     the returned one-shot iterator is consumed, and raises InvalidScenario
     there once it has emitted more than MAX_EVENTS events. The scenario is
-    only read, so runs of the same object are independent, however far
-    each is consumed; `seed` and `duration_s` override the scenario's
-    values and are validated with it.
+    a frozen value and only read, so runs of the same object are
+    independent, however far each is consumed; `seed` and `duration_s`
+    override the scenario's values through `dataclasses.replace`, which
+    checks them with it.
     """
     overrides = {"seed": seed, "duration_s": duration_s}
     overrides = {name: value for name, value in overrides.items() if value is not None}
@@ -125,11 +126,7 @@ class _Runner:
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
         self.rng = random.Random(sc.seed)
-        # A run moves devices and toggles them: it does so on plain shallow
-        # copies (`sc` is valid already), never on `sc` itself. A device is
-        # copied the first time it changes (see `_changed`); most never do.
-        self.devices = {d.address: d for d in sc.devices}
-        self.copied: set[str] = set()
+        self.devices = {d.address: d for d in sc.devices}  # as moved and toggled so far
         # address -> (generation, mode, payload slots, (slots before the
         # latest change, change time)); the change is None before the first
         self.adverts: dict[str, tuple[int, str, list[str], tuple[list[str], float] | None]] = {
@@ -329,17 +326,10 @@ class _Runner:
     def _on_mutate(self, t: float, mut: Mutation) -> None:
         if mut.action == "set_message":
             self._advertise(mut.device, mut.message, mut.mode, t)
-        elif mut.action == "set_position":
-            dev = self._changed(mut.device)
-            dev.position = mut.position
-            self._place(dev)
-        elif mut.action == "set_discoverable":
-            self._changed(mut.device).discoverable = mut.discoverable
-
-    def _changed(self, address: str) -> Device:
-        """The run's own copy of `address`'s device, made on its first change."""
-        if address not in self.copied:
-            self.copied.add(address)
-            self.devices[address] = copy.copy(self.devices[address])
-        return self.devices[address]
+            return
+        field = _ACTIONS[mut.action][0]  # named as on Device
+        dev = self.devices[mut.device] = dataclasses.replace(
+            self.devices[mut.device], **{field: getattr(mut, field)}
+        )
+        self._place(dev)
 

@@ -1,6 +1,7 @@
-"""Scenarios shared by the simulator and report tests."""
+"""Scenarios shared by the simulator, report and golden tests."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -42,3 +43,40 @@ def raw_torn_read():
     sc = scenario_gen("torn-read")
     advertiser, *others = sc.devices
     return dataclasses.replace(sc, devices=[dataclasses.replace(advertiser, mode=RAW), *others])
+
+
+def address(k):
+    """The MAC-style address of device `k` of a generated layout."""
+    return f"02:00:00:00:{k >> 8:02x}:{k & 0xFF:02x}"
+
+
+def toggle_layout():
+    """400 devices with mixed ranges in a 190 m square, some hidden at the
+    start, and 800 changes over three scan rounds: moves across the whole
+    square alternating with discoverability toggles, off and on again."""
+    rng = random.Random(400)
+    side, n = 190.0, 400
+
+    def spot():
+        return (rng.uniform(0.0, side), rng.uniform(0.0, side))
+
+    devices = [
+        Device(
+            address=address(k),
+            position=spot(),
+            range_m=rng.choice((1.0, 5.0, 10.0, 20.0)),
+            scan_interval_s=30.0,
+            discoverable=rng.random() < 0.9,
+            message=rng.randbytes(rng.randint(0, 40)),
+        )
+        for k in range(n)
+    ]
+    schedule = []
+    for i, t in enumerate(sorted(rng.uniform(0.0, 60.0) for _ in range(800))):
+        device = address(rng.randrange(n))
+        if i % 2:
+            schedule.append(Mutation(t=t, device=device, action="set_position", position=spot()))
+        else:
+            toggle = Mutation(t=t, device=device, action="set_discoverable", discoverable=rng.random() < 0.5)
+            schedule.append(toggle)
+    return Scenario(devices=devices, duration_s=60.0, schedule=schedule)

@@ -8,6 +8,7 @@ import random
 import time
 
 from sdpcast import (
+    BUILTIN_SCENARIOS,
     DEFAULT_LIMITS,
     PAYLOAD_OCTETS,
     ReassemblyError,
@@ -167,7 +168,7 @@ def test_criterion_7_latency_asymmetry(capsys):
 
 def test_criterion_8_determinism(capsys):
     mismatches = []
-    for name in ("two-device-default", "crowd-20", "out-of-range", "torn-read"):
+    for name in BUILTIN_SCENARIOS:
         scenario = scenario_gen(name)
         first = "\n".join(e.to_json() for e in run(scenario, seed=42))
         second = "\n".join(e.to_json() for e in run(scenario, seed=42))
@@ -178,7 +179,8 @@ def test_criterion_8_determinism(capsys):
         capsys,
         "8 determinism",
         ok,
-        f"4 built-ins, byte-identical logs{'' if ok else ': mismatch in ' + str(mismatches)}",
+        f"{len(BUILTIN_SCENARIOS)} built-ins, byte-identical logs"
+        f"{'' if ok else ': mismatch in ' + str(mismatches)}",
     )
     assert mismatches == []
 

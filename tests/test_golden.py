@@ -3,11 +3,12 @@
 `tests/data/golden-sha256.json` holds, per scenario and seed, the sha256 of
 the JSONL log exactly as `sdpcast simulate` writes it and of
 `format_lines(build_report(load_log(log)))`. The scenarios are the
-built-ins and one layout each of the benchmark's sparse-1000 (framed, one
+built-ins, one layout each of the benchmark's sparse-1000 (framed, one
 message per device) and churn-400 (raw and framed, torn reads, moves)
-workloads; `sparse-1000/layout0` is what `bench/workloads.py` builds from
-`random.Random(0)`. A change that alters a log or a report on purpose
-regenerates the file with
+workloads, and `toggles-400`, the 400-device layout of moves and
+discoverability toggles in `conftest.toggle_layout`. `sparse-1000/layout0`
+is what `bench/workloads.py` builds from `random.Random(0)`. A change that
+alters a log or a report on purpose regenerates the file with
 `PYTHONPATH=src python tests/test_golden.py > tests/data/golden-sha256.json`
 and names the change.
 """
@@ -24,6 +25,8 @@ import pytest
 import sdpcast
 from sdpcast import build_report, format_lines, load_log, run, scenario_gen
 
+from conftest import toggle_layout
+
 GOLDEN = Path(__file__).parent / "data" / "golden-sha256.json"
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -34,12 +37,15 @@ SEEDS = {
     "crowd-20": (1,),  # about a second per seed
     "sparse-1000/layout0": (1,),
     "churn-400/layout0": (1,),
+    "toggles-400": (3,),
 }
 CASES = [(name, seed) for name, seeds in SEEDS.items() for seed in seeds]
 
 
 def _scenario(name):
-    """A built-in by name, or `<workload>/layout<k>`: the benchmark's layout k."""
+    """A built-in by name, `toggles-400`, or `<workload>/layout<k>`: the benchmark's layout k."""
+    if name == "toggles-400":
+        return toggle_layout()
     workload, _, layout = name.partition("/layout")
     if not layout:
         return scenario_gen(name)

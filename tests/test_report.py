@@ -1,5 +1,6 @@
 """Report aggregation tests."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -194,6 +195,19 @@ def test_raw_torn_read_is_misdelivered(raw_torn_read):
         lat = build_report(run(raw_torn_read, seed=seed)).latency
         assert lat.changes_misdelivered == 1
         assert lat.changes_delivered == 2
+
+
+def test_torn_read_between_same_sized_generations_is_misdelivered():
+    # torn-read with a 7-chunk new generation in place of its 6-chunk one:
+    # the round-1 fetch splices the two into bytes neither advertised, and
+    # the framing checks cannot tell, since the totals agree
+    sc = scenario_gen("torn-read")
+    new_message = b"new generation: " + b"y" * 66
+    assert len(frame(new_message)) == len(frame(sc.devices[0].message)) == 7
+    change = dataclasses.replace(sc.schedule[0], message=new_message)
+    spliced = dataclasses.replace(sc, schedule=[change])
+    for seed in range(200):
+        assert build_report(run(spliced, seed=seed)).latency.changes_misdelivered == 1, seed
 
 
 def test_fetch_payload_counts_match_raw_read(same_records_scenarios, raw_torn_read):

@@ -38,6 +38,8 @@ from sdpcast import (
 from sdpcast.model import MAX_SCANS
 from sdpcast.sim import _Runner
 
+from conftest import address, toggle_layout
+
 WELLKNOWN_SPP = "00001101-0000-1000-8000-00805f9b34fb"
 
 A = "aa:00:00:00:00:01"
@@ -269,12 +271,28 @@ def test_run_does_not_mutate_input_scenario():
         ],
     )
     before = scenario_to_json(sc)
+    devices = sc.devices
     log = list(run(sc, seed=5))
     changes = [e.detail for e in log if e.kind == "MessageChanged"]
     assert (changes[-1]["mode"], changes[-1]["message"]) == (RAW, b"now raw".hex())
     found_b = [e.t for e in log if e.kind == "DeviceFound" and e.subject == B]
     assert found_b and max(found_b) < 40.0 + 12.0  # hidden from the scans after t=40
     assert scenario_to_json(sc) == before
+    # the run swapped moved and toggled copies into its own table, not into sc
+    assert isinstance(devices, tuple) and isinstance(sc.schedule, tuple)
+    assert sc.devices is devices
+    assert all(a is b for a, b in zip(sc.devices, devices, strict=True))
+    # and no field of any scenario class can be assigned
+    fields = [
+        (sc, "duration_s", 1.0),
+        (sc.devices[0], "range_m", math.nan),
+        (sc.schedule[0], "t", 1.0),
+        (sc.timing, "inquiry_duration_s", 1.0),
+        (sc.limits, "max_outbound_slots", 1),
+    ]
+    for value, name, new in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, new)
 
 
 def test_hand_traced_event_times():
@@ -647,39 +665,10 @@ def test_grid_scan_matches_brute_force_on_builtins():
             assert grid == brute, (name, seed)
 
 
-def _address(k):
-    return f"02:00:00:00:{k >> 8:02x}:{k & 0xFF:02x}"
-
-
 def test_grid_scan_matches_brute_force_on_a_400_device_layout():
     # mixed ranges, some devices hidden at the start; moves across the whole
     # square and discoverability toggles through three scan rounds
-    rng = random.Random(400)
-    side, n = 190.0, 400
-
-    def spot():
-        return (rng.uniform(0.0, side), rng.uniform(0.0, side))
-
-    devices = [
-        Device(
-            address=_address(k),
-            position=spot(),
-            range_m=rng.choice((1.0, 5.0, 10.0, 20.0)),
-            scan_interval_s=30.0,
-            discoverable=rng.random() < 0.9,
-            message=rng.randbytes(rng.randint(0, 40)),
-        )
-        for k in range(n)
-    ]
-    schedule = []
-    for i, t in enumerate(sorted(rng.uniform(0.0, 60.0) for _ in range(800))):
-        device = _address(rng.randrange(n))
-        if i % 2:
-            schedule.append(Mutation(t=t, device=device, action="set_position", position=spot()))
-        else:
-            toggle = Mutation(t=t, device=device, action="set_discoverable", discoverable=rng.random() < 0.5)
-            schedule.append(toggle)
-    sc = Scenario(devices=devices, duration_s=60.0, schedule=schedule)
+    sc = toggle_layout()
     grid, brute = _grid_and_brute_force_logs(sc, 3)
     assert sum('"kind":"DeviceFound"' in line for line in grid) > 1000
     assert grid == brute
@@ -705,7 +694,7 @@ def test_scan_examines_few_candidates_at_sparse_density():
     rng = random.Random(1000)
     devices = [
         Device(
-            address=_address(k),
+            address=address(k),
             position=(rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)),
             range_m=10.0,
             scan_interval_s=30.0,
@@ -883,6 +872,18 @@ def test_scenario_rejects_bad_values():
         Scenario(devices=[_device(A)], duration_s=10.0, seed=True)
     with pytest.raises(InvalidScenario):
         Scenario(devices=[_device(A)], duration_s=10.0, torn_read_mode=1)
+    # nested values must be of their classes: a file cannot produce these
+    nested = [
+        dict(devices=None),
+        dict(devices=["x"]),
+        dict(devices=[_device(A)], schedule=None),
+        dict(devices=[_device(A)], schedule=[{"t": 1.0}]),
+        dict(devices=[], timing=5),
+        dict(devices=[], limits=5),
+    ]
+    for kw in nested:
+        with pytest.raises(InvalidScenario):
+            Scenario(duration_s=1.0, **kw)
 
 
 def test_scenario_rejects_bad_schedule():
