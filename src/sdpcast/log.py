@@ -11,10 +11,13 @@ each scanner's interval. A scanner's rounds follow from the last two.
 One table of checks per key defines a line. `SimEvent.from_dict` is its only
 reader: it passes a line whose keys are exactly those of its kind, each
 holding a value of the JSON type the runner writes there, and names the first
-key that fails otherwise. The writer formats a detail by the exact type of
-each value (an int, a plain string or a list of them) under a key the table
-checks; any other event, such as the header, goes through `json`, whose text
-the writer matches exactly. A format change edits the table alone.
+key that fails otherwise. A line as the runner writes it after its header
+first meets one shape test for its kind, which builds the event when the line
+passes; the table reads every other line and alone words an error. The writer
+formats a detail by the exact type of each value (an int, a plain string or a
+list of them) under a key the table checks; any other event, such as the
+header, goes through `json`, whose text the writer matches exactly. A format
+change edits the table, and the shape test of each kind it changes.
 """
 
 from __future__ import annotations
@@ -75,27 +78,45 @@ class SimEvent(NamedTuple):
         """The event a parsed log line holds; ValueError unless the line and
         its detail hold exactly the keys of their kind, each with the JSON
         type that `_Runner` writes there. Only an integer `t` is converted."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"event must be an object, got {obj!r}")
-        for key, check in _EVENT_CHECKS:
-            if not check(value := obj.get(key)):
-                raise ValueError(f"event: {key!r} is missing or malformed: {value!r}")
-        kind, detail = obj["kind"], obj.get("detail")
-        what, checks = _DETAIL_CHECKS[kind]
-        if not isinstance(detail, dict):
-            raise ValueError(f"{what} must be an object, got {detail!r}")
-        if kind == MESSAGE_REASSEMBLED and detail.get("mode") in MODES:
-            checks = _REASSEMBLED_CHECKS[detail["mode"]]
-        for key, check in checks:
-            if not check(value := detail.get(key)):
-                raise ValueError(f"{what}: {key!r} is missing or malformed: {value!r}")
-        # Every key checked is present, so a longer object holds another.
-        if len(detail) != len(checks):
-            raise _unknown_keys(what, detail, _keys(checks))
-        if len(obj) != len(_EVENT_CHECKS) + 1:
-            raise _unknown_keys("event", obj, (*_keys(_EVENT_CHECKS), "detail"))
-        # tuple.__new__ skips the argument handling of the generated __new__
-        return _new(cls, (float(obj["t"]), kind, obj["observer"], obj["subject"], detail))
+        if (
+            type(obj) is dict
+            and len(obj) == 5  # and each of the five keys below: exactly those
+            and type(t := obj.get("t")) is float and -_INF < t < _INF
+            and type(kind := obj.get("kind")) is str
+            and type(observer := obj.get("observer")) is str
+            and type(subject := obj.get("subject")) is str
+            and type(detail := obj.get("detail")) is dict
+            and (shape := _SHAPES.get(kind)) is not None
+            and shape(detail)
+        ):
+            # tuple.__new__ skips the argument handling of the generated __new__
+            return _new(cls, (t, kind, observer, subject, detail))
+        return _from_table(cls, obj)
+
+
+def _from_table(cls: type[SimEvent], obj: Any) -> SimEvent:
+    """`SimEvent.from_dict` by the check table, one key at a time: the first
+    key that fails names the error."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"event must be an object, got {obj!r}")
+    for key, check in _EVENT_CHECKS:
+        if not check(value := obj.get(key)):
+            raise ValueError(f"event: {key!r} is missing or malformed: {value!r}")
+    kind, detail = obj["kind"], obj.get("detail")
+    what, checks = _DETAIL_CHECKS[kind]
+    if not isinstance(detail, dict):
+        raise ValueError(f"{what} must be an object, got {detail!r}")
+    if kind == MESSAGE_REASSEMBLED and detail.get("mode") in MODES:
+        checks = _REASSEMBLED_CHECKS[detail["mode"]]
+    for key, check in checks:
+        if not check(value := detail.get(key)):
+            raise ValueError(f"{what}: {key!r} is missing or malformed: {value!r}")
+    # Every key checked is present, so a longer object holds another.
+    if len(detail) != len(checks):
+        raise _unknown_keys(what, detail, _keys(checks))
+    if len(obj) != len(_EVENT_CHECKS) + 1:
+        raise _unknown_keys("event", obj, (*_keys(_EVENT_CHECKS), "detail"))
+    return _new(cls, (float(obj["t"]), kind, obj["observer"], obj["subject"], detail))
 
 
 _new = tuple.__new__
@@ -138,6 +159,14 @@ def _is_hex(value: Any) -> bool:
     return isinstance(value, str) and len(value) % 2 == 0 and _HEX.fullmatch(value) is not None
 
 
+def _is_str_list(value: Any) -> bool:
+    return type(value) is list and all(map(str.__instancecheck__, value))
+
+
+def _is_hex_list(value: Any) -> bool:
+    return type(value) is list and all(map(_is_hex, value))
+
+
 _HEX = re.compile(r"[0-9a-f]*")
 _INF = math.inf
 _LIMIT_FIELDS = {field.name for field in dataclasses.fields(CapacityLimits)}
@@ -153,11 +182,11 @@ _KEY_CHECKS: dict[str, Callable[[Any], bool]] = {
     "limits": _is_limits,
     "scanners": lambda value: type(value) is dict and all(map(_is_positive, value.values())),
     "round": _is_json_int,
-    "records": lambda value: type(value) is list and all(map(str.__instancecheck__, value)),
+    "records": _is_str_list,
     "generation": _is_json_int,
     "mode": MODES.__contains__,
     "message": _is_hex,
-    "payloads": lambda value: type(value) is list and all(map(_is_hex, value)),
+    "payloads": _is_hex_list,
 }
 
 
@@ -186,6 +215,49 @@ _DETAIL_CHECKS = {
 _REASSEMBLED_CHECKS = {
     mode: _DETAIL_CHECKS[MESSAGE_REASSEMBLED][1] + _checks(key)
     for mode, key in ((FRAMED, "message"), (RAW, "payloads"))
+}
+
+
+# The shape test of each kind but the header's: true iff a detail holds
+# exactly the keys of its kind, each with the value `_Runner` writes there, so
+# that the table would pass the line. `int` and `str` are tested by exact type,
+# as `_KEY_CHECKS` tests them; `tests/test_oracles.py` holds each test to the
+# table.
+def _found_shape(detail: dict) -> bool:
+    return len(detail) == 1 and type(detail.get("round")) is int
+
+
+def _fetched_shape(detail: dict) -> bool:
+    return (
+        len(detail) == 2
+        and type(detail.get("round")) is int
+        and _is_str_list(detail.get("records"))
+    )
+
+
+def _reassembled_shape(detail: dict) -> bool:
+    mode = detail.get("mode")
+    if len(detail) != 3 or type(detail.get("generation")) is not int or type(mode) is not str:
+        return False
+    if mode == FRAMED:
+        return _is_hex(detail.get("message"))
+    return mode == RAW and _is_hex_list(detail.get("payloads"))
+
+
+def _changed_shape(detail: dict) -> bool:
+    return (
+        len(detail) == 3
+        and type(detail.get("generation")) is int
+        and type(mode := detail.get("mode")) is str and mode in MODES
+        and _is_hex(detail.get("message"))
+    )
+
+
+_SHAPES: dict[str, Callable[[dict], bool]] = {
+    DEVICE_FOUND: _found_shape,
+    UUIDS_FETCHED: _fetched_shape,
+    MESSAGE_REASSEMBLED: _reassembled_shape,
+    MESSAGE_CHANGED: _changed_shape,
 }
 
 
@@ -239,25 +311,9 @@ def _detail_json(detail: dict) -> str | None:
 
 
 _raw_decode = json.JSONDecoder().raw_decode
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens
-
-
-def _parse(line: str) -> Any:
-    """`json.loads(line)` for a line with no surrounding whitespace, with the
-    same errors but without its two whitespace scans."""
-    try:
-        obj, end = _raw_decode(line)
-    except TypeError:  # json.loads would also take bytes; a log is read as text
-        raise ValueError(f"a log line must be text, got {type(line).__name__}") from None
-    except json.JSONDecodeError:
-        if not line.startswith("\ufeff"):
-            raise
-        # json.loads names a leading byte order mark before it decodes
-        bom = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-        raise json.JSONDecodeError(bom, line, 0) from None
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, _JSON_SPACE.match(line, end).end())
-    return obj
+# The whitespace JSON allows around a value; `str.strip()` would also strip
+# Unicode spaces and separators, which json.loads rejects.
+_JSON_SPACE = " \t\n\r"
 
 
 def load_log(lines: Iterable[str]) -> Iterator[SimEvent]:
@@ -266,20 +322,34 @@ def load_log(lines: Iterable[str]) -> Iterator[SimEvent]:
     The returned iterator is one-shot and reads `lines` only as it is
     consumed, so consume it inside the `with` that opened the file. It
     raises MalformedLog, with the line number, when it reaches a bad line,
-    and when `lines` cannot be decoded.
+    and when `lines` cannot be decoded. A line fails with the error that
+    `json.loads` gives it, or else with the error of `SimEvent.from_dict`.
     """
-    last_t = None
+    from_dict = SimEvent.from_dict
+    last_t = -_INF
     lineno = 0
     try:
         for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
+            if not isinstance(line, str):  # json.loads would also take bytes
+                raise MalformedLog(
+                    f"line {lineno}: a log line must be text, got {type(line).__name__}"
+                )
+            line = line.strip(_JSON_SPACE)
             if not line:
                 continue
             try:
-                event = SimEvent.from_dict(_parse(line))
+                try:
+                    obj, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = 0
+                if end != len(line):
+                    # not one JSON value: raise the error json.loads words for
+                    # it, such as a byte order mark or extra data
+                    json.loads(line)
+                event = from_dict(obj)
             except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
                 raise MalformedLog(f"line {lineno}: {exc}") from None
-            if last_t is not None and event.t < last_t:
+            if event.t < last_t:
                 raise MalformedLog(
                     f"line {lineno}: timestamp decreases ({event.t} after {last_t})"
                 )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .codec import PAYLOAD_OCTETS
 from .errors import MalformedLog, SdpcastError
@@ -86,9 +86,9 @@ class DeviceBandwidth:
     utilization: float
 
 
-@dataclass(frozen=True)
-class FetchBandwidth:
-    """Inbound usage of one completed fetch."""
+class FetchBandwidth(NamedTuple):
+    """Inbound usage of one completed fetch; a named tuple, since a report
+    holds one per fetch."""
 
     t: float
     observer: str
@@ -163,50 +163,48 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     # (a torn read mixes them) and the subject's well-known records.
     payload_counts: dict[str, dict[str, int]] = {}
 
-    for event in events:
-        if event.kind == MESSAGE_CHANGED:
-            generation = event.detail["generation"]
-            advertised, latest_slots[event.subject] = _advertised(event.detail)
-            changes[(event.subject, generation)] = (event.t, advertised)
-            payload_counts.pop(event.subject, None)
-        elif event.kind == DEVICE_FOUND:
-            first_found.setdefault((event.observer, event.subject), event.t)
-        elif event.kind == UUIDS_FETCHED:
-            records = event.detail["records"]
-            memo = payload_counts.setdefault(event.subject, {})
-            for record in records:
-                if record not in memo:
-                    memo[record] = len(raw_read([record]))
-            payload_records = sum(map(memo.__getitem__, records))
-            payload_octets = payload_records * PAYLOAD_OCTETS
-            fetches.append(
-                FetchBandwidth(
-                    t=event.t,
-                    observer=event.observer,
-                    subject=event.subject,
-                    records=len(records),
-                    payload_records=payload_records,
-                    decoded_octets=payload_octets,
-                    utilization=payload_octets / limits.inbound_ceiling,
-                )
-            )
-        elif event.kind == MESSAGE_REASSEMBLED:
-            generation = event.detail["generation"]
+    inbound_ceiling = limits.inbound_ceiling
+    new = tuple.__new__  # skips the argument handling of FetchBandwidth(...)
+
+    for t, kind, observer, subject, detail in events:
+        if kind == MESSAGE_CHANGED:
+            generation = detail["generation"]
+            advertised, latest_slots[subject] = _advertised(detail)
+            changes[(subject, generation)] = (t, advertised)
+            payload_counts.pop(subject, None)
+        elif kind == DEVICE_FOUND:
+            first_found.setdefault((observer, subject), t)
+        elif kind == UUIDS_FETCHED:
+            records = detail["records"]
+            memo = payload_counts.setdefault(subject, {})
             try:
-                changed_at, advertised = changes[(event.subject, generation)]
+                payload_records = sum(map(memo.__getitem__, records))
+            except KeyError:  # a record the memo does not hold yet
+                for record in records:
+                    if record not in memo:
+                        memo[record] = len(raw_read([record]))
+                payload_records = sum(map(memo.__getitem__, records))
+            payload_octets = payload_records * PAYLOAD_OCTETS
+            fetches.append(new(FetchBandwidth, (
+                t, observer, subject, len(records), payload_records, payload_octets,
+                payload_octets / inbound_ceiling,
+            )))
+        elif kind == MESSAGE_REASSEMBLED:
+            generation = detail["generation"]
+            try:
+                changed_at, advertised = changes[(subject, generation)]
             except KeyError:
                 raise MalformedLog(
                     f"MessageReassembled references unknown generation {generation} "
-                    f"of {event.subject}"
+                    f"of {subject}"
                 ) from None
-            if _delivered(event.detail) != advertised:
+            if _delivered(detail) != advertised:
                 misdelivered += 1
                 continue
-            key = (event.observer, event.subject, generation)
-            first_delivery.setdefault(key, event.t - changed_at)
-        elif event.kind == RUN_STARTED:
+            first_delivery.setdefault((observer, subject, generation), t - changed_at)
+        elif kind == RUN_STARTED:
             raise MalformedLog(
-                f"a log holds one {RUN_STARTED} header; a second one is at t={event.t}"
+                f"a log holds one {RUN_STARTED} header; a second one is at t={t}"
             )
 
     pair_latencies: dict[tuple[str, str], list[float]] = {}
@@ -321,7 +319,7 @@ def format_lines(report: Report) -> str:
             "misdelivered": lat.changes_misdelivered,
         }
     )
-    # a row's keys are its dataclass fields, in field order
+    # a row's keys are its record's fields, in field order
     rows += ({"metric": "device", **vars(dev)} for dev in bw.devices)
-    rows += ({"metric": "fetch", **vars(fetch)} for fetch in bw.fetches)
+    rows += ({"metric": "fetch", **fetch._asdict()} for fetch in bw.fetches)
     return "\n".join(map(_ENCODER.encode, rows)) + "\n"

@@ -1,14 +1,15 @@
-"""The one-pass codec, framing and scenario writer against the straightforward
-versions they replaced.
+"""The one-pass codec, framing, scenario writer and log reader against the
+straightforward versions they replaced.
 
 `_reference_*` below are the former bodies of `encode`, `detect`, `frame`,
-`reassemble` and `scenario_to_json`, kept here step for step as oracles: per
-UUID they lower-case, shape-check, strip hyphens and test the version,
-variant and marker digits one at a time; per chunk they build a
-`FrameHeader` and call `encode`; and a scenario is first turned into a tree
-of dicts, which `json.dumps` then writes. The package's versions must return
-equal results, or raise the same exception class with the same message, on
-every input.
+`reassemble`, `scenario_to_json` and `SimEvent.from_dict`, kept here step
+for step as oracles: per UUID they lower-case, shape-check, strip hyphens
+and test the version, variant and marker digits one at a time; per chunk
+they build a `FrameHeader` and call `encode`; a scenario is first turned
+into a tree of dicts, which `json.dumps` then writes; and a log line goes
+through the check table one key at a time, with no shape test before it.
+The package's versions must return equal results, or raise the same
+exception class with the same message, on every input.
 """
 
 import json
@@ -43,17 +44,24 @@ from sdpcast import (
     PayloadTooLong,
     PayloadTooShort,
     Scenario,
+    SimEvent,
     TimingModel,
     detect,
     encode,
     frame,
+    run,
     scenario_from_json,
     scenario_gen,
     scenario_to_json,
 )
 from sdpcast.framing import CHUNK_BODY_OCTETS, LENGTH_PREFIX_OCTETS, chunk_count, reassemble
-from sdpcast.model import MAX_SEED
+from sdpcast.log import (
+    _DETAIL_CHECKS, _EVENT_CHECKS, _REASSEMBLED_CHECKS, DEVICE_FOUND, EVENT_KINDS, MESSAGE_CHANGED,
+    MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, _keys, _unknown_keys,
+)
+from sdpcast.model import MAX_SEED, MODES
 from sdpcast.scenarios import _NESTED, _write
+from test_report import _edited, _log_edits
 from test_sim import _bench_workloads
 
 _UUID_SHAPE = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
@@ -432,3 +440,192 @@ def test_scenario_to_json_matches_reference_on_bench_layouts(workload):
     builder = _bench_workloads().WORKLOADS[workload][0]
     for layout in range(4):
         _same_file(builder(sdpcast, random.Random(layout)))
+
+
+# -- log lines ------------------------------------------------------------------
+
+
+def _reference_from_dict(obj):
+    if not isinstance(obj, dict):
+        raise ValueError(f"event must be an object, got {obj!r}")
+    for key, check in _EVENT_CHECKS:
+        if not check(value := obj.get(key)):
+            raise ValueError(f"event: {key!r} is missing or malformed: {value!r}")
+    kind, detail = obj["kind"], obj.get("detail")
+    what, checks = _DETAIL_CHECKS[kind]
+    if not isinstance(detail, dict):
+        raise ValueError(f"{what} must be an object, got {detail!r}")
+    if kind == MESSAGE_REASSEMBLED and detail.get("mode") in MODES:
+        checks = _REASSEMBLED_CHECKS[detail["mode"]]
+    for key, check in checks:
+        if not check(value := detail.get(key)):
+            raise ValueError(f"{what}: {key!r} is missing or malformed: {value!r}")
+    if len(detail) != len(checks):
+        raise _unknown_keys(what, detail, _keys(checks))
+    if len(obj) != len(_EVENT_CHECKS) + 1:
+        raise _unknown_keys("event", obj, (*_keys(_EVENT_CHECKS), "detail"))
+    return tuple.__new__(SimEvent, (float(obj["t"]), kind, obj["observer"], obj["subject"], detail))
+
+
+def _read(from_dict, obj):
+    """What `from_dict(obj)` does, with the exact type of each field it
+    returns: an integer `t` read as it is would equal its float."""
+    outcome = _outcome(from_dict, obj)
+    if outcome[0] == "returned":
+        return (*outcome, [type(field) for field in outcome[1]])
+    return outcome
+
+
+def _same_event(obj):
+    assert _read(SimEvent.from_dict, obj) == _read(_reference_from_dict, obj), obj
+
+
+@pytest.fixture
+def oracle_logs(raw_torn_read):
+    churn_400 = _bench_workloads().churn_400(sdpcast, random.Random(0))
+    return [
+        list(run(scenario_gen("crowd-20"), seed=1)),
+        list(run(raw_torn_read, seed=0)),
+        list(run(churn_400, seed=1)),
+    ]
+
+
+def test_from_dict_matches_reference_on_logs(oracle_logs):
+    for log in oracle_logs:
+        for event in log:
+            _same_event(json.loads(event.to_json()))
+
+
+def test_from_dict_matches_reference_on_edited_lines(oracle_logs):
+    for log in oracle_logs:
+        for index, path, value in _log_edits(log):
+            _same_event(json.loads(_edited(log[index].to_json(), path, value)))
+
+
+class _Dict(dict):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Int(IntEnum):
+    ONE = 1
+
+
+_HEXES = st.binary(max_size=6).map(bytes.hex)
+_TEXTS = st.text(max_size=4)
+_NUMBERS = st.floats(1e-3, 1e6)
+
+# Per key: the values `_Runner` writes there, and values off its shape that
+# are near them: another type, a subclass, a bool for an int, an int for a float.
+_VALID = {
+    "t": st.floats(0.0, 1e6),
+    "observer": _TEXTS,
+    "subject": _TEXTS,
+    "round": st.integers(0, 2**64),
+    "generation": st.integers(0, 2**64),
+    "records": st.lists(_TEXTS, max_size=3),
+    "message": _HEXES,
+    "payloads": st.lists(_HEXES, max_size=3),
+    "duration_s": _NUMBERS,
+    "limits": st.just({"max_outbound_slots": 7, "max_inbound_records": 21}),
+    "scanners": st.dictionaries(_TEXTS, _NUMBERS, max_size=2),
+}
+_ODD_INTS = st.one_of(
+    st.booleans(), st.just(_Int.ONE), st.floats(-1.0, 2.0), st.none(), st.just("0"), st.integers(-2, 2)
+)
+_ODD_STRS = st.one_of(_TEXTS.map(_Str), st.integers(), st.none(), st.just(b"aa"), st.just(["x"]))
+_ODD_HEXES = st.one_of(
+    _HEXES.map(_Str), _HEXES.map(str.upper), st.text("0123456789abcdefgA", max_size=5),
+    st.integers(), st.none(), st.just(["00"]),
+)
+_ODD = {
+    "t": st.one_of(
+        st.integers(-2, 2**64), st.booleans(), st.just(2**1100), st.floats(allow_nan=True),
+        st.floats(0.0, 1e6).map(_Float), st.none(), st.just("1.5"),
+    ),
+    "kind": st.one_of(
+        st.sampled_from(EVENT_KINDS), st.sampled_from(EVENT_KINDS).map(_Str),
+        st.just("Mystery"), st.just(["DeviceFound"]), st.none(),
+    ),
+    "observer": _ODD_STRS,
+    "subject": _ODD_STRS,
+    "detail": st.one_of(st.none(), st.just([]), st.just("{}"), st.just(_Dict(round=0))),
+    "round": _ODD_INTS,
+    "generation": _ODD_INTS,
+    "mode": st.one_of(
+        st.sampled_from(MODES), st.sampled_from(MODES).map(_Str), st.just("FRAMED"),
+        st.none(), st.just([FRAMED]), st.integers(),
+    ),
+    "records": st.one_of(
+        st.lists(_ODD_STRS, min_size=1, max_size=2), st.lists(_TEXTS, max_size=2).map(tuple), _ODD_STRS
+    ),
+    "message": _ODD_HEXES,
+    "payloads": st.one_of(
+        st.lists(_ODD_HEXES, min_size=1, max_size=2), st.lists(_HEXES, max_size=2).map(tuple), _ODD_HEXES
+    ),
+    "duration_s": st.one_of(st.integers(-1, 60), st.booleans(), st.floats(allow_nan=True)),
+    "limits": st.one_of(st.none(), st.just({"max_outbound_slots": 7}), st.just([7, 21])),
+    "scanners": st.one_of(st.none(), st.just([]), st.dictionaries(_TEXTS, st.booleans(), max_size=1)),
+}
+_DETAIL_KEYS = {
+    RUN_STARTED: ("duration_s", "limits", "scanners"),
+    DEVICE_FOUND: ("round",),
+    UUIDS_FETCHED: ("round", "records"),
+    MESSAGE_REASSEMBLED: ("generation", "mode"),
+    MESSAGE_CHANGED: ("generation", "mode", "message"),
+}
+
+
+@st.composite
+def event_dicts(draw):
+    """A line as `_Runner` writes it, then with up to three values replaced
+    by ones near the shape, deleted or added, or its detail replaced."""
+    kind = draw(st.sampled_from(EVENT_KINDS))
+    mode = draw(st.sampled_from(MODES))
+    keys = _DETAIL_KEYS[kind]
+    if kind == MESSAGE_REASSEMBLED:  # the mode says what else the detail holds
+        keys += ("message",) if mode == FRAMED else ("payloads",)
+    detail = {key: mode if key == "mode" else draw(_VALID[key]) for key in keys}
+    obj = {key: draw(_VALID[key]) for key in ("t", "observer", "subject")}
+    obj.update(kind=kind, detail=detail)
+    for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2, 3)))):
+        target = draw(st.sampled_from((obj, detail, detail)))
+        action = draw(st.sampled_from(("replace", "replace", "replace", "delete", "add")))
+        if action == "add":
+            key = draw(st.sampled_from(("extra", "round", "generation", "message", "payloads")))
+        elif target:
+            key = draw(st.sampled_from(list(target)))
+        else:
+            continue
+        if action == "delete":
+            del target[key]
+        else:
+            target[key] = draw(_ODD.get(key, st.integers()))
+    if draw(st.booleans()):  # keys in another order
+        obj = dict(reversed(obj.items()))
+    return obj
+
+
+def _found(detail, **line):
+    return {"t": 1.5, "kind": DEVICE_FOUND, "observer": "a", "subject": "b", **line, "detail": detail}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(event_dicts(), event_dicts().map(_Dict), st.just([]), st.none()))
+# a bool is an int, and an int t converts; the table rejects the first and
+# converts the second, so a shape test must take neither
+@example(_found({"round": True}))
+@example(_found({"round": 0}, t=1))
+@example(_found({"round": 0}, t=True))
+@example(_found({"round": 0}, extra=None))
+@example(_found({"round": 0}, kind=_Str(DEVICE_FOUND)))
+@example(_found({"round": False, "records": []}, kind=UUIDS_FETCHED))
+@example(_found({"generation": True, "mode": FRAMED, "message": ""}, kind=MESSAGE_REASSEMBLED))
+@example(_found({"generation": True, "mode": RAW, "payloads": []}, kind=MESSAGE_REASSEMBLED))
+@example(_found({"generation": 1, "mode": RAW, "message": ""}, kind=MESSAGE_REASSEMBLED))
+@example(_found({"generation": True, "mode": RAW, "message": ""}, kind=MESSAGE_CHANGED))
+def test_from_dict_matches_reference_property(obj):
+    _same_event(obj)

@@ -12,6 +12,7 @@ from sdpcast import (
     RAW,
     CapacityLimits,
     Device,
+    FetchBandwidth,
     MalformedLog,
     Scenario,
     SdpcastError,
@@ -604,6 +605,42 @@ def test_load_log_rejects_a_line_that_is_not_text():
     lines[1] = lines[1].encode()
     with pytest.raises(MalformedLog, match="^line 2: a log line must be text, got bytes$"):
         list(load_log(lines))
+
+
+def test_load_log_strips_only_json_whitespace():
+    """JSON allows space, tab, LF and CR around a value, and nothing else: a
+    line that begins with an ideographic space, or holds only an information
+    separator, is malformed, neither trimmed nor skipped as blank."""
+    log = _two_device_log(1)
+    lines = [e.to_json() for e in log[:3]]
+    lines[1] = f" \t{lines[1]}\r\n"
+    assert list(load_log([*lines, " \r\n"])) == log[:3]
+    for bad in ("\u3000" + lines[2], "\x1c"):
+        with pytest.raises(MalformedLog) as excinfo:
+            list(load_log([*lines, bad]))
+        assert str(excinfo.value) == "line 4: Expecting value: line 1 column 1 (char 0)"
+    # a blank line that is not text is not text, either
+    with pytest.raises(MalformedLog, match="^line 2: a log line must be text, got bytes$"):
+        list(load_log([lines[0], b"\n"]))
+
+
+def test_fetch_bandwidth_is_a_named_tuple():
+    fetch = FetchBandwidth(
+        t=7.5, observer=A, subject=B, records=4, payload_records=3,
+        decoded_octets=39, utilization=39 / 273,
+    )
+    # the fields of the former dataclass, in its order
+    assert FetchBandwidth._fields == (
+        "t", "observer", "subject", "records", "payload_records", "decoded_octets", "utilization",
+    )
+    assert fetch == (7.5, A, B, 4, 3, 39, 39 / 273)
+    with pytest.raises(AttributeError):
+        fetch.records = 5
+    report = build_report(_two_device_log())
+    rows = [json.loads(line) for line in format_lines(report).splitlines()]
+    fetch_rows = [row for row in rows if row.pop("metric") == "fetch"]
+    assert fetch_rows == [fetch._asdict() for fetch in report.bandwidth.fetches]
+    assert all(list(row) == list(FetchBandwidth._fields) for row in fetch_rows)
 
 
 def test_sim_event_is_an_immutable_record():
