@@ -219,10 +219,10 @@ _REASSEMBLED_CHECKS = {
 
 
 # The shape test of each kind but the header's: true iff a detail holds
-# exactly the keys of its kind, each with the value `_Runner` writes there, so
-# that the table would pass the line. `int` and `str` are tested by exact type,
-# as `_KEY_CHECKS` tests them; `tests/test_oracles.py` holds each test to the
-# table.
+# exactly the keys of its kind, each with a value of the exact type `_Runner`
+# writes there. It passes only details the table passes: the table also takes
+# a `str` subclass, say, and words the error for what neither takes.
+# `tests/test_oracles.py` holds each test to the table.
 def _found_shape(detail: dict) -> bool:
     return len(detail) == 1 and type(detail.get("round")) is int
 

@@ -609,7 +609,8 @@ def event_dicts(draw):
     return obj
 
 
-def _found(detail, **line):
+def _event_obj(detail, **line):
+    """A DeviceFound line's object, or with `line`, another's."""
     return {"t": 1.5, "kind": DEVICE_FOUND, "observer": "a", "subject": "b", **line, "detail": detail}
 
 
@@ -617,15 +618,15 @@ def _found(detail, **line):
 @given(st.one_of(event_dicts(), event_dicts().map(_Dict), st.just([]), st.none()))
 # a bool is an int, and an int t converts; the table rejects the first and
 # converts the second, so a shape test must take neither
-@example(_found({"round": True}))
-@example(_found({"round": 0}, t=1))
-@example(_found({"round": 0}, t=True))
-@example(_found({"round": 0}, extra=None))
-@example(_found({"round": 0}, kind=_Str(DEVICE_FOUND)))
-@example(_found({"round": False, "records": []}, kind=UUIDS_FETCHED))
-@example(_found({"generation": True, "mode": FRAMED, "message": ""}, kind=MESSAGE_REASSEMBLED))
-@example(_found({"generation": True, "mode": RAW, "payloads": []}, kind=MESSAGE_REASSEMBLED))
-@example(_found({"generation": 1, "mode": RAW, "message": ""}, kind=MESSAGE_REASSEMBLED))
-@example(_found({"generation": True, "mode": RAW, "message": ""}, kind=MESSAGE_CHANGED))
+@example(_event_obj({"round": True}))
+@example(_event_obj({"round": 0}, t=1))
+@example(_event_obj({"round": 0}, t=True))
+@example(_event_obj({"round": 0}, extra=None))
+@example(_event_obj({"round": 0}, kind=_Str(DEVICE_FOUND)))
+@example(_event_obj({"round": False, "records": []}, kind=UUIDS_FETCHED))
+@example(_event_obj({"generation": True, "mode": FRAMED, "message": ""}, kind=MESSAGE_REASSEMBLED))
+@example(_event_obj({"generation": True, "mode": RAW, "payloads": []}, kind=MESSAGE_REASSEMBLED))
+@example(_event_obj({"generation": 1, "mode": RAW, "message": ""}, kind=MESSAGE_REASSEMBLED))
+@example(_event_obj({"generation": True, "mode": RAW, "message": ""}, kind=MESSAGE_CHANGED))
 def test_from_dict_matches_reference_property(obj):
     _same_event(obj)
