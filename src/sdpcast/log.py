@@ -1,23 +1,27 @@
-"""The event log format: one compact JSON object per line.
+"""The event log format: one compact JSON array per line.
 
-A line holds `t`, `kind`, `observer`, `subject` and a `detail` object whose
-keys depend on the kind. `SimEvent`, an immutable named tuple of those five
-fields, is the event a run yields and a log holds: `SimEvent.to_json` writes
-it as a line, and `load_log` reads a log back and checks that timestamps
-never decrease. A run's log begins with one RunStarted header, which states
-what the rest of the log cannot: the run's duration, its capacity limits and
-each scanner's interval. A scanner's rounds follow from the last two.
+A line is the array `[t, kind, observer, subject, detail]`: the five fields
+of `SimEvent`, in field order, where `detail` is an object whose keys depend
+on the kind. `SimEvent`, an immutable named tuple of those fields, is the
+event a run yields and a log holds: `SimEvent.to_json` writes it as a line,
+and `load_log` reads a log back and checks that timestamps never decrease.
+A run's log begins with one RunStarted header, which states what the rest
+of the log cannot: the run's duration, its capacity limits and each
+scanner's interval. A scanner's rounds follow from the last two.
 
-One table of checks per key defines a line. `SimEvent.from_dict` is its only
-reader: it passes a line whose keys are exactly those of its kind, each
-holding a value of the JSON type the runner writes there, and names the first
-key that fails otherwise. A line as the runner writes it after its header
-first meets one shape test for its kind, which builds the event when the line
-passes; the table reads every other line and alone words an error. The writer
-formats a detail by the exact type of each value (an int, a plain string or a
-list of them) under a key the table checks; any other event, such as the
-header, goes through `json`, whose text the writer matches exactly. A format
-change edits the table, and the shape test of each kind it changes.
+One table of checks per field and detail key defines a line.
+`SimEvent.from_array` is its only reader: it passes an array of exactly five
+items whose detail holds exactly the keys of its kind, each holding a value
+of the JSON type the runner writes there, and names the first field or key
+that fails otherwise. A line that is not an array of five, such as a line of
+a log written in the former one-object-per-line form, names the array form.
+A line as the runner writes it after its header first meets one shape test
+for its kind, which builds the event when the line passes; the table reads
+every other line and alone words an error. The writer formats a detail by
+the exact type of each value (an int, a plain string or a list of them)
+under a key the table checks; any other event, such as the header, goes
+through `json`, whose text the writer matches exactly. A format change edits
+the table, and the shape test of each kind it changes.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ class SimEvent(NamedTuple):
     detail: dict[str, Any]
 
     def to_json(self) -> str:
-        """The event as `_ENCODER` writes it: by `_detail_json` when its
-        detail's keys and values allow, else by `_ENCODER` itself."""
+        """The event as `_ENCODER` writes the array of its five fields: by
+        `_detail_json` when its detail's keys and values allow, else by
+        `_ENCODER` itself."""
         t, kind, observer, subject, detail = self
         if (
             type(t) is float and -_INF < t < _INF
@@ -65,44 +70,41 @@ class SimEvent(NamedTuple):
             and type(detail) is dict
             and (body := _detail_json(detail)) is not None
         ):
-            return (
-                f'{{"t":{t!r},"kind":"{kind}","observer":"{observer}",'
-                f'"subject":"{subject}","detail":{body}}}'
-            )
-        return _ENCODER.encode(
-            {"t": t, "kind": kind, "observer": observer, "subject": subject, "detail": detail}
-        )
+            return f'[{t!r},"{kind}","{observer}","{subject}",{body}]'
+        return _ENCODER.encode([t, kind, observer, subject, detail])
 
     @classmethod
-    def from_dict(cls, obj: Any) -> SimEvent:
-        """The event a parsed log line holds; ValueError unless the line and
-        its detail hold exactly the keys of their kind, each with the JSON
-        type that `_Runner` writes there. Only an integer `t` is converted."""
-        if (
-            type(obj) is dict
-            and len(obj) == 5  # and each of the five keys below: exactly those
-            and type(t := obj.get("t")) is float and -_INF < t < _INF
-            and type(kind := obj.get("kind")) is str
-            and type(observer := obj.get("observer")) is str
-            and type(subject := obj.get("subject")) is str
-            and type(detail := obj.get("detail")) is dict
-            and (shape := _SHAPES.get(kind)) is not None
-            and shape(detail)
-        ):
-            # tuple.__new__ skips the argument handling of the generated __new__
-            return _new(cls, (t, kind, observer, subject, detail))
-        return _from_table(cls, obj)
+    def from_array(cls, items: Any) -> SimEvent:
+        """The event a parsed log line holds; ValueError unless the line is
+        an array of five items whose detail holds exactly the keys of its
+        kind, each with the JSON type that `_Runner` writes there. Only an
+        integer `t` is converted."""
+        if type(items) is list and len(items) == 5:
+            t, kind, observer, subject, detail = items
+            if (
+                type(t) is float and -_INF < t < _INF
+                and type(kind) is str
+                and type(observer) is str
+                and type(subject) is str
+                and type(detail) is dict
+                and (shape := _SHAPES.get(kind)) is not None
+                and shape(detail)
+            ):
+                # tuple.__new__ skips the argument handling of the generated __new__
+                return _new(cls, items)
+        return _from_table(cls, items)
 
 
-def _from_table(cls: type[SimEvent], obj: Any) -> SimEvent:
-    """`SimEvent.from_dict` by the check table, one key at a time: the first
-    key that fails names the error."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"event must be an object, got {obj!r}")
-    for key, check in _EVENT_CHECKS:
-        if not check(value := obj.get(key)):
+def _from_table(cls: type[SimEvent], items: Any) -> SimEvent:
+    """`SimEvent.from_array` by the check table, one item and then one
+    detail key at a time: the first that fails names the error."""
+    if not isinstance(items, list) or len(items) != len(SimEvent._fields):
+        got = f"an object with keys {list(items)}" if isinstance(items, dict) else repr(items)
+        raise ValueError(f"event must be an array {_ARRAY_FORM}, got {got}")
+    for (key, check), value in zip(_EVENT_CHECKS, items):
+        if not check(value):
             raise ValueError(f"event: {key!r} is missing or malformed: {value!r}")
-    kind, detail = obj["kind"], obj.get("detail")
+    t, kind, observer, subject, detail = items
     what, checks = _DETAIL_CHECKS[kind]
     if not isinstance(detail, dict):
         raise ValueError(f"{what} must be an object, got {detail!r}")
@@ -114,9 +116,7 @@ def _from_table(cls: type[SimEvent], obj: Any) -> SimEvent:
     # Every key checked is present, so a longer object holds another.
     if len(detail) != len(checks):
         raise _unknown_keys(what, detail, _keys(checks))
-    if len(obj) != len(_EVENT_CHECKS) + 1:
-        raise _unknown_keys("event", obj, (*_keys(_EVENT_CHECKS), "detail"))
-    return _new(cls, (float(obj["t"]), kind, obj["observer"], obj["subject"], detail))
+    return _new(cls, (float(t), kind, observer, subject, detail))
 
 
 _new = tuple.__new__
@@ -198,10 +198,12 @@ def _keys(checks: _Checks) -> tuple[str, ...]:
     return tuple(key for key, _ in checks)
 
 
-# The checks of what a line holds besides its detail, and, with the name its
-# errors give the detail, of what the detail of each kind holds. The mode of
-# a reassembly, once checked, says what else its detail holds.
-_EVENT_CHECKS = _checks("t", "kind", "observer", "subject")
+# The checks of the items a line holds before its detail, in field order,
+# and, with the name its errors give the detail, of what the detail of each
+# kind holds. The mode of a reassembly, once checked, says what else its
+# detail holds.
+_EVENT_CHECKS = _checks(*SimEvent._fields[:-1])
+_ARRAY_FORM = f"[{', '.join(SimEvent._fields)}]"
 _DETAIL_CHECKS = {
     kind: (f"{kind} detail", _checks(*keys))
     for kind, keys in (
@@ -323,9 +325,9 @@ def load_log(lines: Iterable[str]) -> Iterator[SimEvent]:
     consumed, so consume it inside the `with` that opened the file. It
     raises MalformedLog, with the line number, when it reaches a bad line,
     and when `lines` cannot be decoded. A line fails with the error that
-    `json.loads` gives it, or else with the error of `SimEvent.from_dict`.
+    `json.loads` gives it, or else with the error of `SimEvent.from_array`.
     """
-    from_dict = SimEvent.from_dict
+    from_array = SimEvent.from_array
     last_t = -_INF
     lineno = 0
     try:
@@ -346,7 +348,7 @@ def load_log(lines: Iterable[str]) -> Iterator[SimEvent]:
                     # not one JSON value: raise the error json.loads words for
                     # it, such as a byte order mark or extra data
                     json.loads(line)
-                event = from_dict(obj)
+                event = from_array(obj)
             except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
                 raise MalformedLog(f"line {lineno}: {exc}") from None
             if event.t < last_t:

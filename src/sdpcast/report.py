@@ -18,9 +18,9 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .codec import PAYLOAD_OCTETS
+from .codec import PAYLOAD_OCTETS, _is_payload
 from .errors import MalformedLog, SdpcastError
-from .framing import CapacityLimits, chunk_count, raw_payloads, raw_read
+from .framing import CapacityLimits, chunk_count, raw_payloads
 from .log import (
     _ENCODER, DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED,
     SimEvent,
@@ -158,10 +158,10 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     first_delivery: dict[tuple[str, str, int], float] = {}
     misdelivered = 0
     fetches: list[FetchBandwidth] = []
-    # subject -> record -> 1 if it holds a payload, else 0. Cleared on the
+    # subject -> record -> whether it holds a payload. Cleared on the
     # subject's change, a memo holds at most the slots of two generations
     # (a torn read mixes them) and the subject's well-known records.
-    payload_counts: dict[str, dict[str, int]] = {}
+    payload_counts: dict[str, dict[str, bool]] = {}
 
     inbound_ceiling = limits.inbound_ceiling
     new = tuple.__new__  # skips the argument handling of FetchBandwidth(...)
@@ -182,7 +182,7 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
             except KeyError:  # a record the memo does not hold yet
                 for record in records:
                     if record not in memo:
-                        memo[record] = len(raw_read([record]))
+                        memo[record] = _is_payload(record)
                 payload_records = sum(map(memo.__getitem__, records))
             payload_octets = payload_records * PAYLOAD_OCTETS
             fetches.append(new(FetchBandwidth, (

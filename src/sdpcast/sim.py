@@ -205,7 +205,7 @@ class _Runner:
         heapq.heappush(self.heap, (t, self.seq, action))
 
     def _emit(self, t: float, kind: str, observer: str, subject: str, detail: dict) -> None:
-        # as `SimEvent.from_dict` does, skip the argument handling of SimEvent(...)
+        # as `SimEvent.from_array` does, skip the argument handling of SimEvent(...)
         self.pending.append(tuple.__new__(SimEvent, (t, kind, observer, subject, detail)))
 
     def _advertise(self, address: str, message: bytes, mode: str | None, t: float) -> None:

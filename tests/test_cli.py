@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from sdpcast import Device, Scenario, frame, scenario_to_json
+from sdpcast import Device, Scenario, SimEvent, frame, load_log, scenario_to_json
 from sdpcast.cli import main
 
 ANCHOR = "ff724081-fe5d-4fb2-8745-af149cc2c0de"
@@ -125,7 +125,7 @@ def test_simulate_and_report_pipeline(tmp_path, capsys):
         ["simulate", "--scenario", str(scenario), "--seed", "42", "--out", str(log)]
     ) == 0
     lines = log.read_text(encoding="utf-8").strip().split("\n")
-    assert all(json.loads(line)["kind"] for line in lines)
+    assert len(list(load_log(lines))) == len(lines)
 
     assert main(["report", str(log)]) == 0
     text = capsys.readouterr().out
@@ -156,7 +156,7 @@ def test_simulate_duration_override(tmp_path):
     assert main(
         ["simulate", "--scenario", str(scenario), "--duration", "45", "--out", str(log)]
     ) == 0
-    times = [json.loads(l)["t"] for l in log.read_text().strip().split("\n")]
+    times = [event.t for event in load_log(log.read_text().strip().split("\n"))]
     assert max(times) <= 45.0
 
 
@@ -279,7 +279,7 @@ def test_report_rejects_a_log_that_is_not_utf8(tmp_path, capsys, monkeypatch):
     main(["scenario-gen", "two-device-default", "--out", str(scenario)])
     main(["simulate", "--scenario", str(scenario), "--out", str(log)])
     good = log.read_bytes()
-    bad = good.replace(b'"observer":"aa:00:00:00:00:01"', b'"observer":"a\xff"', 1)
+    bad = good.replace(b',"aa:00:00:00:00:01",', b',"a\xff",', 1)
     assert bad != good
     log.write_bytes(bad)
     assert main(["report", str(log)]) == 1
@@ -308,7 +308,7 @@ def test_report_malformed_log_exits_1(tmp_path, capsys):
 def test_report_wrongly_typed_log_exits_1(tmp_path, capsys):
     def event(t, kind, detail, observer="aa:00:00:00:00:01"):
         subject = "aa:00:00:00:00:01"
-        return {"t": t, "kind": kind, "observer": observer, "subject": subject, "detail": detail}
+        return [t, kind, observer, subject, detail]
 
     fetched = {"round": 0, "records": 5}
     changed = {"generation": 1, "mode": "raw", "message": "zz"}
@@ -337,9 +337,12 @@ def test_report_of_a_log_without_its_header_exits_1(tmp_path, capsys):
     main(["scenario-gen", "two-device-default", "--out", str(scenario)])
     main(["simulate", "--scenario", str(scenario), "--out", str(log)])
     header, *lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
-    assert json.loads(header)["kind"] == "RunStarted"
-    # a log written before the header, whose MessageChanged lines held `slots`
+    [first] = load_log([header])
+    assert first.kind == "RunStarted"
+    # MessageChanged lines that hold `slots`, as logs written before the header did
     old = [line.replace('"mode":"framed",', '"mode":"framed","slots":3,') for line in lines]
+    # a log written when each line was an object, not the array of its fields
+    objects = [json.dumps(dict(zip(SimEvent._fields, json.loads(line)))) + "\n" for line in [header, *lines]]
     for text, error in (
         (
             "".join(lines),
@@ -347,6 +350,11 @@ def test_report_of_a_log_without_its_header_exits_1(tmp_path, capsys):
             "this one begins with a MessageChanged\n",
         ),
         ("".join(old), "sdpcast: line 1: MessageChanged detail: unknown keys ['slots']\n"),
+        (
+            "".join(objects),
+            "sdpcast: line 1: event must be an array [t, kind, observer, subject, detail], "
+            "got an object with keys ['t', 'kind', 'observer', 'subject', 'detail']\n",
+        ),
     ):
         log.write_text(text, encoding="utf-8")
         assert main(["report", str(log)]) == 1

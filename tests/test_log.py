@@ -1,15 +1,15 @@
 """The event log's writer against json, and what its reader accepts.
 
+A line is the array of an event's five fields, in field order.
 `SimEvent.to_json` writes a detail by the exact type of each value under a
 key the check table holds, and any other event, such as the RunStarted
 header, through `_ENCODER`. `_ENCODER` stays the definition of a line's
-text: the writer must write exactly what it writes. `SimEvent.from_dict`
-reads every line through the same table; `test_report._LOG_ERRORS` pins
-the lines it rejects and their messages.
+text: the writer must write exactly what it writes for the event's fields
+as a list. `SimEvent.from_array` reads every line through the same table;
+`test_report._LOG_ERRORS` pins the lines it rejects and their messages.
 """
 
 import enum
-import json
 import math
 import random
 
@@ -35,7 +35,7 @@ def _builtin_logs(raw_torn_read, seeds):
 
 
 def _encoded(event):
-    return _ENCODER.encode(event._asdict())
+    return _ENCODER.encode(list(event))
 
 
 def test_to_json_writes_what_the_encoder_writes_for_every_builtin_event(raw_torn_read):
@@ -182,22 +182,15 @@ def test_runner_events_take_the_fixed_shapes(monkeypatch, raw_torn_read):
         assert list(load_log(lines)) == events
 
 
-_CHANGED = {"generation": 1, "mode": "raw", "message": "6869"}
+_CHANGED = {"message": "6869", "mode": "raw", "generation": 1}
+_FETCHED = {"records": [UUID], "round": 0}
 
 # Lines the runner writes otherwise that still load, each with the event it
-# holds: an integer `t`, and keys in another order.
+# holds: an integer `t`, and detail keys in another order.
 _ACCEPTED = [
     (_line("DeviceFound", {"round": 0}, t=0), SimEvent(0.0, "DeviceFound", A, A, {"round": 0})),
-    (
-        _line("MessageChanged", dict(reversed(_CHANGED.items()))),
-        SimEvent(0.0, "MessageChanged", A, A, _CHANGED),
-    ),
-    (
-        json.dumps(
-            {"detail": {"round": 0}, "t": 0.5, "kind": "DeviceFound", "observer": A, "subject": A}
-        ),
-        SimEvent(0.5, "DeviceFound", A, A, {"round": 0}),
-    ),
+    (_line("MessageChanged", _CHANGED), SimEvent(0.0, "MessageChanged", A, A, _CHANGED)),
+    (_line("UuidsFetched", _FETCHED, t=2), SimEvent(2.0, "UuidsFetched", A, A, _FETCHED)),
     # a header with integer numbers, as a hand-written log may hold them
     (
         _line("RunStarted", {**_HEADER.detail, "duration_s": 60, "scanners": {A: 30}}, 0.0, "", ""),
@@ -206,10 +199,10 @@ _ACCEPTED = [
 ]
 
 
-def test_load_log_takes_integer_numbers_and_any_key_order():
+def test_load_log_takes_integer_numbers_and_any_detail_key_order():
     """`t` becomes a float; the detail is kept as the line holds it."""
     for line, event in _ACCEPTED:
         [loaded] = load_log([line])
         assert loaded == event
         assert type(loaded.t) is float
-        assert list(loaded.detail.items()) == list(json.loads(line)["detail"].items())
+        assert list(loaded.detail.items()) == list(event.detail.items())

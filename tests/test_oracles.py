@@ -2,12 +2,13 @@
 straightforward versions they replaced.
 
 `_reference_*` below are the former bodies of `encode`, `detect`, `frame`,
-`reassemble`, `scenario_to_json` and `SimEvent.from_dict`, kept here step
-for step as oracles: per UUID they lower-case, shape-check, strip hyphens
+`reassemble` and `scenario_to_json`, kept here step for step as oracles,
+and the check table that `SimEvent.from_array` falls back on: per UUID they lower-case, shape-check, strip hyphens
 and test the version, variant and marker digits one at a time; per chunk
 they build a `FrameHeader` and call `encode`; a scenario is first turned
 into a tree of dicts, which `json.dumps` then writes; and a log line goes
-through the check table one key at a time, with no shape test before it.
+through the check table one item and one detail key at a time, with no
+shape test before it.
 The package's versions must return equal results, or raise the same
 exception class with the same message, on every input.
 """
@@ -49,15 +50,17 @@ from sdpcast import (
     detect,
     encode,
     frame,
+    raw_read,
     run,
     scenario_from_json,
     scenario_gen,
     scenario_to_json,
 )
+from sdpcast.codec import _is_payload
 from sdpcast.framing import CHUNK_BODY_OCTETS, LENGTH_PREFIX_OCTETS, chunk_count, reassemble
 from sdpcast.log import (
-    _DETAIL_CHECKS, _EVENT_CHECKS, _REASSEMBLED_CHECKS, DEVICE_FOUND, EVENT_KINDS, MESSAGE_CHANGED,
-    MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, _keys, _unknown_keys,
+    _ARRAY_FORM, _DETAIL_CHECKS, _EVENT_CHECKS, _REASSEMBLED_CHECKS, DEVICE_FOUND, EVENT_KINDS,
+    MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, _keys, _unknown_keys,
 )
 from sdpcast.model import MAX_SEED, MODES
 from sdpcast.scenarios import _NESTED, _write
@@ -235,6 +238,22 @@ def test_detect_matches_reference_on_text(case):
 @given(configs.flatmap(_non_strings))
 def test_detect_matches_reference_on_non_strings(case):
     _same(detect, _reference_detect, *case)
+
+
+@settings(max_examples=400)
+@given(st.one_of(configs.flatmap(_texts), configs.flatmap(_non_strings)))
+@example((ANCHOR, DEFAULT))
+@example((ANCHOR.upper(), DEFAULT))
+@example((ANCHOR[:-4] + "BEEF", CodecConfig(marker="beef")))
+@example((ANCHOR[:-4] + "BEEF", DEFAULT))
+@example((ANCHOR, CodecConfig(marker="BEEF")))
+@example(("0000110a-0000-1000-8000-00805f9b34fb", DEFAULT))
+@example(("not a uuid", DEFAULT))
+def test_is_payload_matches_raw_read(case):
+    """The report counts a record as a payload without decoding it: exactly
+    when `raw_read` of that one record finds a payload."""
+    uuid_str, config = case
+    assert _is_payload(uuid_str, config) is (len(raw_read([uuid_str], config)) == 1)
 
 
 @given(st.binary(max_size=PAYLOAD_OCTETS + 2), configs, st.booleans())
@@ -445,13 +464,14 @@ def test_scenario_to_json_matches_reference_on_bench_layouts(workload):
 # -- log lines ------------------------------------------------------------------
 
 
-def _reference_from_dict(obj):
-    if not isinstance(obj, dict):
-        raise ValueError(f"event must be an object, got {obj!r}")
-    for key, check in _EVENT_CHECKS:
-        if not check(value := obj.get(key)):
+def _reference_from_array(items):
+    if not isinstance(items, list) or len(items) != 5:
+        got = f"an object with keys {list(items)}" if isinstance(items, dict) else repr(items)
+        raise ValueError(f"event must be an array {_ARRAY_FORM}, got {got}")
+    for (key, check), value in zip(_EVENT_CHECKS, items):
+        if not check(value):
             raise ValueError(f"event: {key!r} is missing or malformed: {value!r}")
-    kind, detail = obj["kind"], obj.get("detail")
+    t, kind, observer, subject, detail = items
     what, checks = _DETAIL_CHECKS[kind]
     if not isinstance(detail, dict):
         raise ValueError(f"{what} must be an object, got {detail!r}")
@@ -462,22 +482,20 @@ def _reference_from_dict(obj):
             raise ValueError(f"{what}: {key!r} is missing or malformed: {value!r}")
     if len(detail) != len(checks):
         raise _unknown_keys(what, detail, _keys(checks))
-    if len(obj) != len(_EVENT_CHECKS) + 1:
-        raise _unknown_keys("event", obj, (*_keys(_EVENT_CHECKS), "detail"))
-    return tuple.__new__(SimEvent, (float(obj["t"]), kind, obj["observer"], obj["subject"], detail))
+    return tuple.__new__(SimEvent, (float(t), kind, observer, subject, detail))
 
 
-def _read(from_dict, obj):
-    """What `from_dict(obj)` does, with the exact type of each field it
+def _read(from_array, items):
+    """What `from_array(items)` does, with the exact type of each field it
     returns: an integer `t` read as it is would equal its float."""
-    outcome = _outcome(from_dict, obj)
+    outcome = _outcome(from_array, items)
     if outcome[0] == "returned":
         return (*outcome, [type(field) for field in outcome[1]])
     return outcome
 
 
-def _same_event(obj):
-    assert _read(SimEvent.from_dict, obj) == _read(_reference_from_dict, obj), obj
+def _same_event(items):
+    assert _read(SimEvent.from_array, items) == _read(_reference_from_array, items), items
 
 
 @pytest.fixture
@@ -490,13 +508,13 @@ def oracle_logs(raw_torn_read):
     ]
 
 
-def test_from_dict_matches_reference_on_logs(oracle_logs):
+def test_from_array_matches_reference_on_logs(oracle_logs):
     for log in oracle_logs:
         for event in log:
             _same_event(json.loads(event.to_json()))
 
 
-def test_from_dict_matches_reference_on_edited_lines(oracle_logs):
+def test_from_array_matches_reference_on_edited_lines(oracle_logs):
     for log in oracle_logs:
         for index, path, value in _log_edits(log):
             _same_event(json.loads(_edited(log[index].to_json(), path, value)))
@@ -580,53 +598,84 @@ _DETAIL_KEYS = {
 
 
 @st.composite
-def event_dicts(draw):
-    """A line as `_Runner` writes it, then with up to three values replaced
-    by ones near the shape, deleted or added, or its detail replaced."""
+def event_arrays(draw):
+    """A line as `_Runner` writes it, then with up to three items or detail
+    values replaced by ones near the shape, deleted or added, or two items
+    swapped; and with the detail's keys, half the time, in another order."""
     kind = draw(st.sampled_from(EVENT_KINDS))
     mode = draw(st.sampled_from(MODES))
     keys = _DETAIL_KEYS[kind]
     if kind == MESSAGE_REASSEMBLED:  # the mode says what else the detail holds
         keys += ("message",) if mode == FRAMED else ("payloads",)
     detail = {key: mode if key == "mode" else draw(_VALID[key]) for key in keys}
-    obj = {key: draw(_VALID[key]) for key in ("t", "observer", "subject")}
-    obj.update(kind=kind, detail=detail)
+    items = [draw(_VALID["t"]), kind, draw(_VALID["observer"]), draw(_VALID["subject"]), detail]
     for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2, 3)))):
-        target = draw(st.sampled_from((obj, detail, detail)))
-        action = draw(st.sampled_from(("replace", "replace", "replace", "delete", "add")))
+        action = draw(st.sampled_from(("replace", "replace", "replace", "delete", "add", "swap")))
+        if draw(st.booleans()):  # an item of the line
+            if action == "add":
+                items.insert(draw(st.integers(0, len(items))), draw(st.integers()))
+            elif len(items) >= 2:
+                i, j = draw(st.permutations(range(len(items))))[:2]
+                if action == "delete":
+                    del items[i]
+                elif action == "swap":
+                    items[i], items[j] = items[j], items[i]
+                else:  # a value near the shape of the field at that position
+                    field = SimEvent._fields[i] if i < len(SimEvent._fields) else None
+                    items[i] = draw(_ODD.get(field, st.integers()))
+            continue
         if action == "add":
             key = draw(st.sampled_from(("extra", "round", "generation", "message", "payloads")))
-        elif target:
-            key = draw(st.sampled_from(list(target)))
+        elif detail and action != "swap":
+            key = draw(st.sampled_from(list(detail)))
         else:
             continue
         if action == "delete":
-            del target[key]
+            del detail[key]
         else:
-            target[key] = draw(_ODD.get(key, st.integers()))
-    if draw(st.booleans()):  # keys in another order
-        obj = dict(reversed(obj.items()))
-    return obj
+            detail[key] = draw(_ODD.get(key, st.integers()))
+    if draw(st.booleans()):  # the detail's keys in another order, in place
+        reordered = dict(reversed(detail.items()))
+        detail.clear()
+        detail.update(reordered)
+    return items
 
 
-def _event_obj(detail, **line):
-    """A DeviceFound line's object, or with `line`, another's."""
-    return {"t": 1.5, "kind": DEVICE_FOUND, "observer": "a", "subject": "b", **line, "detail": detail}
+class _List(list):
+    pass
+
+
+def _event_items(detail, *extra, **fields):
+    """A DeviceFound line's items, or with `fields`, another's; `extra` items follow."""
+    line = {"t": 1.5, "kind": DEVICE_FOUND, "observer": "a", "subject": "b", **fields, "detail": detail}
+    return [*line.values(), *extra]
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.one_of(event_dicts(), event_dicts().map(_Dict), st.just([]), st.none()))
+@given(
+    st.one_of(
+        event_arrays(),
+        event_arrays().map(_List),
+        # a line in the former one-object-per-line form
+        event_arrays().map(lambda items: dict(zip(SimEvent._fields, items))),
+        st.just([]),
+        st.just({}),
+        st.none(),
+    )
+)
 # a bool is an int, and an int t converts; the table rejects the first and
 # converts the second, so a shape test must take neither
-@example(_event_obj({"round": True}))
-@example(_event_obj({"round": 0}, t=1))
-@example(_event_obj({"round": 0}, t=True))
-@example(_event_obj({"round": 0}, extra=None))
-@example(_event_obj({"round": 0}, kind=_Str(DEVICE_FOUND)))
-@example(_event_obj({"round": False, "records": []}, kind=UUIDS_FETCHED))
-@example(_event_obj({"generation": True, "mode": FRAMED, "message": ""}, kind=MESSAGE_REASSEMBLED))
-@example(_event_obj({"generation": True, "mode": RAW, "payloads": []}, kind=MESSAGE_REASSEMBLED))
-@example(_event_obj({"generation": 1, "mode": RAW, "message": ""}, kind=MESSAGE_REASSEMBLED))
-@example(_event_obj({"generation": True, "mode": RAW, "message": ""}, kind=MESSAGE_CHANGED))
-def test_from_dict_matches_reference_property(obj):
-    _same_event(obj)
+@example(_event_items({"round": True}))
+@example(_event_items({"round": 0}, t=1))
+@example(_event_items({"round": 0}, t=True))
+@example(_event_items({"round": 0}, None))
+@example(_event_items({"round": 0})[:4])
+@example(_event_items({"round": 0}, kind=_Str(DEVICE_FOUND)))
+@example(_event_items({"round": 0})[::-1])
+@example(_event_items({"round": False, "records": []}, kind=UUIDS_FETCHED))
+@example(_event_items({"generation": True, "mode": FRAMED, "message": ""}, kind=MESSAGE_REASSEMBLED))
+@example(_event_items({"generation": True, "mode": RAW, "payloads": []}, kind=MESSAGE_REASSEMBLED))
+@example(_event_items({"generation": 1, "mode": RAW, "message": ""}, kind=MESSAGE_REASSEMBLED))
+@example(_event_items({"generation": True, "mode": RAW, "message": ""}, kind=MESSAGE_CHANGED))
+def test_from_array_matches_reference_property(items):
+    _same_event(items)

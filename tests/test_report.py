@@ -256,7 +256,7 @@ def test_report_of_a_log_file_holds_little_beyond_the_report(tmp_path):
     # load_log yields one event per line as build_report folds it in, so
     # the traced peak stays within a margin far below the log's size.
     path = tmp_path / "crowd.jsonl"
-    events = run(scenario_gen("crowd-20"), seed=1, duration_s=150.0)
+    events = run(scenario_gen("crowd-20"), seed=1, duration_s=180.0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(event.to_json() + "\n" for event in events)
     assert path.stat().st_size > 10**6
@@ -267,7 +267,7 @@ def test_report_of_a_log_file_holds_little_beyond_the_report(tmp_path):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(report.bandwidth.fetches) == 1900
+    assert len(report.bandwidth.fetches) == 2280
     assert peak - retained < 512 * 1024
 
 
@@ -297,17 +297,12 @@ def test_load_log_rejects_unknown_kind():
     # PayloadDecoded and ScanStarted were kinds of older logs; they are
     # derivable from UuidsFetched and from the RunStarted header.
     for kind in ("Mystery", "PayloadDecoded", "ScanStarted"):
-        line = json.dumps(
-            {"t": 0.0, "kind": kind, "observer": A, "subject": A, "detail": {}}
-        )
         with pytest.raises(MalformedLog, match="line 1"):
-            list(load_log([line]))
+            list(load_log([_line(kind, {})]))
 
 
 def _line(kind, detail, t=0.0, observer=A, subject=A):
-    return json.dumps(
-        {"t": t, "kind": kind, "observer": observer, "subject": subject, "detail": detail}
-    )
+    return json.dumps([t, kind, observer, subject, detail])
 
 
 def _header_line(**changes):
@@ -320,6 +315,7 @@ _FRAMED = {"generation": 1, "mode": "framed", "message": "6869"}
 _RAW = {"generation": 1, "mode": "raw", "payloads": ["6869"]}
 _CHANGED = {"generation": 1, "mode": "raw", "message": "00"}
 _HUGE = 10**400
+_ARRAY = "event must be an array [t, kind, observer, subject, detail], got"
 _LOG_ERRORS = [
     (_line("DeviceFound", {}), "DeviceFound detail: 'round' is missing or malformed: None"),
     (
@@ -408,17 +404,27 @@ _LOG_ERRORS = [
         "MessageReassembled detail: 'mode' is missing or malformed: ['raw']",
     ),
     (_line("DeviceFound", []), 'DeviceFound detail must be an object, got []'),
+    (_line("DeviceFound", None), 'DeviceFound detail must be an object, got None'),
+    # a line that is not an array of the five fields, such as a line of a log
+    # written in the former one-object-per-line form
     (
-        json.dumps({"t": 0.0, "kind": "DeviceFound", "observer": A, "subject": A}),
-        'DeviceFound detail must be an object, got None',
+        json.dumps([0.0, "DeviceFound", A, A]),
+        f"{_ARRAY} [0.0, 'DeviceFound', '{A}', '{A}']",
     ),
-    ("[]", 'event must be an object, got []'),
-    ("NaN", 'event must be an object, got nan'),
+    ("[]", f"{_ARRAY} []"),
+    ("NaN", f"{_ARRAY} nan"),
+    ('"x"', f"{_ARRAY} 'x'"),
+    ("{}", f"{_ARRAY} an object with keys []"),
+    (
+        json.dumps({"t": 0.5, "kind": "DeviceFound", "observer": A, "subject": A, "detail": {"round": 0}}),
+        f"{_ARRAY} an object with keys ['t', 'kind', 'observer', 'subject', 'detail']",
+    ),
     (_line("DeviceFound", {"round": 0}, t=math.inf), "event: 't' is missing or malformed: inf"),
     (_line("DeviceFound", {"round": 0}, t=True), "event: 't' is missing or malformed: True"),
     (_line("DeviceFound", {"round": 0}, t="0"), "event: 't' is missing or malformed: '0'"),
+    (json.dumps([0.0, "DeviceFound"]), f"{_ARRAY} [0.0, 'DeviceFound']"),
     (
-        json.dumps({"t": 0.0, "kind": "DeviceFound"}),
+        _line("DeviceFound", {"round": 0}, observer=None),
         "event: 'observer' is missing or malformed: None",
     ),
     (_line("Mystery", {}), "event: 'kind' is missing or malformed: 'Mystery'"),
@@ -532,10 +538,8 @@ _LOG_ERRORS = [
         "MessageReassembled detail: unknown keys ['message']",
     ),
     (
-        json.dumps(
-            {"t": 0.5, "kind": "DeviceFound", "observer": A, "subject": A, "detail": {"round": 0}, "x": 1}
-        ),
-        "event: unknown keys ['x']",
+        json.dumps([0.5, "DeviceFound", A, A, {"round": 0}, 1]),
+        f"{_ARRAY} [0.5, 'DeviceFound', '{A}', '{A}', {{'round': 0}}, 1]",
     ),
     # the header's values: a duration, the limits `CapacityLimits` takes, and
     # each scanner's interval, all finite and positive
@@ -652,7 +656,7 @@ def test_sim_event_is_an_immutable_record():
     with pytest.raises(AttributeError):
         event.extra = 1
     for event in _two_device_log(3):
-        assert SimEvent.from_dict(json.loads(event.to_json())) == event
+        assert SimEvent.from_array(json.loads(event.to_json())) == event
 
 
 def test_load_log_rejects_decreasing_time():
@@ -688,36 +692,59 @@ _LOG_FUZZ_VALUES = (
 )
 
 
+# Edits of the line's array that move an item rather than set a value: each
+# applies to one item, and `_AS_OBJECT` to the whole line.
+_DUPLICATED = object()
+_SWAPPED = object()  # with the next item, the last with the first
+_AS_OBJECT = object()  # the line in the former one-object-per-line form
+
+
 def _log_edits(log):
-    """(line index, path, value) for one-value edits of the first event of each kind."""
+    """(line index, path, value) for one-value edits of the first event of
+    each kind: each item, and each value in its detail, replaced or deleted;
+    each item duplicated or swapped with the next; a sixth item added; and
+    the line written as an object."""
     firsts = {}
     for index, event in enumerate(log):
         firsts.setdefault(event.kind, index)
     for index in firsts.values():
-        obj = json.loads(log[index].to_json())
-        paths = [()] + [(key,) for key in obj] + [("detail", key) for key in obj["detail"]]
-        paths += [
-            ("detail", key, 0)
-            for key, item in obj["detail"].items()
-            if isinstance(item, list) and item
-        ]
+        items = json.loads(log[index].to_json())
+        detail = items[-1]
+        paths = [()] + [(i,) for i in range(len(items))] + [(4, key) for key in detail]
+        paths += [(4, key, 0) for key, item in detail.items() if isinstance(item, list) and item]
         for path in paths:
             for value in _LOG_FUZZ_VALUES:
                 yield index, path, value
+        for i in range(len(items)):
+            yield index, (i,), _DUPLICATED
+            yield index, (i,), _SWAPPED
+        for value in _LOG_FUZZ_VALUES[:-1]:  # every value but _DELETED
+            yield index, (len(items),), value
+        yield index, (), _AS_OBJECT
 
 
 def _edited(line, path, value):
+    items = json.loads(line)
     if not path:
+        if value is _AS_OBJECT:
+            return json.dumps(dict(zip(SimEvent._fields, items)))
         return json.dumps(None if value is _DELETED else value)
-    obj = json.loads(line)
-    target = obj
+    target = items
     for key in path[:-1]:
         target = target[key]
+    key = path[-1]
     if value is _DELETED:
-        del target[path[-1]]
+        del target[key]
+    elif value is _DUPLICATED:
+        target.insert(key, target[key])
+    elif value is _SWAPPED:
+        other = (key + 1) % len(target)
+        target[key], target[other] = target[other], target[key]
+    elif key == len(target):
+        target.append(value)
     else:
-        target[path[-1]] = value
-    return json.dumps(obj)
+        target[key] = value
+    return json.dumps(items)
 
 
 def test_edited_log_loads_or_is_rejected(raw_torn_read):
