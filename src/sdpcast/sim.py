@@ -5,14 +5,18 @@ records, and run periodic inquiry scans.  `advertise` and `fetch_snapshot`
 are pure functions of a message and of a record list.  The scenario is a
 frozen value the runner only reads: it keeps every device's generation,
 mode, slots and previous slots itself, and swaps a moved or toggled copy
-of a device (`dataclasses.replace`) into its own table.  A scan finds every
-discoverable device inside radio range (symmetric disc model, min of the
-two ranges); each found device is fetched after a fixed latency, longer for
-the first encounter than for later ones, and the fetched records are
-decoded and reassembled.  Most fetches see exactly the records their
+of a device into its own table.  A scan finds every discoverable device
+inside radio range (symmetric disc model, min of the two ranges); each
+found device is fetched after a fixed latency, longer for the first
+encounter than for later ones, and the fetched records are decoded and
+reassembled.  Most fetches see exactly the records their
 subject's previous fetch saw, so the runner keeps each subject's latest
 (mode, records, outcome) and decodes only when the mode or the records
 differ; that memo holds one entry per device, whatever the run length.
+A pair's MessageReassembled is logged only when its (generation, mode,
+outcome) differs from the last one that observer logged of that subject:
+the first reassembly of every generation, and a splice that differs from
+it, each get a line, and a repeat of the pair's last line does not.
 Everything is driven by one seeded RNG, so a (scenario, seed) pair always
 produces a bit-identical event log.  `run` yields that log as it is
 produced, so a run holds its devices and pending actions, never its log.
@@ -151,7 +155,10 @@ class _Runner:
         for dev in self.devices.values():
             self._place(dev)
         self.pending: list[SimEvent] = []  # emitted by the current handler, not yet yielded
-        self.fetched: set[tuple[str, str]] = set()  # pairs with a UuidsFetched logged so far
+        # (observer, subject) of every UuidsFetched logged so far -> the
+        # (generation, mode, outcome) of the pair's last MessageReassembled,
+        # or None before its first
+        self.fetched: dict[tuple[str, str], tuple[int, str, str | list[str]] | None] = {}
         # address -> (mode, unshuffled records, outcome) of its latest fetch; see `_outcome`
         self.outcomes: dict[str, tuple[str, list[str], str | list[str] | None]] = {}
         self.heap: list[tuple[float, int, tuple]] = []
@@ -281,7 +288,8 @@ class _Runner:
         )
         fetched = records.copy()
         self.rng.shuffle(fetched)
-        self.fetched.add((observer, subject))
+        pair = (observer, subject)
+        last = self.fetched.setdefault(pair, None)
         self._emit(
             t,
             UUIDS_FETCHED,
@@ -294,6 +302,10 @@ class _Runner:
         outcome = self._outcome(subject, mode, records)
         if outcome is None:
             return  # torn or truncated snapshot; a later fetch will retry
+        logged = (generation, mode, outcome)
+        if logged == last:
+            return  # the pair's last line says this already
+        self.fetched[pair] = logged
         if mode == FRAMED:
             detail = {"generation": generation, "mode": FRAMED, "message": outcome}
         else:
@@ -328,8 +340,19 @@ class _Runner:
             self._advertise(mut.device, mut.message, mut.mode, t)
             return
         field = _ACTIONS[mut.action][0]  # named as on Device
-        dev = self.devices[mut.device] = dataclasses.replace(
-            self.devices[mut.device], **{field: getattr(mut, field)}
-        )
+        dev = self.devices[mut.device] = _moved(self.devices[mut.device], field, getattr(mut, field))
         self._place(dev)
 
+
+def _moved(dev: Device, field: str, value: object) -> Device:
+    """`dataclasses.replace(dev, **{field: value})` for a set_position or set_discoverable value.
+
+    `Mutation.__post_init__` has checked and normalised `value` by the rule
+    `Device.__post_init__` applies to `field`, so the copy skips that check,
+    which costs about ten times the copy itself.
+    """
+    copy = object.__new__(Device)
+    state = vars(copy)
+    state.update(vars(dev))
+    state[field] = value
+    return copy

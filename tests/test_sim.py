@@ -24,8 +24,10 @@ from sdpcast import (
     Mutation,
     ReassemblyError,
     Scenario,
+    SimEvent,
     TimingModel,
     advertise,
+    build_report,
     fetch_snapshot,
     in_range,
     load_log,
@@ -37,7 +39,7 @@ from sdpcast import (
     unframe,
 )
 from sdpcast.model import MAX_SCANS
-from sdpcast.sim import _Runner
+from sdpcast.sim import _moved, _Runner
 
 from conftest import address, toggle_layout
 
@@ -316,9 +318,11 @@ def test_hand_traced_event_times():
     fetched = [e.t for e in log if e.kind == "UuidsFetched"]
     expected_fetched = [expected_found[0] + 6.0] + [t + 1.5 for t in expected_found[1:]]
     assert fetched == expected_fetched
+    # every fetch reassembles the same generation to the same bytes, so only
+    # the first is logged
     reassembled = [e for e in log if e.kind == "MessageReassembled"]
-    assert [e.t for e in reassembled] == expected_fetched
-    assert all(bytes.fromhex(e.detail["message"]) == b"hi b" for e in reassembled)
+    assert [e.t for e in reassembled] == expected_fetched[:1]
+    assert bytes.fromhex(reassembled[0].detail["message"]) == b"hi b"
 
 
 def _fetch_origins(log):
@@ -468,70 +472,92 @@ def test_set_message_mutation_changes_payload():
     assert messages == {b"first", b"second"}
 
 
+def _expected_reassemblies(log):
+    """The MessageReassembled events `log` should hold, and its fetches that reassemble nothing.
+
+    Each UuidsFetched is decoded with the public unframe / raw_read, in the
+    mode of its subject's latest MessageChanged, whose generation the
+    reassembly carries. A fetch that decodes gives a MessageReassembled at
+    its own time unless the last one expected of the same (observer,
+    subject) has the same generation, mode and bytes.
+    """
+    latest, last, expected, torn = {}, {}, [], []
+    for event in log:
+        if event.kind == "MessageChanged":
+            latest[event.subject] = event.detail
+        if event.kind != "UuidsFetched" or event.subject not in latest:
+            continue  # a subject that never advertised has no slots to reassemble
+        change = latest[event.subject]
+        records = event.detail["records"]
+        if change["mode"] == RAW:
+            outcome = sorted(p.hex() for p in raw_read(records)) or None
+        else:
+            try:
+                outcome = unframe(records).hex()
+            except ReassemblyError:
+                outcome = None
+        if outcome is None:
+            torn.append(event)
+            continue
+        key = "payloads" if change["mode"] == RAW else "message"
+        detail = {"generation": change["generation"], "mode": change["mode"], key: outcome}
+        pair = (event.observer, event.subject)
+        if last.get(pair) != detail:
+            last[pair] = detail
+            expected.append(SimEvent(event.t, "MessageReassembled", *pair, detail))
+    return expected, torn
+
+
 def test_torn_read_scenario_tears_every_seed():
     sc = scenario_gen("torn-read")
     old = sc.devices[0].message
     new = sc.schedule[0].message
     for seed in range(8):
         log = list(run(sc, seed=seed))
-        fetches = [e for e in log if e.kind == "UuidsFetched"]
-        reassembled_at = {(e.t, e.observer) for e in log if e.kind == "MessageReassembled"}
-        torn = [e for e in fetches if (e.t, e.observer) not in reassembled_at]
+        reassembled = [e for e in log if e.kind == "MessageReassembled"]
+        expected, torn = _expected_reassemblies(log)
+        assert reassembled == expected
         assert len(torn) == 1
         assert 55.0 <= torn[0].t < 67.0
         totals = {int(r[1], 16) for r in torn[0].detail["records"]}
         indices = sorted(int(r[0], 16) for r in torn[0].detail["records"])
         assert len(totals) > 1 or indices != list(range(max(totals)))
-        messages = [
-            bytes.fromhex(e.detail["message"])
-            for e in log
-            if e.kind == "MessageReassembled"
-        ]
-        assert messages[0] == old
-        assert set(messages[1:]) == {new}
+        # one observer: a line for each generation, none for the torn read
+        assert [bytes.fromhex(e.detail["message"]) for e in reassembled] == [old, new]
 
 
-def test_fetched_records_decode_to_the_following_reassembly(
+def test_fetched_records_decode_to_the_logged_reassemblies(
     same_records_scenarios, raw_torn_read
 ):
-    # Oracle for the memoized fetch path: the public unframe / raw_read of
-    # each fetch's records, in the mode of the subject's latest change, give
-    # exactly the bytes of the MessageReassembled emitted with it, which
-    # carries that change's generation; unframe raises exactly when none is
-    # emitted.
+    # Oracle for the memoized fetch path and for the rule that drops a
+    # pair's repeated line: the reassemblies that the public unframe /
+    # raw_read derive from the fetches are exactly the logged ones.
     scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [raw_torn_read]
     for sc in scenarios + same_records_scenarios:
         for seed in (0, 1, 2, 42):
             log = list(run(sc, seed=seed))
-            latest = {}
-            for event, following in zip(log, log[1:] + [None]):
-                if event.kind == "MessageChanged":
-                    latest[event.subject] = event.detail
-                if event.kind != "UuidsFetched":
-                    continue
-                records = event.detail["records"]
-                reassembled = (
-                    following is not None
-                    and following.kind == "MessageReassembled"
-                    and (following.t, following.observer, following.subject)
-                    == (event.t, event.observer, event.subject)
-                )
-                change = latest[event.subject]
-                if reassembled:
-                    assert following.detail["generation"] == change["generation"]
-                    assert following.detail["mode"] == change["mode"]
-                if change["mode"] == RAW:
-                    payloads = sorted(p.hex() for p in raw_read(records))
-                    assert reassembled == bool(payloads)
-                    assert not reassembled or following.detail["payloads"] == payloads
-                    continue
-                try:
-                    message = unframe(records)
-                except ReassemblyError:
-                    assert not reassembled
-                    continue
-                assert reassembled
-                assert following.detail["message"] == message.hex()
+            expected, _ = _expected_reassemblies(log)
+            assert [e for e in log if e.kind == "MessageReassembled"] == expected
+
+
+def test_a_message_set_again_is_logged_once_per_generation(same_records_scenarios):
+    # A re-sends the bytes it already advertises, so every fetch of A sees
+    # the same records and reassembles the same message; B still logs the
+    # new generation once, at its first fetch after the change, and the
+    # report counts that delivery.
+    sc = same_records_scenarios[1]
+    log = list(run(sc, seed=3))
+    change_t = sc.schedule[0].t
+    fetches = [e.t for e in log if e.kind == "UuidsFetched" and e.subject == A]
+    assert len(fetches) >= 4
+    reassembled = [e for e in log if e.kind == "MessageReassembled" and e.subject == A]
+    assert [(e.t, e.detail["generation"]) for e in reassembled] == [
+        (fetches[0], 1),
+        (min(t for t in fetches if t > change_t), 2),
+    ]
+    assert {e.detail["message"] for e in reassembled} == {b"from a".hex()}
+    (pair,) = [p for p in build_report(log).latency.pairs if p.subject == A]
+    assert len(pair.latencies) == 2
 
 
 # -- spatial index ------------------------------------------------------------
@@ -748,6 +774,24 @@ def test_scan_rounds_follow_from_the_header():
             pass
         assert sorted(_scan_rounds(header)) == sorted(runner.scans), sc.name
     assert len(runner.scans) == 8
+
+
+def test_moved_copy_equals_a_checked_replace():
+    # The runner swaps in an unchecked copy of a moved or toggled device; for
+    # every such mutation of churn-400 and toggles-400, applied in turn, it
+    # equals what dataclasses.replace builds and checks, down to value types.
+    churn = _bench_workloads().churn_400(sdpcast, random.Random(0))
+    for sc in (churn, toggle_layout()):
+        devices = {d.address: d for d in sc.devices}
+        moves = [m for m in sc.schedule if m.action != "set_message"]
+        assert len(moves) >= 400
+        for mut in sorted(moves, key=lambda m: m.t):
+            field = "position" if mut.action == "set_position" else "discoverable"
+            copy = _moved(devices[mut.device], field, getattr(mut, field))
+            checked = dataclasses.replace(devices[mut.device], **{field: getattr(mut, field)})
+            assert type(copy) is Device
+            assert copy == checked and repr(copy) == repr(checked)
+            devices[mut.device] = copy
 
 
 def test_set_position_moves_device_between_grid_cells():
