@@ -3,16 +3,16 @@
 Virtual devices sit on a plane, advertise payload UUIDs as SDP service
 records, and run periodic inquiry scans.  `advertise` and `fetch_snapshot`
 are pure functions of a message and of a record list.  The scenario is a
-frozen value the runner only reads: it keeps every device's generation,
-mode, slots and previous slots itself, and swaps a moved or toggled copy
-of a device into its own table.  A scan finds every discoverable device
-inside radio range (symmetric disc model, min of the two ranges); each
-found device is fetched after a fixed latency, longer for the first
-encounter than for later ones, and the fetched records are decoded and
-reassembled.  Most fetches see exactly the records their
-subject's previous fetch saw, so the runner keeps each subject's latest
-(mode, records, outcome) and decodes only when the mode or the records
-differ; that memo holds one entry per device, whatever the run length.
+frozen value the runner only reads: it keeps one mutable record per
+device, a `_Node`, with the fields a run reads or changes, the advert and
+the grid cell, and a move or toggle sets one field of it in place.  A scan
+finds every discoverable device inside radio range (symmetric disc model,
+min of the two ranges); each found device is fetched after a fixed
+latency, longer for the first encounter than for later ones, and the
+fetched records are decoded and reassembled.  Most fetches see exactly
+the records their subject's previous fetch saw, so each node keeps its
+latest (mode, records, outcome) and decodes only when the mode or the
+records differ; that memo is one entry per device, whatever the run length.
 A pair's MessageReassembled is logged only when its (generation, mode,
 outcome) differs from the last one that observer logged of that subject:
 the first reassembly of every generation, and a splice that differs from
@@ -48,8 +48,12 @@ from .model import _ACTIONS, FRAMED, RAW, Device, Mutation, Scenario, _check_mod
 MAX_EVENTS = 10**7
 
 
-def in_range(a: Device, b: Device) -> bool:
-    """True iff `a` can discover `b`: disc model with the smaller of the two ranges."""
+def in_range(a: Device | _Node, b: Device | _Node) -> bool:
+    """True iff `a` can discover `b`: disc model with the smaller of the two ranges.
+
+    It reads only `position`, `range_m` and `discoverable`, of a `Device` or
+    of the runner's record of one.
+    """
     if not b.discoverable:
         return False
     dx = a.position[0] - b.position[0]
@@ -126,16 +130,31 @@ def run(
     return _Runner(dataclasses.replace(scenario, **overrides)).execute()
 
 
+class _Node:
+    """One device in a run: the `Device` fields the run reads or changes, its advert and grid cell.
+
+    The advert is the `generation`-th message, as `slots` in `mode`; `change` is (the slots
+    before the latest change, its time), or None before the first. `memo` is the (mode,
+    unshuffled records, outcome) of the latest fetch of this device; see `_outcome`.
+    """
+
+    __slots__ = (
+        "address", "position", "range_m", "scan_interval_s", "discoverable", "wellknown_records",
+        "mode", "generation", "slots", "change", "cell", "memo",
+    )
+
+    def __init__(self, dev: Device) -> None:
+        self.address, self.position, self.range_m = dev.address, dev.position, dev.range_m
+        self.scan_interval_s, self.discoverable = dev.scan_interval_s, dev.discoverable
+        self.wellknown_records, self.mode = dev.wellknown_records, dev.mode
+        self.generation, self.slots, self.change, self.cell, self.memo = 0, [], None, None, None
+
+
 class _Runner:
     def __init__(self, sc: Scenario) -> None:
         self.sc = sc
         self.rng = random.Random(sc.seed)
-        self.devices = {d.address: d for d in sc.devices}  # as moved and toggled so far
-        # address -> (generation, mode, payload slots, (slots before the
-        # latest change, change time)); the change is None before the first
-        self.adverts: dict[str, tuple[int, str, list[str], tuple[list[str], float] | None]] = {
-            d.address: (0, d.mode, [], None) for d in sc.devices
-        }
+        self.devices = {d.address: _Node(d) for d in sc.devices}
         # Uniform grid hash over positions (Teschner et al., VMV 2003). Any
         # pair in range lies in the same or an adjacent cell, so a scan only
         # looks at its 3x3 neighbourhood. Cells are the largest range wide,
@@ -150,17 +169,14 @@ class _Runner:
         # twice the range.
         self.cell_size = max((d.range_m for d in sc.devices), default=1.0) * (1 + 1e-9)
         self.cell_ratio = self.cell_size.as_integer_ratio()
-        self.cell_of: dict[str, tuple[int, int]] = {}
         self.grid: dict[tuple[int, int], list[str]] = {}
-        for dev in self.devices.values():
-            self._place(dev)
+        for node in self.devices.values():
+            self._place(node)
         self.pending: list[SimEvent] = []  # emitted by the current handler, not yet yielded
         # (observer, subject) of every UuidsFetched logged so far -> the
         # (generation, mode, outcome) of the pair's last MessageReassembled,
         # or None before its first
         self.fetched: dict[tuple[str, str], tuple[int, str, str | list[str]] | None] = {}
-        # address -> (mode, unshuffled records, outcome) of its latest fetch; see `_outcome`
-        self.outcomes: dict[str, tuple[str, list[str], str | list[str] | None]] = {}
         self.heap: list[tuple[float, int, tuple]] = []
         self.seq = 0
 
@@ -181,9 +197,9 @@ class _Runner:
             "scanners": scanners,
         }
         self._emit(0.0, RUN_STARTED, "", "", header)
-        for dev in self.devices.values():
+        for dev in sc.devices:
             if dev.message is not None:
-                self._advertise(dev.address, dev.message, dev.mode, t=0.0)
+                self._advertise(self.devices[dev.address], dev.message, dev.mode, t=0.0)
         for address in scanners:
             self._push(0.0, ("_on_scan", address, 0))
         for mut in sc.schedule:
@@ -215,39 +231,32 @@ class _Runner:
         # as `SimEvent.from_array` does, skip the argument handling of SimEvent(...)
         self.pending.append(tuple.__new__(SimEvent, (t, kind, observer, subject, detail)))
 
-    def _advertise(self, address: str, message: bytes, mode: str | None, t: float) -> None:
-        """Switch `address` to `message` at `t`, in `mode` or else its current mode."""
-        generation, current, previous, _ = self.adverts[address]
-        mode = mode or current
+    def _advertise(self, node: _Node, message: bytes, mode: str | None, t: float) -> None:
+        """Switch `node` to `message` at `t`, in `mode` or else its current mode."""
+        mode = mode or node.mode
         slots = advertise(message, mode, self.sc.limits)
-        generation += 1
-        self.adverts[address] = (generation, mode, slots, (previous, t))
-        self._emit(
-            t,
-            MESSAGE_CHANGED,
-            address,
-            address,
-            {"generation": generation, "mode": mode, "message": message.hex()},
-        )
+        node.generation += 1
+        node.mode, node.slots, node.change = mode, slots, (node.slots, t)
+        detail = {"generation": node.generation, "mode": mode, "message": message.hex()}
+        self._emit(t, MESSAGE_CHANGED, node.address, node.address, detail)
 
-    def _place(self, dev: Device) -> None:
-        """File `dev` under the grid cell of its position, moving it if the cell changed."""
+    def _place(self, node: _Node) -> None:
+        """File `node` under the grid cell of its position, moving it if the cell changed."""
         # exact integer floors (see `cell_size`); a float index plus one can
         # also round back to itself
         num, den = self.cell_ratio
-        x, y = (v.as_integer_ratio() for v in dev.position)
+        x, y = (v.as_integer_ratio() for v in node.position)
         cell = ((x[0] * den) // (x[1] * num), (y[0] * den) // (y[1] * num))
-        old = self.cell_of.get(dev.address)
-        if cell == old:
+        if cell == node.cell:
             return
-        if old is not None:
-            self.grid[old].remove(dev.address)
-        self.grid.setdefault(cell, []).append(dev.address)
-        self.cell_of[dev.address] = cell
+        if node.cell is not None:
+            self.grid[node.cell].remove(node.address)
+        self.grid.setdefault(cell, []).append(node.address)
+        node.cell = cell
 
-    def _candidates(self, dev: Device) -> list[str]:
-        """Addresses in the 3x3 cells around `dev`, its own included: a superset of those in range."""
-        cx, cy = self.cell_of[dev.address]
+    def _candidates(self, node: _Node) -> list[str]:
+        """Addresses in the 3x3 cells around `node`, its own included: a superset of those in range."""
+        cx, cy = node.cell
         grid = self.grid
         found: list[str] = []
         for x in (cx - 1, cx, cx + 1):
@@ -256,14 +265,14 @@ class _Runner:
         return found
 
     def _on_scan(self, t: float, address: str, rnd: int) -> None:
-        dev = self.devices[address]
+        node = self.devices[address]
         devices = self.devices
-        hits = [s for s in self._candidates(dev) if s != address and in_range(dev, devices[s])]
+        hits = [s for s in self._candidates(node) if s != address and in_range(node, devices[s])]
         hits.sort()  # the RNG draws go in address order, whatever order the cells hold
         uniform, inquiry_s = self.rng.uniform, self.sc.timing.inquiry_duration_s
         for subject in hits:
             self._push(t + uniform(0.0, inquiry_s), ("_on_found", address, subject, rnd))
-        next_scan = t + dev.scan_interval_s
+        next_scan = t + node.scan_interval_s
         if next_scan <= self.sc.duration_s:
             self._push(next_scan, ("_on_scan", address, rnd + 1))
 
@@ -278,13 +287,13 @@ class _Runner:
         obs, subj = self.devices[observer], self.devices[subject]
         if not in_range(obs, subj):
             return  # moved or toggled mid-flight; the fetch just never completes
-        generation, mode, slots, change = self.adverts[subject]
+        generation, mode, slots = subj.generation, subj.mode, subj.slots
         records = fetch_snapshot(
             slots,
             subj.wellknown_records,
             self.sc.limits,
             window=(t_start, t),
-            change=change if self.sc.torn_read_mode else None,
+            change=subj.change if self.sc.torn_read_mode else None,
         )
         fetched = records.copy()
         self.rng.shuffle(fetched)
@@ -299,7 +308,7 @@ class _Runner:
         )
         if not slots:
             return
-        outcome = self._outcome(subject, mode, records)
+        outcome = self._outcome(subj, records)
         if outcome is None:
             return  # torn or truncated snapshot; a later fetch will retry
         logged = (generation, mode, outcome)
@@ -313,17 +322,17 @@ class _Runner:
             detail = {"generation": generation, "mode": RAW, "payloads": list(outcome)}
         self._emit(t, MESSAGE_REASSEMBLED, observer, subject, detail)
 
-    def _outcome(self, subject: str, mode: str, records: list[str]) -> str | list[str] | None:
-        """What a fetch of `records` (unshuffled) reassembles to in `mode`.
+    def _outcome(self, subj: _Node, records: list[str]) -> str | list[str] | None:
+        """What a fetch of `records` (unshuffled) of `subj` reassembles to in its mode.
 
         That is the message hex in framed mode, the sorted payload hex in raw
         mode, or None when nothing reassembles. Most fetches see the snapshot
-        their subject's previous fetch saw, so the latest outcome is kept per
-        subject and reused while mode and records are unchanged.
+        their subject's previous fetch saw, so the subject's latest outcome
+        is kept in its `memo` and reused while mode and records are unchanged.
         """
-        entry = self.outcomes.get(subject)
-        if entry is not None and entry[0] == mode and entry[1] == records:
-            return entry[2]
+        mode, memo = subj.mode, subj.memo
+        if memo is not None and memo[0] == mode and memo[1] == records:
+            return memo[2]
         payloads = raw_read(records)
         if mode == FRAMED:
             try:
@@ -332,27 +341,14 @@ class _Runner:
                 outcome = None
         else:
             outcome = sorted(p.hex() for p in payloads) or None
-        self.outcomes[subject] = (mode, records, outcome)
+        subj.memo = (mode, records, outcome)
         return outcome
 
     def _on_mutate(self, t: float, mut: Mutation) -> None:
+        node = self.devices[mut.device]
         if mut.action == "set_message":
-            self._advertise(mut.device, mut.message, mut.mode, t)
+            self._advertise(node, mut.message, mut.mode, t)
             return
-        field = _ACTIONS[mut.action][0]  # named as on Device
-        dev = self.devices[mut.device] = _moved(self.devices[mut.device], field, getattr(mut, field))
-        self._place(dev)
-
-
-def _moved(dev: Device, field: str, value: object) -> Device:
-    """`dataclasses.replace(dev, **{field: value})` for a set_position or set_discoverable value.
-
-    `Mutation.__post_init__` has checked and normalised `value` by the rule
-    `Device.__post_init__` applies to `field`, so the copy skips that check,
-    which costs about ten times the copy itself.
-    """
-    copy = object.__new__(Device)
-    state = vars(copy)
-    state.update(vars(dev))
-    state[field] = value
-    return copy
+        field = _ACTIONS[mut.action][0]  # named as on Device, and checked by its rule
+        setattr(node, field, getattr(mut, field))
+        self._place(node)

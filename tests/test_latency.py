@@ -16,11 +16,21 @@ I + L_fresh for the message at t = 0, S + I for a later change.
 crowd-20's graph is complete and static too, so cut to one scan round
 (`duration_s` = S) each of its 380 ordered pairs' first delivery is
 U(0, I) + L_fresh, by the same law with one round.
+
+One window law covers torn reads and aborts. Round 1 of crowd-20 scans at
+S = 30 and its fetches are cached, so a pair's fetch window is the open
+interval (S + U, S + U + L_cached). A message change at t_m is torn into
+the fetch iff it lies strictly inside the window; a fetch aborts iff its
+observer or subject has left range by the window's end, t_m <= S + U +
+L_cached. For t_m in [S + L_cached, S + I] the first has probability
+L_cached / I and the second 1 - (t_m - S - L_cached) / I.
 """
 
+import dataclasses
 import math
+import random
 
-from sdpcast import run, scenario_gen
+from sdpcast import Mutation, frame, run, scenario_gen
 from test_sim import _scan_rounds
 
 SEEDS = range(500)
@@ -111,3 +121,116 @@ def test_crowd_20_first_delivery_follows_the_closed_form():
     _assert_fits_the_closed_form(latencies, 0.0, starts, timing)
     assert timing.fetch_latency_fresh_s <= min(latencies)
     assert max(latencies) <= timing.inquiry_duration_s + timing.fetch_latency_fresh_s
+
+
+# -- the fetch window: torn reads and aborts ------------------------------------
+
+WINDOW_SEEDS = range(200)
+
+
+def _crowd_20_two_rounds(schedule, torn_read_mode=False):
+    """crowd-20 cut to 59 s, so its scans at 0 and 30 s are its only rounds."""
+    sc = scenario_gen("crowd-20")
+    assert sc.timing.inquiry_duration_s + sc.timing.fetch_latency_cached_s + 30.0 < 59.0
+    return dataclasses.replace(
+        sc, duration_s=59.0, torn_read_mode=torn_read_mode, schedule=schedule
+    )
+
+
+def _spread(n, timing):
+    """`n` change times spread evenly over [S + L_cached, S + I], with S = 30."""
+    first, last = 30.0 + timing.fetch_latency_cached_s, 30.0 + timing.inquiry_duration_s
+    return [first + (last - first) * k / (n - 1) for k in range(n)]
+
+
+def test_torn_reads_follow_the_window_law():
+    # Every device changes once, to a random message of the same size.
+    sc = scenario_gen("crowd-20")
+    rng = random.Random(20)
+    old = {d.address: set(frame(d.message)) for d in sc.devices}
+    new_messages = {d.address: rng.randbytes(len(d.message)) for d in sc.devices}
+    new = {address: set(frame(message)) for address, message in new_messages.items()}
+    assert all(len(old[a]) == len(new[a]) == 3 and not old[a] & new[a] for a in old)
+    times = _spread(len(sc.devices), sc.timing)
+    schedule = [
+        Mutation(t=t, device=address, action="set_message", message=new_messages[address])
+        for t, address in zip(times, new_messages)
+    ]
+    sc = _crowd_20_two_rounds(schedule, torn_read_mode=True)
+    torn = fetches = 0
+    for seed in WINDOW_SEEDS:
+        for event in run(sc, seed=seed):
+            if event.kind == "UuidsFetched" and event.detail["round"] == 1:
+                fetches += 1
+                records = set(event.detail["records"])
+                torn += bool(records & old[event.subject] and records & new[event.subject])
+    assert fetches == len(WINDOW_SEEDS) * 20 * 19
+    expected = fetches * sc.timing.fetch_latency_cached_s / sc.timing.inquiry_duration_s
+    assert expected == 9500
+    assert abs(torn - expected) <= 0.01 * expected, torn
+
+
+def test_aborted_fetches_follow_the_window_law():
+    # Ten devices move 1 km away, each to its own spot, so no two of them
+    # stay in range of each other.
+    sc = scenario_gen("crowd-20")
+    timing = sc.timing
+    moved_at = dict(zip((d.address for d in sc.devices[::2]), _spread(10, timing)))
+    schedule = [
+        Mutation(t=t, device=address, action="set_position", position=(1000.0, 100.0 * k))
+        for k, (address, t) in enumerate(moved_at.items())
+    ]
+    sc = _crowd_20_two_rounds(schedule)
+    found = fetched = 0
+    for seed in WINDOW_SEEDS:
+        for event in run(sc, seed=seed):
+            if event.detail.get("round") == 1:
+                found += event.kind == "DeviceFound"
+                fetched += event.kind == "UuidsFetched"
+    assert found == len(WINDOW_SEEDS) * 20 * 19
+    # A pair's fetch aborts iff the first of its two to move does so by the
+    # window's end, 30 + U + L_cached.
+    expected = 0.0
+    for a in sc.devices:
+        for b in sc.devices:
+            t_m = min(moved_at.get(a.address, math.inf), moved_at.get(b.address, math.inf))
+            if a is not b and t_m < math.inf:
+                ready = 30.0 + timing.fetch_latency_cached_s
+                expected += 1.0 - _uniform_cdf(t_m - ready, timing.inquiry_duration_s)
+    expected *= len(WINDOW_SEEDS)
+    assert round(expected) == 35833
+    assert abs((found - fetched) - expected) <= 0.01 * expected, found - fetched
+
+
+def test_the_fetch_window_is_open_at_both_ends():
+    # A's round-1 fetch by B spans (t_start, t_end). A change at either end
+    # is read whole in the new generation, one in between is torn; a move at
+    # t_end aborts the fetch, one a float later does not.
+    sc = _crowd_20_two_rounds([], torn_read_mode=True)
+    a, b = sc.devices[:2]
+    round_1 = {}
+    for event in run(sc, seed=0):
+        if (event.observer, event.subject, event.detail.get("round")) == (b.address, a.address, 1):
+            round_1[event.kind] = event.t
+    t_start, t_end = round_1["DeviceFound"], round_1["UuidsFetched"]
+    message = bytes(reversed(a.message))
+    old, new = set(frame(a.message)), set(frame(message))
+
+    def fetch_of_a(mutation):
+        """The records of B's round-1 fetch of A, or None if it aborted."""
+        for event in run(dataclasses.replace(sc, schedule=[mutation]), seed=0):
+            if (event.kind, event.observer, event.subject) == ("UuidsFetched", b.address, a.address):
+                if event.detail["round"] == 1:
+                    assert event.t == t_end
+                    return set(event.detail["records"]) - set(a.wellknown_records)
+        return None
+
+    for t, records in ((t_start, new), ((t_start + t_end) / 2, None), (t_end, new)):
+        got = fetch_of_a(Mutation(t=t, device=a.address, action="set_message", message=message))
+        if records is None:
+            assert got & old and got & new, t
+        else:
+            assert got == records, t
+    away = dict(device=a.address, action="set_position", position=(1000.0, 0.0))
+    assert fetch_of_a(Mutation(t=t_end, **away)) is None
+    assert fetch_of_a(Mutation(t=math.nextafter(t_end, math.inf), **away)) == old

@@ -39,7 +39,7 @@ from sdpcast import (
     unframe,
 )
 from sdpcast.model import MAX_SCANS
-from sdpcast.sim import _moved, _Runner
+from sdpcast.sim import _Node, _Runner
 
 from conftest import address, toggle_layout
 
@@ -212,12 +212,21 @@ def test_different_seeds_differ():
 
 
 def test_partly_consumed_run_matches_a_fresh_one():
-    sc = _two_device_scenario()
-    partial = run(sc, seed=3)
-    prefix = [next(partial) for _ in range(5)]
-    fresh = list(run(sc, seed=3))
-    assert prefix == fresh[:5]
-    assert prefix + list(partial) == fresh  # the fresh run left the suspended one untouched
+    # toggles-400 cut to 40 s moves and toggles devices before the cut of
+    # the partial run, and again after it: each run keeps its own records
+    toggles = toggle_layout()
+    toggles = dataclasses.replace(
+        toggles, duration_s=40.0, schedule=[m for m in toggles.schedule if m.t <= 40.0]
+    )
+    for sc, cut in ((_two_device_scenario(), 5), (toggles, 1500)):
+        before = scenario_to_json(sc)
+        partial = run(sc, seed=3)
+        prefix = [next(partial) for _ in range(cut)]
+        fresh = list(run(sc, seed=3))
+        assert prefix == fresh[:cut]
+        assert prefix + list(partial) == fresh  # the fresh run left the suspended one untouched
+        assert scenario_to_json(sc) == before
+    assert toggles.schedule[0].t < prefix[-1].t < toggles.schedule[-1].t
 
 
 def _traced_peak_of_run(sc, duration_s):
@@ -281,7 +290,7 @@ def test_run_does_not_mutate_input_scenario():
     found_b = [e.t for e in log if e.kind == "DeviceFound" and e.subject == B]
     assert found_b and max(found_b) < 40.0 + 12.0  # hidden from the scans after t=40
     assert scenario_to_json(sc) == before
-    # the run swapped moved and toggled copies into its own table, not into sc
+    # the run set moved and toggled fields on its own record of each device, not on sc
     assert isinstance(devices, tuple) and isinstance(sc.schedule, tuple)
     assert sc.devices is devices
     assert all(a is b for a, b in zip(sc.devices, devices, strict=True))
@@ -430,6 +439,30 @@ def test_mid_flight_position_mutation_aborts_fetch():
         assert not any(e.kind == "UuidsFetched" for e in log)
 
 
+def test_mid_flight_discoverable_toggle_aborts_fetch():
+    # B scans at 0 and finds A in (0, 1) s; the fresh fetch completes in
+    # (6, 7) s. A hidden at t = 3 is not fetched; shown again at t = 4, it is.
+    hide = Mutation(t=3.0, device=A, action="set_discoverable", discoverable=False)
+    show = Mutation(t=4.0, device=A, action="set_discoverable", discoverable=True)
+    for schedule, fetches in (([hide], 0), ([hide, show], 1)):
+        for seed in (0, 1, 2, 3):
+            sc = Scenario(
+                devices=[
+                    _device(A, scan_interval_s=None, message=b"blinker"),
+                    _device(B, position=(5.0, 0.0)),
+                ],
+                duration_s=20.0,
+                timing=TimingModel(inquiry_duration_s=1.0),
+                schedule=schedule,
+            )
+            log = list(run(sc, seed=seed))
+            (found,) = [e.t for e in log if e.kind == "DeviceFound"]
+            assert 0.0 < found < 1.0
+            fetched = [e.t for e in log if e.kind == "UuidsFetched"]
+            assert len(fetched) == fetches
+            assert all(6.0 < t < 7.0 for t in fetched)
+
+
 def test_discoverable_toggle_controls_discovery():
     for seed in (0, 1, 2):
         sc = Scenario(
@@ -570,7 +603,7 @@ class _BruteForceRunner(_Runner):
         super().__init__(sc)
         self.candidate_calls = 0
 
-    def _candidates(self, dev):
+    def _candidates(self, node):
         self.candidate_calls += 1
         return sorted(self.devices)
 
@@ -709,8 +742,8 @@ class _CountingRunner(_Runner):
         super().__init__(sc)
         self.candidate_counts = []
 
-    def _candidates(self, dev):
-        found = super()._candidates(dev)
+    def _candidates(self, node):
+        found = super()._candidates(node)
         self.candidate_counts.append(len(found))
         return found
 
@@ -776,22 +809,32 @@ def test_scan_rounds_follow_from_the_header():
     assert len(runner.scans) == 8
 
 
-def test_moved_copy_equals_a_checked_replace():
-    # The runner swaps in an unchecked copy of a moved or toggled device; for
-    # every such mutation of churn-400 and toggles-400, applied in turn, it
-    # equals what dataclasses.replace builds and checks, down to value types.
+def test_node_set_in_place_equals_a_checked_replace():
+    # The runner sets a moved or toggled device's field on its _Node in place,
+    # unchecked; for every such mutation of churn-400 and toggles-400, applied
+    # in turn, the node's Device fields equal those of what
+    # dataclasses.replace builds and checks, down to value types.
+    fields = [f.name for f in dataclasses.fields(Device) if f.name in _Node.__slots__]
+    assert fields == [
+        "address", "position", "range_m", "scan_interval_s", "discoverable", "mode",
+        "wellknown_records",
+    ]
     churn = _bench_workloads().churn_400(sdpcast, random.Random(0))
     for sc in (churn, toggle_layout()):
+        runner = _Runner(sc)
         devices = {d.address: d for d in sc.devices}
         moves = [m for m in sc.schedule if m.action != "set_message"]
         assert len(moves) >= 400
         for mut in sorted(moves, key=lambda m: m.t):
+            runner._on_mutate(mut.t, mut)
             field = "position" if mut.action == "set_position" else "discoverable"
-            copy = _moved(devices[mut.device], field, getattr(mut, field))
             checked = dataclasses.replace(devices[mut.device], **{field: getattr(mut, field)})
-            assert type(copy) is Device
-            assert copy == checked and repr(copy) == repr(checked)
-            devices[mut.device] = copy
+            devices[mut.device] = checked
+            node = runner.devices[mut.device]
+            got = [getattr(node, name) for name in fields]
+            want = [getattr(checked, name) for name in fields]
+            assert got == want and repr(got) == repr(want)
+            assert [type(v) for v in got] == [type(v) for v in want]
 
 
 def test_set_position_moves_device_between_grid_cells():

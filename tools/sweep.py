@@ -93,8 +93,8 @@ def measure(n: int, side_m: float, repeats: int, seed: int = 0) -> dict:
     class Counting(_Runner):
         scans = candidates = 0
 
-        def _candidates(self, dev):
-            found = super()._candidates(dev)
+        def _candidates(self, node):
+            found = super()._candidates(node)
             self.scans += 1
             self.candidates += len(found)
             return found
