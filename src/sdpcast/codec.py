@@ -123,26 +123,15 @@ def detect(uuid_str: str, config: CodecConfig = DEFAULT_CONFIG) -> bytes | None:
     and the trailing 4 digits equal the configured marker.  Matching is
     case-insensitive; raises MalformedUuid for non-UUID input.
     """
-    match = _payload_match(uuid_str, config)
+    try:
+        match = config._pattern.fullmatch(uuid_str)  # its groups are the 26 digits
+    except TypeError:  # not a string
+        match = None
     if match is None:
         _hex32(uuid_str)  # raises unless it is a UUID, which then carries no payload
         return None
     # Direct nibble-to-octet mapping: leading zeros survive.
     return bytes.fromhex("".join(match.groups()))
-
-
-def _payload_match(uuid_str: str, config: CodecConfig) -> re.Match | None:
-    """The match of `uuid_str` as a payload UUID under `config`, or None; its groups are the 26 digits."""
-    try:
-        return config._pattern.fullmatch(uuid_str)
-    except TypeError:  # not a string
-        return None
-
-
-def _is_payload(uuid_str: str, config: CodecConfig = DEFAULT_CONFIG) -> bool:
-    """True iff `uuid_str` is a payload UUID under `config`, so that `detect`
-    finds a payload in it; tells without building the payload."""
-    return _payload_match(uuid_str, config) is not None
 
 
 def decode(uuid_str: str, config: CodecConfig = DEFAULT_CONFIG) -> bytes:

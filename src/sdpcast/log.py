@@ -22,6 +22,9 @@ the exact type of each value (an int, a plain string or a list of them)
 under a key the table checks; any other event, such as the header, goes
 through `json`, whose text the writer matches exactly. A format change edits
 the table, and the shape test of each kind it changes.
+
+`Deliveries` is the one rule for what a fetch delivers: the runner logs
+MessageReassembled by it, and the report derives every delivery by it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import math
 import re
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import MalformedLog
-from .framing import CapacityLimits
+from .errors import MalformedLog, ReassemblyError
+from .framing import CapacityLimits, raw_read, reassemble
 from .model import FRAMED, MODES, RAW, _is_finite
 
 RUN_STARTED = "RunStarted"
@@ -364,3 +367,56 @@ def load_log(lines: Iterable[str]) -> Iterator[SimEvent]:
         raise MalformedLog(
             f"line {lineno + 1} or later: not UTF-8 ({bad!r}: {exc.reason})"
         ) from None
+
+
+class Deliveries:
+    """The delivery rule: what a fetch reassembles to, and when its pair logs it.
+
+    A fetch reassembles in the mode of its subject's latest MessageChanged: to
+    the message hex when framed, to the sorted payload hex when raw, or to
+    nothing. A pair logs a MessageReassembled only when its (generation, mode,
+    outcome) differs from the pair's last one. Most fetches see their subject's
+    previous snapshot reordered, so each subject keeps its latest by sorted
+    records: one entry per device, and one per pair, whatever the run length.
+    """
+
+    __slots__ = ("subjects", "pairs")
+
+    def __init__(self) -> None:
+        # subject -> [generation, mode, sorted records or None, payload count, outcome]
+        self.subjects: dict[str, list] = {}
+        # (observer, subject) of every fetch so far -> the (generation, mode,
+        # outcome) of the pair's last MessageReassembled, or None before its first
+        self.pairs: dict[tuple[str, str], tuple[int, str, Any] | None] = {}
+
+    def changed(self, subject: str, generation: int, mode: str) -> None:
+        self.subjects[subject] = [generation, mode, None, 0, None]
+
+    def fetched(self, observer: str, subject: str, records: list[str]) -> tuple[int, dict | None]:
+        """The payload records of a fetch of `records`, in any order, and the
+        detail of the MessageReassembled it implies, or None."""
+        pair = (observer, subject)
+        last = self.pairs.setdefault(pair, None)
+        key = sorted(records)
+        entry = self.subjects.get(subject)
+        if entry is None:  # a subject that never advertised
+            entry = self.subjects[subject] = [0, None, None, 0, None]
+        generation, mode, seen, count, outcome = entry
+        if seen != key:
+            payloads = raw_read(key)
+            count, outcome = len(payloads), None
+            if mode == FRAMED:
+                try:
+                    outcome = reassemble(payloads).hex()
+                except ReassemblyError:
+                    pass  # torn or truncated; a later fetch will retry
+            elif mode == RAW:
+                outcome = sorted(p.hex() for p in payloads) or None
+            entry[2:] = key, count, outcome
+        if outcome is None or (line := (generation, mode, outcome)) == last:
+            return count, None
+        self.pairs[pair] = line
+        if mode == FRAMED:
+            return count, {"generation": generation, "mode": FRAMED, "message": outcome}
+        # a list of its own per event, so no consumer can change the memo's
+        return count, {"generation": generation, "mode": RAW, "payloads": list(outcome)}

@@ -1,15 +1,16 @@
 """Aggregation of event logs into latency and bandwidth reports.
 
 A log begins with its RunStarted header, which names the scanners and the
-capacity limits the report counts against.  Latency matches each
-MessageChanged to the first MessageReassembled that carries the same
-generation, per observer.  A reassembly counts as delivered
-only when its bytes equal what the subject advertised for that generation:
-the message in framed mode, the zero-padded 13-octet payloads in raw mode.
-Any other bytes, such as a splice of two same-sized generations read across
-a change, count as misdelivered and get no latency.  Bandwidth counts
-advertised octets per device and decoded octets per fetch against the run's
-outbound and inbound ceilings (91/273 octets under the default limits).
+capacity limits the report counts against.  Each UuidsFetched reassembles
+by `log.Deliveries`, as in the runner, and latency matches each
+MessageChanged to the first fetch per observer that reassembles to what the
+subject advertised for that generation: the message in framed mode, the
+zero-padded 13-octet payloads in raw mode.  Any other bytes, such as a
+splice of two same-sized generations, count as misdelivered and get no
+latency.  A MessageReassembled is credited with nothing and must repeat
+what the fetch just before it implies.  Bandwidth counts advertised octets
+per device and decoded octets per fetch against the run's outbound and
+inbound ceilings (91/273 octets under the default limits).
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .codec import PAYLOAD_OCTETS, _is_payload
+from .codec import PAYLOAD_OCTETS
 from .errors import MalformedLog, SdpcastError
 from .framing import CapacityLimits, chunk_count, raw_payloads
 from .log import (
     _ENCODER, DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED,
-    SimEvent,
+    Deliveries, SimEvent,
 )
 from .model import RAW, _is_finite
 
@@ -113,21 +114,15 @@ class Report:
     bandwidth: BandwidthReport
 
 
-def _advertised(detail: dict) -> tuple[str | list[str], int]:
-    """What a MessageChanged promises a reader, and the slots that takes: the
-    message hex and its chunk count, or the sorted raw payloads and their count."""
+def _advertised(detail: dict) -> tuple[dict, int]:
+    """The MessageReassembled detail of an exact delivery of a MessageChanged,
+    and the slots its advert takes. Framed, that detail is the MessageChanged's."""
     message = detail["message"]
     if detail["mode"] == RAW:
         payloads = sorted(p.hex() for p in raw_payloads(bytes.fromhex(message)))
-        return payloads, len(payloads)
-    return message, chunk_count(len(message) // 2)
-
-
-def _delivered(detail: dict) -> str | list[str]:
-    """What a MessageReassembled carries, in the form `_advertised` returns."""
-    if detail["mode"] == RAW:
-        return sorted(detail["payloads"])
-    return detail["message"]
+        exact = {"generation": detail["generation"], "mode": RAW, "payloads": payloads}
+        return exact, len(payloads)
+    return detail, chunk_count(len(message) // 2)
 
 
 def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRESHOLD_S) -> Report:
@@ -136,7 +131,8 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     Raises SdpcastError, before reading any event, unless `threshold_s` is a
     finite, non-negative number, not a bool; the report holds it as a float.
     Raises MalformedLog unless the first event, and only the first, is the
-    RunStarted header.
+    RunStarted header, and unless each MessageReassembled is the one that the
+    UuidsFetched just before it implies.
     """
     if not (_is_finite(threshold_s) and threshold_s >= 0):
         raise SdpcastError(
@@ -150,18 +146,17 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
         raise MalformedLog(f"a log must begin with its {RUN_STARTED} header; this one {begins}")
     limits = CapacityLimits(**header.detail["limits"])
     scanners = header.detail["scanners"]
-    # (subject, generation) -> (change time, advertised content)
-    changes: dict[tuple[str, int], tuple[float, str | list[str]]] = {}
+    # (subject, generation) -> (change time, the detail of an exact delivery)
+    changes: dict[tuple[str, int], tuple[float, dict]] = {}
     latest_slots: dict[str, int] = {}
     first_found: dict[tuple[str, str], float] = {}
     # (observer, subject, generation) -> latency of the first exact delivery
     first_delivery: dict[tuple[str, str, int], float] = {}
     misdelivered = 0
     fetches: list[FetchBandwidth] = []
-    # subject -> record -> whether it holds a payload. Cleared on the
-    # subject's change, a memo holds at most the slots of two generations
-    # (a torn read mixes them) and the subject's well-known records.
-    payload_counts: dict[str, dict[str, bool]] = {}
+    deliveries = Deliveries()
+    fetched = deliveries.fetched
+    implied = None  # (t, observer, subject, detail or None) of the previous fetch
 
     inbound_ceiling = limits.inbound_ceiling
     new = tuple.__new__  # skips the argument handling of FetchBandwidth(...)
@@ -171,37 +166,35 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
             generation = detail["generation"]
             advertised, latest_slots[subject] = _advertised(detail)
             changes[(subject, generation)] = (t, advertised)
-            payload_counts.pop(subject, None)
+            deliveries.changed(subject, generation, detail["mode"])
+            implied = None
         elif kind == DEVICE_FOUND:
             first_found.setdefault((observer, subject), t)
+            implied = None
         elif kind == UUIDS_FETCHED:
             records = detail["records"]
-            memo = payload_counts.setdefault(subject, {})
-            try:
-                payload_records = sum(map(memo.__getitem__, records))
-            except KeyError:  # a record the memo does not hold yet
-                for record in records:
-                    if record not in memo:
-                        memo[record] = _is_payload(record)
-                payload_records = sum(map(memo.__getitem__, records))
+            payload_records, reassembled = fetched(observer, subject, records)
             payload_octets = payload_records * PAYLOAD_OCTETS
             fetches.append(new(FetchBandwidth, (
                 t, observer, subject, len(records), payload_records, payload_octets,
                 payload_octets / inbound_ceiling,
             )))
-        elif kind == MESSAGE_REASSEMBLED:
-            generation = detail["generation"]
-            try:
-                changed_at, advertised = changes[(subject, generation)]
-            except KeyError:
-                raise MalformedLog(
-                    f"MessageReassembled references unknown generation {generation} "
-                    f"of {subject}"
-                ) from None
-            if _delivered(detail) != advertised:
+            implied = (t, observer, subject, reassembled)
+            if reassembled is None:
+                continue
+            generation = reassembled["generation"]
+            changed_at, advertised = changes[(subject, generation)]
+            if reassembled != advertised:
                 misdelivered += 1
                 continue
             first_delivery.setdefault((observer, subject, generation), t - changed_at)
+        elif kind == MESSAGE_REASSEMBLED:
+            if (t, observer, subject, detail) != implied:
+                raise MalformedLog(
+                    f"the MessageReassembled at t={t} of {subject} by {observer} is not "
+                    f"what the UuidsFetched just before it reassembles to"
+                )
+            implied = None
         elif kind == RUN_STARTED:
             raise MalformedLog(
                 f"a log holds one {RUN_STARTED} header; a second one is at t={t}"

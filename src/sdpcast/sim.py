@@ -8,18 +8,14 @@ device, a `_Node`, with the fields a run reads or changes, the advert and
 the grid cell, and a move or toggle sets one field of it in place.  A scan
 finds every discoverable device inside radio range (symmetric disc model,
 min of the two ranges); each found device is fetched after a fixed
-latency, longer for the first encounter than for later ones, and the
-fetched records are decoded and reassembled.  Most fetches see exactly
-the records their subject's previous fetch saw, so each node keeps its
-latest (mode, records, outcome) and decodes only when the mode or the
-records differ; that memo is one entry per device, whatever the run length.
-A pair's MessageReassembled is logged only when its (generation, mode,
-outcome) differs from the last one that observer logged of that subject:
-the first reassembly of every generation, and a splice that differs from
-it, each get a line, and a repeat of the pair's last line does not.
-Everything is driven by one seeded RNG, so a (scenario, seed) pair always
-produces a bit-identical event log.  `run` yields that log as it is
-produced, so a run holds its devices and pending actions, never its log.
+latency, longer for the first encounter than for later ones.  A fetch
+logs the records it saw, shuffled.  `log.Deliveries`, the rule the report
+derives every delivery with, says what they reassemble to and whether the
+pair logs a MessageReassembled for it; its table of fetched pairs says
+which fetches are cached.  Everything is driven by one seeded RNG, so a
+(scenario, seed) pair always produces a bit-identical event log.  `run`
+yields that log as it is produced, so a run holds its devices and pending
+actions, never its log.
 
 Torn reads are opt-in: when a message change lands strictly inside a fetch
 window, the snapshot mixes a prefix of the old generation's slots with a
@@ -35,12 +31,13 @@ import random
 from typing import Iterator
 
 from .codec import encode
-from .errors import InvalidScenario, MessageTooLong, ReassemblyError
-from .framing import DEFAULT_LIMITS, CapacityLimits, frame, raw_payloads, raw_read, reassemble
+from .errors import InvalidScenario, MessageTooLong
+from .framing import DEFAULT_LIMITS, CapacityLimits, frame, raw_payloads
 from .log import (
-    DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, SimEvent
+    DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, Deliveries,
+    SimEvent,
 )
-from .model import _ACTIONS, FRAMED, RAW, Device, Mutation, Scenario, _check_mode
+from .model import _ACTIONS, FRAMED, Device, Mutation, Scenario, _check_mode
 
 # Upper bound on the events of one run, checked as they are emitted. The work
 # of a scan grows with the devices in range, so a dense layout can stay under
@@ -134,20 +131,19 @@ class _Node:
     """One device in a run: the `Device` fields the run reads or changes, its advert and grid cell.
 
     The advert is the `generation`-th message, as `slots` in `mode`; `change` is (the slots
-    before the latest change, its time), or None before the first. `memo` is the (mode,
-    unshuffled records, outcome) of the latest fetch of this device; see `_outcome`.
+    before the latest change, its time), or None before the first.
     """
 
     __slots__ = (
         "address", "position", "range_m", "scan_interval_s", "discoverable", "wellknown_records",
-        "mode", "generation", "slots", "change", "cell", "memo",
+        "mode", "generation", "slots", "change", "cell",
     )
 
     def __init__(self, dev: Device) -> None:
         self.address, self.position, self.range_m = dev.address, dev.position, dev.range_m
         self.scan_interval_s, self.discoverable = dev.scan_interval_s, dev.discoverable
         self.wellknown_records, self.mode = dev.wellknown_records, dev.mode
-        self.generation, self.slots, self.change, self.cell, self.memo = 0, [], None, None, None
+        self.generation, self.slots, self.change, self.cell = 0, [], None, None
 
 
 class _Runner:
@@ -173,10 +169,7 @@ class _Runner:
         for node in self.devices.values():
             self._place(node)
         self.pending: list[SimEvent] = []  # emitted by the current handler, not yet yielded
-        # (observer, subject) of every UuidsFetched logged so far -> the
-        # (generation, mode, outcome) of the pair's last MessageReassembled,
-        # or None before its first
-        self.fetched: dict[tuple[str, str], tuple[int, str, str | list[str]] | None] = {}
+        self.deliveries = Deliveries()
         self.heap: list[tuple[float, int, tuple]] = []
         self.seq = 0
 
@@ -237,6 +230,7 @@ class _Runner:
         slots = advertise(message, mode, self.sc.limits)
         node.generation += 1
         node.mode, node.slots, node.change = mode, slots, (node.slots, t)
+        self.deliveries.changed(node.address, node.generation, mode)
         detail = {"generation": node.generation, "mode": mode, "message": message.hex()}
         self._emit(t, MESSAGE_CHANGED, node.address, node.address, detail)
 
@@ -278,7 +272,7 @@ class _Runner:
 
     def _on_found(self, t: float, observer: str, subject: str, rnd: int) -> None:
         self._emit(t, DEVICE_FOUND, observer, subject, {"round": rnd})
-        cached = (observer, subject) in self.fetched
+        cached = (observer, subject) in self.deliveries.pairs  # a fetch of the pair came before
         timing = self.sc.timing
         latency = timing.fetch_latency_cached_s if cached else timing.fetch_latency_fresh_s
         self._push(t + latency, ("_on_fetch", observer, subject, rnd, t))
@@ -287,62 +281,18 @@ class _Runner:
         obs, subj = self.devices[observer], self.devices[subject]
         if not in_range(obs, subj):
             return  # moved or toggled mid-flight; the fetch just never completes
-        generation, mode, slots = subj.generation, subj.mode, subj.slots
         records = fetch_snapshot(
-            slots,
+            subj.slots,
             subj.wellknown_records,
             self.sc.limits,
             window=(t_start, t),
             change=subj.change if self.sc.torn_read_mode else None,
         )
-        fetched = records.copy()
-        self.rng.shuffle(fetched)
-        pair = (observer, subject)
-        last = self.fetched.setdefault(pair, None)
-        self._emit(
-            t,
-            UUIDS_FETCHED,
-            observer,
-            subject,
-            {"round": rnd, "records": fetched},
-        )
-        if not slots:
-            return
-        outcome = self._outcome(subj, records)
-        if outcome is None:
-            return  # torn or truncated snapshot; a later fetch will retry
-        logged = (generation, mode, outcome)
-        if logged == last:
-            return  # the pair's last line says this already
-        self.fetched[pair] = logged
-        if mode == FRAMED:
-            detail = {"generation": generation, "mode": FRAMED, "message": outcome}
-        else:
-            # a list of its own per event, so no consumer can change the memo's
-            detail = {"generation": generation, "mode": RAW, "payloads": list(outcome)}
-        self._emit(t, MESSAGE_REASSEMBLED, observer, subject, detail)
-
-    def _outcome(self, subj: _Node, records: list[str]) -> str | list[str] | None:
-        """What a fetch of `records` (unshuffled) of `subj` reassembles to in its mode.
-
-        That is the message hex in framed mode, the sorted payload hex in raw
-        mode, or None when nothing reassembles. Most fetches see the snapshot
-        their subject's previous fetch saw, so the subject's latest outcome
-        is kept in its `memo` and reused while mode and records are unchanged.
-        """
-        mode, memo = subj.mode, subj.memo
-        if memo is not None and memo[0] == mode and memo[1] == records:
-            return memo[2]
-        payloads = raw_read(records)
-        if mode == FRAMED:
-            try:
-                outcome = reassemble(payloads).hex()
-            except ReassemblyError:
-                outcome = None
-        else:
-            outcome = sorted(p.hex() for p in payloads) or None
-        subj.memo = (mode, records, outcome)
-        return outcome
+        self.rng.shuffle(records)
+        _, reassembled = self.deliveries.fetched(observer, subject, records)
+        self._emit(t, UUIDS_FETCHED, observer, subject, {"round": rnd, "records": records})
+        if reassembled is not None:
+            self._emit(t, MESSAGE_REASSEMBLED, observer, subject, reassembled)
 
     def _on_mutate(self, t: float, mut: Mutation) -> None:
         node = self.devices[mut.device]

@@ -2,7 +2,8 @@
 
 `tests/data/golden-sha256.json` holds, per scenario and seed, the sha256 of
 the JSONL log exactly as `sdpcast simulate` writes it and of
-`format_lines(build_report(load_log(log)))`. The scenarios are the
+`format_lines(build_report(load_log(log)))`, which the log without its
+MessageReassembled lines must report, too. The scenarios are the
 built-ins, one layout each of the benchmark's sparse-1000 (framed, one
 message per device) and churn-400 (raw and framed, torn reads, moves)
 workloads, and `toggles-400`, the 400-device layout of moves and
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import sdpcast
-from sdpcast import build_report, format_lines, load_log, run, scenario_gen
+from sdpcast import build_report, format_lines, format_text, load_log, run, scenario_gen
 
 from conftest import toggle_layout
 
@@ -76,6 +77,21 @@ def test_golden_file_covers_every_case():
 @pytest.mark.parametrize("name,seed", CASES)
 def test_log_and_report_match_golden_hashes(name, seed):
     assert _hashes(name, seed) == _golden()[name][str(seed)]
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_report_reads_nothing_from_reassembly_lines(name, seed):
+    # The report derives every delivery from MessageChanged and UuidsFetched,
+    # so the log without its MessageReassembled lines reports the same.
+    events = list(run(_scenario(name), seed=seed))
+    full = build_report(load_log(event.to_json() for event in events))
+    bare = build_report(
+        load_log(event.to_json() for event in events if event.kind != "MessageReassembled")
+    )
+    report = format_lines(bare)
+    assert hashlib.sha256(report.encode()).hexdigest() == _golden()[name][str(seed)]["report"]
+    assert report == format_lines(full)
+    assert format_text(bare) == format_text(full)
 
 
 if __name__ == "__main__":

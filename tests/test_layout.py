@@ -36,6 +36,7 @@ OWNERS = {
     "RUN_STARTED": "log",
     "_ENCODER": "log",
     "SimEvent": "log",
+    "Deliveries": "log",
     "load_log": "log",
     "MAX_EVENTS": "sim",
     "run": "sim",

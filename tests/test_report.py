@@ -17,6 +17,7 @@ from sdpcast import (
     Scenario,
     SdpcastError,
     SimEvent,
+    advertise,
     build_report,
     format_lines,
     format_text,
@@ -154,9 +155,15 @@ def test_delivered_bytes_match_advertised_on_builtins():
         assert report.latency.changes_delivered > 0
 
 
+def _without(events, kind):
+    return [event for event in events if event.kind != kind]
+
+
 def test_spliced_reassembly_is_misdelivered():
     # Two 7-chunk generations: a snapshot torn between them reassembles
-    # without error into bytes that neither generation advertised.
+    # without error into bytes that neither generation advertised. The
+    # report derives both reassemblies from the fetched records, so it
+    # reads the same whether or not the log holds their MessageReassembled.
     old, new = b"o" * 80, b"n" * 80
     old_chunks, new_chunks = frame(old), frame(new)
     assert len(old_chunks) == len(new_chunks) == 7
@@ -167,28 +174,67 @@ def test_spliced_reassembly_is_misdelivered():
         detail = {"generation": generation, "mode": "framed", "message": message.hex()}
         return SimEvent(t, "MessageChanged", A, A, detail)
 
+    def fetched(t, rnd, records):
+        return SimEvent(t, "UuidsFetched", B, A, {"round": rnd, "records": records})
+
     def reassembled(t, message):
         detail = {"generation": 2, "mode": "framed", "message": message.hex()}
         return SimEvent(t, "MessageReassembled", B, A, detail)
 
-    log = [
+    full = [
         _header(scanners={B: 30.0}),
         changed(0.0, 1, old),
         SimEvent(5.0, "DeviceFound", B, A, {"round": 0}),
         changed(10.0, 2, new),
+        fetched(12.0, 0, old_chunks[:3] + new_chunks[3:]),
         reassembled(12.0, splice),
+        SimEvent(35.0, "DeviceFound", B, A, {"round": 1}),
+        fetched(40.0, 1, new_chunks[::-1]),
         reassembled(40.0, new),
     ]
-    lat = build_report(log).latency
-    assert lat.changes_misdelivered == 1
-    assert lat.changes_delivered == 1
-    assert [pair.latencies for pair in lat.pairs] == [(30.0,)]
+    for log in (full, _without(full, "MessageReassembled")):
+        lat = build_report(log).latency
+        assert lat.changes_misdelivered == 1
+        assert lat.changes_delivered == 1
+        assert [pair.latencies for pair in lat.pairs] == [(30.0,)]
 
-    lat = build_report(log[:-1]).latency
-    assert lat.changes_misdelivered == 1
-    assert lat.changes_delivered == 0
-    assert lat.changes_within_threshold == 0
-    assert [pair.latencies for pair in lat.pairs] == [()]
+    for log in (full[:-3], _without(full[:-3], "MessageReassembled")):
+        lat = build_report(log).latency
+        assert lat.changes_misdelivered == 1
+        assert lat.changes_delivered == 0
+        assert lat.changes_within_threshold == 0
+        assert [pair.latencies for pair in lat.pairs] == [()]
+
+
+def _lines(events):
+    return [event.to_json() for event in events]
+
+
+def test_report_reads_nothing_from_reassembly_lines(same_records_scenarios, raw_torn_read):
+    # The report derives every delivery from MessageChanged and UuidsFetched,
+    # so a log without its MessageReassembled lines reports the same.
+    for sc in [raw_torn_read, *same_records_scenarios]:
+        for seed in (0, 1, 2, 42):
+            log = list(run(sc, seed=seed))
+            assert any(event.kind == "MessageReassembled" for event in log)
+            full = build_report(load_log(_lines(log)))
+            bare = build_report(load_log(_lines(_without(log, "MessageReassembled"))))
+            assert format_lines(bare) == format_lines(full)
+            assert format_text(bare) == format_text(full)
+
+
+def test_a_log_without_fetches_credits_nothing():
+    log = _two_device_log(1)
+    assert build_report(log).latency.changes_delivered == 5
+    # a MessageReassembled with no fetch before it is malformed
+    with pytest.raises(MalformedLog, match="^the MessageReassembled at t="):
+        build_report(load_log(_lines(_without(log, "UuidsFetched"))))
+    fetchless = [e for e in log if e.kind not in ("UuidsFetched", "MessageReassembled")]
+    report = build_report(load_log(_lines(fetchless)))
+    assert report.latency.changes_total == 5
+    assert report.latency.changes_delivered == 0
+    assert report.latency.changes_misdelivered == 0
+    assert report.bandwidth.fetches == ()
 
 
 def test_raw_torn_read_is_misdelivered(raw_torn_read):
@@ -212,7 +258,7 @@ def test_torn_read_between_same_sized_generations_is_misdelivered():
 
 
 def test_fetch_payload_counts_match_raw_read(same_records_scenarios, raw_torn_read):
-    # Oracle for the report's per-subject memo of record decodes: each fetch
+    # Oracle for the per-subject snapshot memo of log.Deliveries: each fetch
     # counts what an un-memoized raw_read of its records finds.
     scenarios = [scenario_gen(name) for name in sorted(BUILTIN_SCENARIOS)] + [raw_torn_read]
     for sc in scenarios + same_records_scenarios:
@@ -671,18 +717,69 @@ def test_load_log_rejects_decreasing_time():
         list(load_log(lines))
 
 
+_HI = {"generation": 1, "mode": "framed", "message": b"hi".hex()}
+
+
+def _reassembled(detail, t=1.0, observer=B, subject=A):
+    return _line("MessageReassembled", detail, t=t, observer=observer, subject=subject)
+
+
+def _reassembly_log(changed, records, detail):
+    """A change of A, B's fetch of `records` at t = 1, and the line of `detail`."""
+    return [
+        _header_line(scanners={B: 30.0}),
+        _line("MessageChanged", changed),
+        _line("UuidsFetched", {"round": 0, "records": records}, t=1.0, observer=B),
+        _reassembled(detail),
+    ]
+
+
 def test_unknown_generation_rejected():
-    changed = {"generation": 1, "mode": "framed", "message": ""}
     # "1" and true are not generation 1: a log is read as written, never converted
+    lines = _reassembly_log(_HI, frame(b"hi"), _HI)
+    assert build_report(load_log(lines)).latency.changes_delivered == 1
     for generation in (9, "1", True):
-        detail = {"generation": generation, "mode": "framed", "message": ""}
-        lines = [
-            _header_line(),
-            _line("MessageChanged", changed),
-            _line("MessageReassembled", detail, t=1.0, observer=B),
-        ]
-        with pytest.raises(MalformedLog, match="generation"):
+        lines[-1] = _reassembled({**_HI, "generation": generation})
+        with pytest.raises(MalformedLog, match="MessageReassembled"):
             build_report(load_log(lines))
+
+
+def test_a_reassembly_line_must_repeat_its_fetch():
+    # Each MessageReassembled line must equal, in t, pair and detail, the one
+    # the UuidsFetched just before it implies; any other ends in MalformedLog.
+    raw = advertise(b"hi" * 8, RAW)
+    payloads = sorted(p.hex() for p in raw_read(raw))
+    assert len(payloads) == 2
+    raw_changed = {"generation": 1, "mode": "raw", "message": (b"hi" * 8).hex()}
+    raw_detail = {"generation": 1, "mode": "raw", "payloads": payloads}
+    hi = _reassembly_log(_HI, frame(b"hi"), _HI)
+    hi_raw = _reassembly_log(raw_changed, raw[::-1], raw_detail)
+    for lines in (hi, hi_raw):
+        report = build_report(load_log(lines))
+        assert report.latency.changes_delivered == 1
+        assert format_lines(report) == format_lines(build_report(load_log(lines[:-1])))
+    later = [line.replace("1.0", "2.0", 1) for line in hi[2:]]  # the fetch again, at t = 2
+    bad = [
+        # an altered message or payload, or raw payloads out of order
+        hi[:-1] + [_reassembled({**_HI, "message": "6868"})],
+        hi_raw[:-1] + [_reassembled({**raw_detail, "payloads": payloads[:1] * 2})],
+        hi_raw[:-1] + [_reassembled({**raw_detail, "payloads": payloads[::-1]})],
+        # another time, observer or subject
+        hi[:-1] + [_reassembled(_HI, t=1.5)],
+        hi[:-1] + [_reassembled(_HI, observer=A)],
+        hi[:-1] + [_reassembled(_HI, subject=B)],
+        # no fetch before it, or another event between the two
+        hi[:2] + hi[3:],
+        hi[:3] + [_line("DeviceFound", {"round": 1}, t=1.0, observer=B)] + hi[3:],
+        # a second line for one fetch, and a line for a later fetch that
+        # repeats what the pair's last line says
+        hi + hi[3:],
+        hi + later,
+    ]
+    for lines in bad:
+        with pytest.raises(MalformedLog, match="^the MessageReassembled at t="):
+            build_report(load_log(lines))
+    assert build_report(load_log(hi + later[:1])).latency.changes_delivered == 1
 
 
 _DELETED = object()
