@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import os
 import shutil
@@ -18,7 +19,7 @@ from typing import Iterable
 
 from . import __version__
 from .codec import CodecConfig, decode, encode, printable_text
-from .errors import IncompleteSet, SdpcastError
+from .errors import IncompleteSet, MalformedLog, SdpcastError
 from .framing import frame, unframe
 from .log import load_log
 from .report import DELIVERY_THRESHOLD_S, build_report, format_lines, format_text
@@ -147,8 +148,23 @@ def cmd_report(args: argparse.Namespace) -> int:
         source = _utf8_stdin()
     else:
         source = open(args.log, "r", encoding="utf-8")
+    read = 0  # lines handed to load_log so far
+
+    def counted(lines: Iterable[str]) -> Iterable[str]:
+        nonlocal read
+        for read, line in enumerate(lines, start=1):
+            yield line
+
     with source as fh:  # load_log reads the file as build_report consumes it
-        report = build_report(load_log(fh), threshold_s=args.threshold)
+        events = load_log(counted(fh))
+        try:
+            report = build_report(events, threshold_s=args.threshold)
+        except MalformedLog as exc:
+            # An error of load_log names its line and ends it; an error of the
+            # report comes while load_log waits after the line of its event.
+            if inspect.getgeneratorstate(events) != inspect.GEN_SUSPENDED:
+                raise
+            raise MalformedLog(f"line {read}: {exc}") from None
     formatter = format_lines if args.format == "lines" else format_text
     sys.stdout.write(formatter(report))
     return 0

@@ -7,7 +7,11 @@ event a run yields and a log holds: `SimEvent.to_json` writes it as a line,
 and `load_log` reads a log back and checks that timestamps never decrease.
 A run's log begins with one RunStarted header, which states what the rest
 of the log cannot: the run's duration, its capacity limits and each
-scanner's interval. A scanner's rounds follow from the last two.
+scanner's interval. A scanner's rounds follow from the last two. After it,
+each discovery is one line, written when its fetch window closes and
+holding its `found` time: UuidsFetched with the records the fetch saw, or
+FetchAborted when the pair left range. MessageChanged and
+MessageReassembled lines stand between them.
 
 One table of checks per field and detail key defines a line.
 `SimEvent.from_array` is its only reader: it passes an array of exactly five
@@ -18,10 +22,11 @@ a log written in the former one-object-per-line form, names the array form.
 A line as the runner writes it after its header first meets one shape test
 for its kind, which builds the event when the line passes; the table reads
 every other line and alone words an error. The writer formats a detail by
-the exact type of each value (an int, a plain string or a list of them)
-under a key the table checks; any other event, such as the header, goes
-through `json`, whose text the writer matches exactly. A format change edits
-the table, and the shape test of each kind it changes.
+the exact type of each value (an int, a finite float, a plain string or a
+list of plain strings) under a key the table checks; any other event, such
+as the header, goes through `json`, whose text the writer matches exactly.
+A format change edits the table, and the shape test of each kind it
+changes.
 
 `Deliveries` is the one rule for what a fetch delivers: the runner logs
 MessageReassembled by it, and the report derives every delivery by it.
@@ -40,12 +45,12 @@ from .framing import CapacityLimits, raw_read, reassemble
 from .model import FRAMED, MODES, RAW, _is_finite
 
 RUN_STARTED = "RunStarted"
-DEVICE_FOUND = "DeviceFound"
+FETCH_ABORTED = "FetchAborted"
 UUIDS_FETCHED = "UuidsFetched"
 MESSAGE_REASSEMBLED = "MessageReassembled"
 MESSAGE_CHANGED = "MessageChanged"
 
-EVENT_KINDS = (RUN_STARTED, DEVICE_FOUND, UUIDS_FETCHED, MESSAGE_REASSEMBLED, MESSAGE_CHANGED)
+EVENT_KINDS = (RUN_STARTED, FETCH_ABORTED, UUIDS_FETCHED, MESSAGE_REASSEMBLED, MESSAGE_CHANGED)
 
 # One encoder for every log line: `json.dumps` with separators builds a new one per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -184,7 +189,7 @@ _KEY_CHECKS: dict[str, Callable[[Any], bool]] = {
     "duration_s": _is_positive,
     "limits": _is_limits,
     "scanners": lambda value: type(value) is dict and all(map(_is_positive, value.values())),
-    "round": _is_json_int,
+    "found": _is_json_number,
     "records": _is_str_list,
     "generation": _is_json_int,
     "mode": MODES.__contains__,
@@ -211,8 +216,8 @@ _DETAIL_CHECKS = {
     kind: (f"{kind} detail", _checks(*keys))
     for kind, keys in (
         (RUN_STARTED, ("duration_s", "limits", "scanners")),
-        (DEVICE_FOUND, ("round",)),
-        (UUIDS_FETCHED, ("round", "records")),
+        (FETCH_ABORTED, ("found",)),
+        (UUIDS_FETCHED, ("found", "records")),
         (MESSAGE_REASSEMBLED, ("generation", "mode")),
         (MESSAGE_CHANGED, ("generation", "mode", "message")),
     )
@@ -228,14 +233,17 @@ _REASSEMBLED_CHECKS = {
 # writes there. It passes only details the table passes: the table also takes
 # a `str` subclass, say, and words the error for what neither takes.
 # `tests/test_oracles.py` holds each test to the table.
-def _found_shape(detail: dict) -> bool:
-    return len(detail) == 1 and type(detail.get("round")) is int
+def _aborted_shape(detail: dict) -> bool:
+    return (
+        len(detail) == 1
+        and type(found := detail.get("found")) is float and -_INF < found < _INF
+    )
 
 
 def _fetched_shape(detail: dict) -> bool:
     return (
         len(detail) == 2
-        and type(detail.get("round")) is int
+        and type(found := detail.get("found")) is float and -_INF < found < _INF
         and _is_str_list(detail.get("records"))
     )
 
@@ -259,7 +267,7 @@ def _changed_shape(detail: dict) -> bool:
 
 
 _SHAPES: dict[str, Callable[[dict], bool]] = {
-    DEVICE_FOUND: _found_shape,
+    FETCH_ABORTED: _aborted_shape,
     UUIDS_FETCHED: _fetched_shape,
     MESSAGE_REASSEMBLED: _reassembled_shape,
     MESSAGE_CHANGED: _changed_shape,
@@ -297,8 +305,9 @@ _KEY_HEADS = {key: f'"{key}":' for key in _KEY_CHECKS}
 
 def _detail_json(detail: dict) -> str | None:
     """`detail` as `_ENCODER` writes it, or None unless each key is in
-    `_KEY_HEADS` and each value is an int, a `_plain` str or a list of them,
-    by exact type: a subclass such as bool may format otherwise than json."""
+    `_KEY_HEADS` and each value is an int, a finite float, a `_plain` str or
+    a list of such strings, by exact type: a subclass such as bool may format
+    otherwise than json."""
     heads, body = _KEY_HEADS, []
     for key, value in detail.items():
         if key not in heads:
@@ -306,6 +315,8 @@ def _detail_json(detail: dict) -> str | None:
         kind = type(value)
         if kind is int:
             body.append(f"{heads[key]}{value}")
+        elif kind is float and -_INF < value < _INF:  # json writes float.__repr__
+            body.append(f"{heads[key]}{value!r}")
         elif kind is str and _plain(value):
             body.append(f'{heads[key]}"{value}"')
         elif (text := _plain_list(value)) is not None:

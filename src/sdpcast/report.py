@@ -7,10 +7,12 @@ MessageChanged to the first fetch per observer that reassembles to what the
 subject advertised for that generation: the message in framed mode, the
 zero-padded 13-octet payloads in raw mode.  Any other bytes, such as a
 splice of two same-sized generations, count as misdelivered and get no
-latency.  A MessageReassembled is credited with nothing and must repeat
-what the fetch just before it implies.  Bandwidth counts advertised octets
-per device and decoded octets per fetch against the run's outbound and
-inbound ceilings (91/273 octets under the default limits).
+latency.  A pair's first discovery is the least found time among its
+UuidsFetched and FetchAborted lines.  A MessageReassembled is credited
+with nothing and must repeat what the fetch just before it implies.
+Bandwidth counts advertised octets per device and decoded octets per fetch
+against the run's outbound and inbound ceilings (91/273 octets under the
+default limits).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .codec import PAYLOAD_OCTETS
 from .errors import MalformedLog, SdpcastError
 from .framing import CapacityLimits, chunk_count, raw_payloads
 from .log import (
-    _ENCODER, DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED,
+    _ENCODER, FETCH_ABORTED, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED,
     Deliveries, SimEvent,
 )
 from .model import RAW, _is_finite
@@ -131,8 +133,9 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     Raises SdpcastError, before reading any event, unless `threshold_s` is a
     finite, non-negative number, not a bool; the report holds it as a float.
     Raises MalformedLog unless the first event, and only the first, is the
-    RunStarted header, and unless each MessageReassembled is the one that the
-    UuidsFetched just before it implies.
+    RunStarted header, unless each MessageChanged holds a generation above
+    its subject's previous one, and unless each MessageReassembled is the one
+    that the UuidsFetched just before it implies.
     """
     if not (_is_finite(threshold_s) and threshold_s >= 0):
         raise SdpcastError(
@@ -146,9 +149,12 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
         raise MalformedLog(f"a log must begin with its {RUN_STARTED} header; this one {begins}")
     limits = CapacityLimits(**header.detail["limits"])
     scanners = header.detail["scanners"]
-    # (subject, generation) -> (change time, the detail of an exact delivery)
-    changes: dict[tuple[str, int], tuple[float, dict]] = {}
-    latest_slots: dict[str, int] = {}
+    # A fetch reassembles in its subject's latest generation, so only the
+    # latest change of each subject is kept: subject -> (generation, change
+    # time, the detail of an exact delivery, the slots its advert takes).
+    latest: dict[str, tuple[int, float, dict, int]] = {}
+    changes_total = 0
+    # (observer, subject) -> the least found time of the pair's fetch windows
     first_found: dict[tuple[str, str], float] = {}
     # (observer, subject, generation) -> latency of the first exact delivery
     first_delivery: dict[tuple[str, str, int], float] = {}
@@ -162,16 +168,13 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     new = tuple.__new__  # skips the argument handling of FetchBandwidth(...)
 
     for t, kind, observer, subject, detail in events:
-        if kind == MESSAGE_CHANGED:
-            generation = detail["generation"]
-            advertised, latest_slots[subject] = _advertised(detail)
-            changes[(subject, generation)] = (t, advertised)
-            deliveries.changed(subject, generation, detail["mode"])
-            implied = None
-        elif kind == DEVICE_FOUND:
-            first_found.setdefault((observer, subject), t)
-            implied = None
-        elif kind == UUIDS_FETCHED:
+        if kind == UUIDS_FETCHED or kind == FETCH_ABORTED:
+            found = detail["found"]
+            if found < first_found.setdefault(pair := (observer, subject), found):
+                first_found[pair] = found
+            if kind == FETCH_ABORTED:
+                implied = None
+                continue
             records = detail["records"]
             payload_records, reassembled = fetched(observer, subject, records)
             payload_octets = payload_records * PAYLOAD_OCTETS
@@ -182,12 +185,23 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
             implied = (t, observer, subject, reassembled)
             if reassembled is None:
                 continue
-            generation = reassembled["generation"]
-            changed_at, advertised = changes[(subject, generation)]
+            generation, changed_at, advertised, _ = latest[subject]
             if reassembled != advertised:
                 misdelivered += 1
                 continue
             first_delivery.setdefault((observer, subject, generation), t - changed_at)
+        elif kind == MESSAGE_CHANGED:
+            generation = detail["generation"]
+            previous = latest.get(subject)
+            if previous is not None and generation <= previous[0]:
+                raise MalformedLog(
+                    f"the MessageChanged at t={t} of {subject} holds generation {generation}, "
+                    f"not above its previous generation {previous[0]}"
+                )
+            latest[subject] = (generation, t, *_advertised(detail))
+            changes_total += len(scanners) - (subject in scanners)
+            deliveries.changed(subject, generation, detail["mode"])
+            implied = None
         elif kind == MESSAGE_REASSEMBLED:
             if (t, observer, subject, detail) != implied:
                 raise MalformedLog(
@@ -214,9 +228,6 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
         for observer, subject in sorted(set(first_found) | set(pair_latencies))
     )
 
-    changes_total = sum(
-        len(scanners) - (subject in scanners) for (subject, _generation) in changes
-    )
     changes_within = sum(1 for latency in first_delivery.values() if latency <= threshold_s)
 
     devices = tuple(
@@ -226,7 +237,7 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
             advertised_octets=slots * PAYLOAD_OCTETS,
             utilization=slots * PAYLOAD_OCTETS / limits.outbound_ceiling,
         )
-        for device, slots in sorted(latest_slots.items())
+        for device, (*_, slots) in sorted(latest.items())
     )
 
     return Report(

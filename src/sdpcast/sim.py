@@ -8,11 +8,13 @@ device, a `_Node`, with the fields a run reads or changes, the advert and
 the grid cell, and a move or toggle sets one field of it in place.  A scan
 finds every discoverable device inside radio range (symmetric disc model,
 min of the two ranges); each found device is fetched after a fixed
-latency, longer for the first encounter than for later ones.  A fetch
-logs the records it saw, shuffled.  `log.Deliveries`, the rule the report
-derives every delivery with, says what they reassemble to and whether the
-pair logs a MessageReassembled for it; its table of fetched pairs says
-which fetches are cached.  Everything is driven by one seeded RNG, so a
+latency, longer for the first encounter than for later ones.  A discovery
+is logged once, when its fetch window closes, with its found time: as
+UuidsFetched with the records the fetch saw, shuffled, or as FetchAborted
+when the pair has left range by then.  `log.Deliveries`, the rule the
+report derives every delivery with, says what the records reassemble to
+and whether the pair logs a MessageReassembled for it; its table of
+fetched pairs says which fetches are cached.  Everything is driven by one seeded RNG, so a
 (scenario, seed) pair always produces a bit-identical event log.  `run`
 yields that log as it is produced, so a run holds its devices and pending
 actions, never its log.
@@ -34,7 +36,7 @@ from .codec import encode
 from .errors import InvalidScenario, MessageTooLong
 from .framing import DEFAULT_LIMITS, CapacityLimits, frame, raw_payloads
 from .log import (
-    DEVICE_FOUND, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, Deliveries,
+    FETCH_ABORTED, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, Deliveries,
     SimEvent,
 )
 from .model import _ACTIONS, FRAMED, Device, Mutation, Scenario, _check_mode
@@ -194,7 +196,7 @@ class _Runner:
             if dev.message is not None:
                 self._advertise(self.devices[dev.address], dev.message, dev.mode, t=0.0)
         for address in scanners:
-            self._push(0.0, ("_on_scan", address, 0))
+            self._push(0.0, ("_on_scan", address))
         for mut in sc.schedule:
             self._push(mut.t, ("_on_mutate", mut))
         pending = self.pending
@@ -258,29 +260,30 @@ class _Runner:
                 found += grid.get((x, y), ())
         return found
 
-    def _on_scan(self, t: float, address: str, rnd: int) -> None:
+    def _on_scan(self, t: float, address: str) -> None:
         node = self.devices[address]
         devices = self.devices
         hits = [s for s in self._candidates(node) if s != address and in_range(node, devices[s])]
         hits.sort()  # the RNG draws go in address order, whatever order the cells hold
         uniform, inquiry_s = self.rng.uniform, self.sc.timing.inquiry_duration_s
         for subject in hits:
-            self._push(t + uniform(0.0, inquiry_s), ("_on_found", address, subject, rnd))
+            self._push(t + uniform(0.0, inquiry_s), ("_on_found", address, subject))
         next_scan = t + node.scan_interval_s
         if next_scan <= self.sc.duration_s:
-            self._push(next_scan, ("_on_scan", address, rnd + 1))
+            self._push(next_scan, ("_on_scan", address))
 
-    def _on_found(self, t: float, observer: str, subject: str, rnd: int) -> None:
-        self._emit(t, DEVICE_FOUND, observer, subject, {"round": rnd})
+    def _on_found(self, t: float, observer: str, subject: str) -> None:
+        # Logged by the fetch it starts, which holds the found time t.
         cached = (observer, subject) in self.deliveries.pairs  # a fetch of the pair came before
         timing = self.sc.timing
         latency = timing.fetch_latency_cached_s if cached else timing.fetch_latency_fresh_s
-        self._push(t + latency, ("_on_fetch", observer, subject, rnd, t))
+        self._push(t + latency, ("_on_fetch", observer, subject, t))
 
-    def _on_fetch(self, t: float, observer: str, subject: str, rnd: int, t_start: float) -> None:
+    def _on_fetch(self, t: float, observer: str, subject: str, t_start: float) -> None:
         obs, subj = self.devices[observer], self.devices[subject]
-        if not in_range(obs, subj):
-            return  # moved or toggled mid-flight; the fetch just never completes
+        if not in_range(obs, subj):  # moved or toggled mid-flight
+            self._emit(t, FETCH_ABORTED, observer, subject, {"found": t_start})
+            return
         records = fetch_snapshot(
             subj.slots,
             subj.wellknown_records,
@@ -290,7 +293,7 @@ class _Runner:
         )
         self.rng.shuffle(records)
         _, reassembled = self.deliveries.fetched(observer, subject, records)
-        self._emit(t, UUIDS_FETCHED, observer, subject, {"round": rnd, "records": records})
+        self._emit(t, UUIDS_FETCHED, observer, subject, {"found": t_start, "records": records})
         if reassembled is not None:
             self._emit(t, MESSAGE_REASSEMBLED, observer, subject, reassembled)
 

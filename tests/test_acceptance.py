@@ -21,7 +21,6 @@ from sdpcast import (
     scenario_gen,
     unframe,
 )
-from test_sim import _fetch_origins
 
 ANCHOR = "ff724081-fe5d-4fb2-8745-af149cc2c0de"
 
@@ -146,10 +145,12 @@ def test_criterion_7_latency_asymmetry(capsys):
     runs = [("two-device-default", seed) for seed in range(100)]
     runs += [(name, 0) for name in ("crowd-20", "torn-read")]
     for name, seed in runs:
-        # each fetch's delay from its DeviceFound, per pair in log order
+        # each fetch's delay from its found time, per pair in log order
         delays = {}
-        for fetch, t_found, _ in _fetch_origins(run(scenario_gen(name), seed=seed)):
-            delays.setdefault((fetch.observer, fetch.subject), []).append(fetch.t - t_found)
+        for event in run(scenario_gen(name), seed=seed):
+            if event.kind == "UuidsFetched":
+                delay = event.t - event.detail["found"]
+                delays.setdefault((event.observer, event.subject), []).append(delay)
         for sequence in delays.values():
             if len(sequence) >= 2:
                 pairs_checked += 1

@@ -310,15 +310,18 @@ def test_report_wrongly_typed_log_exits_1(tmp_path, capsys):
         subject = "aa:00:00:00:00:01"
         return [t, kind, observer, subject, detail]
 
-    fetched = {"round": 0, "records": 5}
+    fetched = {"found": 0.5, "records": 5}
     changed = {"generation": 1, "mode": "raw", "message": "zz"}
     bad_logs = [
         [event(0.0, "MessageChanged", {})],
         [event(0.0, "UuidsFetched", fetched)],
         [event(0.0, "MessageChanged", changed)],
-        [event(t, "DeviceFound", {"round": 0}) for t in (5.0, float("nan"), 1.0)],
-        [event(0.0, "DeviceFound", [])],
-        [event(0.0, "DeviceFound", {"round": 0}, observer=5)],
+        [event(t, "FetchAborted", {"found": 0.5}) for t in (5.0, float("nan"), 1.0)],
+        [event(0.0, "FetchAborted", [])],
+        [event(0.0, "FetchAborted", {"found": 0.5}, observer=5)],
+        [event(0.0, "FetchAborted", {"found": True})],
+        # a line of the former format, which logged each discovery on its own
+        [event(0.0, "DeviceFound", {"round": 0})],
     ]
     limits = {"max_outbound_slots": 7, "max_inbound_records": 21}
     header = event(0.0, "RunStarted", {"duration_s": 60.0, "limits": limits, "scanners": {}})
@@ -346,7 +349,7 @@ def test_report_of_a_log_without_its_header_exits_1(tmp_path, capsys):
     for text, error in (
         (
             "".join(lines),
-            "sdpcast: a log must begin with its RunStarted header; "
+            "sdpcast: line 1: a log must begin with its RunStarted header; "
             "this one begins with a MessageChanged\n",
         ),
         ("".join(old), "sdpcast: line 1: MessageChanged detail: unknown keys ['slots']\n"),
@@ -360,6 +363,54 @@ def test_report_of_a_log_without_its_header_exits_1(tmp_path, capsys):
         assert main(["report", str(log)]) == 1
         captured = capsys.readouterr()
         assert captured.err == error
+        assert captured.out == ""
+
+
+def test_report_names_the_line_of_its_own_errors(tmp_path, capsys):
+    # The report's own errors name the last line read, the one whose event
+    # they are about, as the errors of load_log name theirs.
+    scenario = tmp_path / "sc.json"
+    log = tmp_path / "log.jsonl"
+    main(["scenario-gen", "two-device-default", "--out", str(scenario)])
+    main(["simulate", "--scenario", str(scenario), "--seed", "1", "--out", str(log)])
+    header, *lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if '"MessageReassembled"' in line)
+    edited = lines[k].replace('"message":"68', '"message":"00', 1)
+    assert edited != lines[k]
+    reassembled = SimEvent.from_array(json.loads(lines[k]))
+    assert '"MessageChanged"' in lines[0] and '"generation":1,' in lines[0]
+    for text, error in (
+        (
+            "".join(lines),
+            "line 1: a log must begin with its RunStarted header; "
+            "this one begins with a MessageChanged",
+        ),
+        (
+            "".join([header, header, *lines]),
+            "line 2: a log holds one RunStarted header; a second one is at t=0.0",
+        ),
+        (
+            "".join([header, *lines[:k], edited, *lines[k + 1:]]),
+            f"line {k + 2}: the MessageReassembled at t={reassembled.t} of {reassembled.subject} "
+            f"by {reassembled.observer} is not what the UuidsFetched just before it reassembles to",
+        ),
+        (
+            "".join([header, lines[0], lines[0], *lines[1:]]),
+            f"line 3: the MessageChanged at t=0.0 of {json.loads(lines[0])[3]} holds "
+            "generation 1, not above its previous generation 1",
+        ),
+        # blank lines count, and a log of nothing else has no line to name
+        (
+            "\n" + "".join(lines),
+            "line 2: a log must begin with its RunStarted header; "
+            "this one begins with a MessageChanged",
+        ),
+        ("\n\n", "a log must begin with its RunStarted header; this one is empty"),
+    ):
+        log.write_text(text, encoding="utf-8")
+        assert main(["report", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"sdpcast: {error}\n"
         assert captured.out == ""
 
 

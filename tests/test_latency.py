@@ -32,7 +32,7 @@ import math
 import random
 
 from sdpcast import Mutation, build_report, frame, run, scenario_gen
-from test_sim import _scan_rounds
+from test_sim import DISCOVERY_KINDS, _scan_rounds
 
 SEEDS = range(500)
 
@@ -138,6 +138,14 @@ def _crowd_20_two_rounds(schedule, torn_read_mode=False):
     )
 
 
+def _round_1(events):
+    """The line of each discovery of a two-round run's second scan round:
+    each found at or after that round's scan time, which the header gives."""
+    header, *rest = events
+    _, start = sorted({t for _, _, t in _scan_rounds(header)})
+    return [e for e in rest if e.kind in DISCOVERY_KINDS and e.detail["found"] >= start]
+
+
 def _spread(n, timing):
     """`n` change times spread evenly over [S + L_cached, S + I], with S = 30."""
     first, last = 30.0 + timing.fetch_latency_cached_s, 30.0 + timing.inquiry_duration_s
@@ -161,8 +169,8 @@ def test_torn_reads_follow_the_window_law():
     torn = fetches = misdelivered = 0
     for seed in WINDOW_SEEDS:
         events = list(run(sc, seed=seed))
-        for event in events:
-            if event.kind == "UuidsFetched" and event.detail["round"] == 1:
+        for event in _round_1(events):
+            if event.kind == "UuidsFetched":
                 fetches += 1
                 records = set(event.detail["records"])
                 torn += bool(records & old[event.subject] and records & new[event.subject])
@@ -187,12 +195,11 @@ def test_aborted_fetches_follow_the_window_law():
         for k, (address, t) in enumerate(moved_at.items())
     ]
     sc = _crowd_20_two_rounds(schedule)
-    found = fetched = 0
+    found = aborted = 0
     for seed in WINDOW_SEEDS:
-        for event in run(sc, seed=seed):
-            if event.detail.get("round") == 1:
-                found += event.kind == "DeviceFound"
-                fetched += event.kind == "UuidsFetched"
+        for event in _round_1(list(run(sc, seed=seed))):
+            found += 1
+            aborted += event.kind == "FetchAborted"
     assert found == len(WINDOW_SEEDS) * 20 * 19
     # A pair's fetch aborts iff the first of its two to move does so by the
     # window's end, 30 + U + L_cached.
@@ -205,7 +212,7 @@ def test_aborted_fetches_follow_the_window_law():
                 expected += 1.0 - _uniform_cdf(t_m - ready, timing.inquiry_duration_s)
     expected *= len(WINDOW_SEEDS)
     assert round(expected) == 35833
-    assert abs((found - fetched) - expected) <= 0.01 * expected, found - fetched
+    assert abs(aborted - expected) <= 0.01 * expected, aborted
 
 
 def test_the_fetch_window_is_open_at_both_ends():
@@ -214,22 +221,28 @@ def test_the_fetch_window_is_open_at_both_ends():
     # t_end aborts the fetch, one a float later does not.
     sc = _crowd_20_two_rounds([], torn_read_mode=True)
     a, b = sc.devices[:2]
-    round_1 = {}
-    for event in run(sc, seed=0):
-        if (event.observer, event.subject, event.detail.get("round")) == (b.address, a.address, 1):
-            round_1[event.kind] = event.t
-    t_start, t_end = round_1["DeviceFound"], round_1["UuidsFetched"]
+
+    def line_of_a(sc):
+        """The line of B's round-1 discovery of A."""
+        (line,) = [
+            e for e in _round_1(list(run(sc, seed=0)))
+            if (e.observer, e.subject) == (b.address, a.address)
+        ]
+        return line
+
+    line = line_of_a(sc)
+    assert line.kind == "UuidsFetched"
+    t_start, t_end = line.detail["found"], line.t
     message = bytes(reversed(a.message))
     old, new = set(frame(a.message)), set(frame(message))
 
     def fetch_of_a(mutation):
         """The records of B's round-1 fetch of A, or None if it aborted."""
-        for event in run(dataclasses.replace(sc, schedule=[mutation]), seed=0):
-            if (event.kind, event.observer, event.subject) == ("UuidsFetched", b.address, a.address):
-                if event.detail["round"] == 1:
-                    assert event.t == t_end
-                    return set(event.detail["records"]) - set(a.wellknown_records)
-        return None
+        line = line_of_a(dataclasses.replace(sc, schedule=[mutation]))
+        assert (line.t, line.detail["found"]) == (t_end, t_start)
+        if line.kind == "FetchAborted":
+            return None
+        return set(line.detail["records"]) - set(a.wellknown_records)
 
     for t, records in ((t_start, new), ((t_start + t_end) / 2, None), (t_end, new)):
         got = fetch_of_a(Mutation(t=t, device=a.address, action="set_message", message=message))

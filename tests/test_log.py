@@ -52,7 +52,7 @@ def test_to_json_writes_what_the_encoder_writes_for_every_builtin_event(raw_torn
             assert event.to_json() == _encoded(event)
 
 
-class _Round(enum.IntEnum):
+class _Generation(enum.IntEnum):
     FIRST = 1
 
 
@@ -84,8 +84,8 @@ _HEADER = SimEvent(
 
 # One event of each fixed shape.
 _BASE = (
-    SimEvent(1.5, "DeviceFound", A, B, {"round": 3}),
-    SimEvent(7.5, "UuidsFetched", A, B, {"round": 0, "records": [UUID, WELL_KNOWN]}),
+    SimEvent(7.5, "FetchAborted", A, B, {"found": 1.5}),
+    SimEvent(7.5, "UuidsFetched", A, B, {"found": 1.5, "records": [UUID, WELL_KNOWN]}),
     SimEvent(7.5, "MessageReassembled", A, B, {"generation": 1, "mode": "framed", "message": "6869"}),
     SimEvent(7.5, "MessageReassembled", A, B, {"generation": 2, "mode": "raw", "payloads": ["00", "0102"]}),
     SimEvent(0.0, "MessageChanged", B, B, {"generation": 1, "mode": "framed", "message": "6869"}),
@@ -102,14 +102,14 @@ def _with(event, **changes):
 
 
 def _edge_events():
-    found, fetched, framed, raw, changed = _BASE
+    aborted, fetched, framed, raw, changed = _BASE
     yield _HEADER
     yield from _BASE
     # strings
     for char in _SPECIALS:
         text = f"a{char}b"
-        yield _with(found, observer=text)
-        yield _with(found, subject=text)
+        yield _with(aborted, observer=text)
+        yield _with(aborted, subject=text)
         yield _with(fetched, detail__records=[UUID, text])
         yield _with(fetched, detail__records=[text])
         yield _with(framed, detail__mode=text)
@@ -117,20 +117,23 @@ def _edge_events():
         yield _with(raw, detail__payloads=["00", text])
         yield _with(changed, detail__mode=text)
         yield _with(changed, detail__message=text)
-    yield _with(found, observer="é")
-    yield _with(found, observer=_Text(A))
+    yield _with(aborted, observer="é")
+    yield _with(aborted, observer=_Text(A))
     yield _with(framed, detail__message=_Text("6869"))
     yield _with(fetched, detail__records=[_Text(UUID), WELL_KNOWN])
-    yield _with(found, observer="")
+    yield _with(aborted, observer="")
     yield _with(fetched, detail__records=[""])
     yield _with(fetched, detail__records=["", ""])
     # numbers
     for t in (math.nan, math.inf, -math.inf, 1, 0, True, -0.0, 1e300, 5e-324, _Time(1.5)):
-        yield _with(found, t=t)
-    for rnd in (True, False, _Round.FIRST, -1, 2**70, 1.0, None, "0"):
-        yield _with(found, detail__round=rnd)
-        yield _with(fetched, detail__round=rnd)
-    for number in (True, _Round.FIRST, 1.0, None):
+        yield _with(aborted, t=t)
+    for found in (
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, 1e300,
+        _Time(1.5), True, False, _Generation.FIRST, -1, 2**70, 0, None, "0",
+    ):
+        yield _with(aborted, detail__found=found)
+        yield _with(fetched, detail__found=found)
+    for number in (True, _Generation.FIRST, 1.0, None):
         yield _with(framed, detail__generation=number)
         yield _with(raw, detail__generation=number)
         yield _with(changed, detail__generation=number)
@@ -143,22 +146,24 @@ def _edge_events():
         yield _with(framed, detail__message=message)
         yield _with(changed, detail__message=message)
     # details
-    yield _with(found, detail__extra=1)
-    yield _with(fetched, detail__round=0, detail__extra=[1])
-    yield found._replace(detail={})
-    yield found._replace(detail=[0])
-    yield found._replace(detail=None)
+    yield _with(aborted, detail__extra=1)
+    yield _with(fetched, detail__found=0.5, detail__extra=[1])
+    yield aborted._replace(detail={})
+    yield aborted._replace(detail=[0])
+    yield aborted._replace(detail=None)
     yield fetched._replace(detail=dict(reversed(fetched.detail.items())))
     yield changed._replace(detail={"mode": "framed", "generation": 1, "message": "6869"})
     yield _with(changed, detail__slots=1)
     yield framed._replace(detail={"generation": 1, "mode": "framed", "payloads": ["00"]})
-    yield found._replace(detail={"records": [UUID], "round": 0, "message": "00"})
-    yield found._replace(detail={_Text("round"): 0})
-    yield _with(found, detail__t=1.5)
-    # kinds
-    for kind in ("Mystery", "", "a\"b", ["DeviceFound"], 5, None, _Text("DeviceFound")):
-        yield _with(found, kind=kind)
-    yield _with(framed, kind="DeviceFound")
+    yield aborted._replace(detail={"records": [UUID], "found": 0.5, "message": "00"})
+    yield aborted._replace(detail={_Text("found"): 0.5})
+    yield _with(aborted, detail__t=1.5)
+    # kinds, among them one the format no longer has
+    for kind in (
+        "Mystery", "", "a\"b", ["FetchAborted"], 5, None, _Text("FetchAborted"), "DeviceFound",
+    ):
+        yield _with(aborted, kind=kind)
+    yield _with(framed, kind="FetchAborted")
 
 
 def test_to_json_writes_what_the_encoder_writes_for_edge_events():
@@ -183,12 +188,12 @@ def test_runner_events_take_the_fixed_shapes(monkeypatch, raw_torn_read):
 
 
 _CHANGED = {"message": "6869", "mode": "raw", "generation": 1}
-_FETCHED = {"records": [UUID], "round": 0}
+_FETCHED = {"records": [UUID], "found": 1}
 
 # Lines the runner writes otherwise that still load, each with the event it
-# holds: an integer `t`, and detail keys in another order.
+# holds: an integer `t` or `found`, and detail keys in another order.
 _ACCEPTED = [
-    (_line("DeviceFound", {"round": 0}, t=0), SimEvent(0.0, "DeviceFound", A, A, {"round": 0})),
+    (_line("FetchAborted", {"found": 0}, t=0), SimEvent(0.0, "FetchAborted", A, A, {"found": 0})),
     (_line("MessageChanged", _CHANGED), SimEvent(0.0, "MessageChanged", A, A, _CHANGED)),
     (_line("UuidsFetched", _FETCHED, t=2), SimEvent(2.0, "UuidsFetched", A, A, _FETCHED)),
     # a header with integer numbers, as a hand-written log may hold them
@@ -200,7 +205,7 @@ _ACCEPTED = [
 
 
 def test_load_log_takes_integer_numbers_and_any_detail_key_order():
-    """`t` becomes a float; the detail is kept as the line holds it."""
+    """`t` becomes a float; the detail, `found` included, is kept as the line holds it."""
     for line, event in _ACCEPTED:
         [loaded] = load_log([line])
         assert loaded == event

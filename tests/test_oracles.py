@@ -57,8 +57,9 @@ from sdpcast import (
 )
 from sdpcast.framing import CHUNK_BODY_OCTETS, LENGTH_PREFIX_OCTETS, chunk_count, reassemble
 from sdpcast.log import (
-    _ARRAY_FORM, _DETAIL_CHECKS, _EVENT_CHECKS, _REASSEMBLED_CHECKS, DEVICE_FOUND, EVENT_KINDS,
-    MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, _keys, _unknown_keys,
+    _ARRAY_FORM, _DETAIL_CHECKS, _ENCODER, _EVENT_CHECKS, _REASSEMBLED_CHECKS, EVENT_KINDS,
+    FETCH_ABORTED, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, _detail_json,
+    _keys, _unknown_keys,
 )
 from sdpcast.model import MAX_SEED, MODES
 from sdpcast.scenarios import _NESTED, _write
@@ -528,7 +529,7 @@ _VALID = {
     "t": st.floats(0.0, 1e6),
     "observer": _TEXTS,
     "subject": _TEXTS,
-    "round": st.integers(0, 2**64),
+    "found": st.floats(0.0, 1e6),
     "generation": st.integers(0, 2**64),
     "records": st.lists(_TEXTS, max_size=3),
     "message": _HEXES,
@@ -545,19 +546,20 @@ _ODD_HEXES = st.one_of(
     _HEXES.map(_Str), _HEXES.map(str.upper), st.text("0123456789abcdefgA", max_size=5),
     st.integers(), st.none(), st.just(["00"]),
 )
+_ODD_TIMES = st.one_of(
+    st.integers(-2, 2**64), st.booleans(), st.just(2**1100), st.floats(allow_nan=True),
+    st.floats(0.0, 1e6).map(_Float), st.none(), st.just("1.5"),
+)
 _ODD = {
-    "t": st.one_of(
-        st.integers(-2, 2**64), st.booleans(), st.just(2**1100), st.floats(allow_nan=True),
-        st.floats(0.0, 1e6).map(_Float), st.none(), st.just("1.5"),
-    ),
+    "t": _ODD_TIMES,
     "kind": st.one_of(
         st.sampled_from(EVENT_KINDS), st.sampled_from(EVENT_KINDS).map(_Str),
-        st.just("Mystery"), st.just(["DeviceFound"]), st.none(),
+        st.just("Mystery"), st.just(["FetchAborted"]), st.just("DeviceFound"), st.none(),
     ),
     "observer": _ODD_STRS,
     "subject": _ODD_STRS,
-    "detail": st.one_of(st.none(), st.just([]), st.just("{}"), st.just(_Dict(round=0))),
-    "round": _ODD_INTS,
+    "detail": st.one_of(st.none(), st.just([]), st.just("{}"), st.just(_Dict(found=0.5))),
+    "found": _ODD_TIMES,
     "generation": _ODD_INTS,
     "mode": st.one_of(
         st.sampled_from(MODES), st.sampled_from(MODES).map(_Str), st.just("FRAMED"),
@@ -576,8 +578,8 @@ _ODD = {
 }
 _DETAIL_KEYS = {
     RUN_STARTED: ("duration_s", "limits", "scanners"),
-    DEVICE_FOUND: ("round",),
-    UUIDS_FETCHED: ("round", "records"),
+    FETCH_ABORTED: ("found",),
+    UUIDS_FETCHED: ("found", "records"),
     MESSAGE_REASSEMBLED: ("generation", "mode"),
     MESSAGE_CHANGED: ("generation", "mode", "message"),
 }
@@ -611,7 +613,7 @@ def event_arrays(draw):
                     items[i] = draw(_ODD.get(field, st.integers()))
             continue
         if action == "add":
-            key = draw(st.sampled_from(("extra", "round", "generation", "message", "payloads")))
+            key = draw(st.sampled_from(("extra", "round", "found", "generation", "message", "payloads")))
         elif detail and action != "swap":
             key = draw(st.sampled_from(list(detail)))
         else:
@@ -632,8 +634,8 @@ class _List(list):
 
 
 def _event_items(detail, *extra, **fields):
-    """A DeviceFound line's items, or with `fields`, another's; `extra` items follow."""
-    line = {"t": 1.5, "kind": DEVICE_FOUND, "observer": "a", "subject": "b", **fields, "detail": detail}
+    """A FetchAborted line's items, or with `fields`, another's; `extra` items follow."""
+    line = {"t": 1.5, "kind": FETCH_ABORTED, "observer": "a", "subject": "b", **fields, "detail": detail}
     return [*line.values(), *extra]
 
 
@@ -650,18 +652,61 @@ def _event_items(detail, *extra, **fields):
     )
 )
 # a bool is an int, and an int t converts; the table rejects the first and
-# converts the second, so a shape test must take neither
-@example(_event_items({"round": True}))
-@example(_event_items({"round": 0}, t=1))
-@example(_event_items({"round": 0}, t=True))
-@example(_event_items({"round": 0}, None))
-@example(_event_items({"round": 0})[:4])
-@example(_event_items({"round": 0}, kind=_Str(DEVICE_FOUND)))
-@example(_event_items({"round": 0})[::-1])
-@example(_event_items({"round": False, "records": []}, kind=UUIDS_FETCHED))
+# converts the second, so a shape test must take neither. The table takes an
+# int `found` as it is, and a shape test only a finite float.
+@example(_event_items({"found": True}))
+@example(_event_items({"found": 1}))
+@example(_event_items({"found": 2**1100}))
+@example(_event_items({"found": math.nan}))
+@example(_event_items({"found": -math.inf}))
+@example(_event_items({"found": _Float(0.5)}))
+@example(_event_items({"found": 0.5}, t=1))
+@example(_event_items({"found": 0.5}, t=True))
+@example(_event_items({"found": 0.5}, None))
+@example(_event_items({"found": 0.5})[:4])
+@example(_event_items({"found": 0.5}, kind=_Str(FETCH_ABORTED)))
+@example(_event_items({"found": 0.5})[::-1])
+@example(_event_items({"round": 0}, kind="DeviceFound"))
+@example(_event_items({"found": False, "records": []}, kind=UUIDS_FETCHED))
+@example(_event_items({"found": 1, "records": []}, kind=UUIDS_FETCHED))
+@example(_event_items({"found": math.inf, "records": []}, kind=UUIDS_FETCHED))
+@example(_event_items({"round": 0, "records": []}, kind=UUIDS_FETCHED))
 @example(_event_items({"generation": True, "mode": FRAMED, "message": ""}, kind=MESSAGE_REASSEMBLED))
 @example(_event_items({"generation": True, "mode": RAW, "payloads": []}, kind=MESSAGE_REASSEMBLED))
 @example(_event_items({"generation": 1, "mode": RAW, "message": ""}, kind=MESSAGE_REASSEMBLED))
 @example(_event_items({"generation": True, "mode": RAW, "message": ""}, kind=MESSAGE_CHANGED))
 def test_from_array_matches_reference_property(items):
     _same_event(items)
+
+
+# -- the log writer's floats ------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072014e-308)
+@example(1e-300)
+@example(1e-7)
+@example(0.1 + 0.2)
+@example(-0.0)
+@example(0.0)
+@example(1e16)
+@example(1e22)
+@example(123456789012345680.0)
+@example(1.7976931348623157e308)
+@example(math.nan)
+@example(math.inf)
+def test_detail_json_writes_floats_as_json_does(value):
+    # A finite float is written by `float.__repr__`, as json writes it; json
+    # writes NaN and the infinities as no JSON number, so the writer leaves
+    # them to `_ENCODER`, as it does a float subclass.
+    for detail in ({"found": value}, {"found": value, "records": ["a"]}):
+        if math.isfinite(value):
+            assert _detail_json(detail) == _ENCODER.encode(detail)
+        else:
+            assert _detail_json(detail) is None
+        assert _detail_json({**detail, "found": _Float(value)}) is None
+        event = SimEvent(1.5, FETCH_ABORTED, "a", "b", detail)
+        assert event.to_json() == _ENCODER.encode(list(event))

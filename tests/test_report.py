@@ -174,8 +174,8 @@ def test_spliced_reassembly_is_misdelivered():
         detail = {"generation": generation, "mode": "framed", "message": message.hex()}
         return SimEvent(t, "MessageChanged", A, A, detail)
 
-    def fetched(t, rnd, records):
-        return SimEvent(t, "UuidsFetched", B, A, {"round": rnd, "records": records})
+    def fetched(t, found, records):
+        return SimEvent(t, "UuidsFetched", B, A, {"found": found, "records": records})
 
     def reassembled(t, message):
         detail = {"generation": 2, "mode": "framed", "message": message.hex()}
@@ -184,12 +184,10 @@ def test_spliced_reassembly_is_misdelivered():
     full = [
         _header(scanners={B: 30.0}),
         changed(0.0, 1, old),
-        SimEvent(5.0, "DeviceFound", B, A, {"round": 0}),
         changed(10.0, 2, new),
-        fetched(12.0, 0, old_chunks[:3] + new_chunks[3:]),
+        fetched(12.0, 5.0, old_chunks[:3] + new_chunks[3:]),
         reassembled(12.0, splice),
-        SimEvent(35.0, "DeviceFound", B, A, {"round": 1}),
-        fetched(40.0, 1, new_chunks[::-1]),
+        fetched(40.0, 35.0, new_chunks[::-1]),
         reassembled(40.0, new),
     ]
     for log in (full, _without(full, "MessageReassembled")):
@@ -197,8 +195,9 @@ def test_spliced_reassembly_is_misdelivered():
         assert lat.changes_misdelivered == 1
         assert lat.changes_delivered == 1
         assert [pair.latencies for pair in lat.pairs] == [(30.0,)]
+        assert [pair.first_discovery_s for pair in lat.pairs] == [5.0]
 
-    for log in (full[:-3], _without(full[:-3], "MessageReassembled")):
+    for log in (full[:-2], _without(full[:-2], "MessageReassembled")):
         lat = build_report(log).latency
         assert lat.changes_misdelivered == 1
         assert lat.changes_delivered == 0
@@ -302,7 +301,7 @@ def test_report_of_a_log_file_holds_little_beyond_the_report(tmp_path):
     # load_log yields one event per line as build_report folds it in, so
     # the traced peak stays within a margin far below the log's size.
     path = tmp_path / "crowd.jsonl"
-    events = run(scenario_gen("crowd-20"), seed=1, duration_s=240.0)
+    events = run(scenario_gen("crowd-20"), seed=1, duration_s=300.0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(event.to_json() + "\n" for event in events)
     assert path.stat().st_size > 10**6
@@ -313,7 +312,7 @@ def test_report_of_a_log_file_holds_little_beyond_the_report(tmp_path):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(report.bandwidth.fetches) == 3040
+    assert len(report.bandwidth.fetches) == 3800
     assert peak - retained < 512 * 1024
 
 
@@ -340,11 +339,89 @@ def test_load_log_reports_line_numbers():
 
 
 def test_load_log_rejects_unknown_kind():
-    # PayloadDecoded and ScanStarted were kinds of older logs; they are
-    # derivable from UuidsFetched and from the RunStarted header.
-    for kind in ("Mystery", "PayloadDecoded", "ScanStarted"):
+    # PayloadDecoded, ScanStarted and DeviceFound were kinds of older logs;
+    # they are derivable from UuidsFetched, from the RunStarted header and
+    # from the found time of a discovery's one line.
+    for kind in ("Mystery", "PayloadDecoded", "ScanStarted", "DeviceFound"):
         with pytest.raises(MalformedLog, match="line 1"):
             list(load_log([_line(kind, {})]))
+
+
+def test_load_log_rejects_a_device_found_line():
+    # A DeviceFound line as logs held it before a discovery took one line.
+    log = _lines(_two_device_log(1))
+    old = f'[1.6123709293488147,"DeviceFound","{A}","{B}",{{"round":0}}]'
+    with pytest.raises(MalformedLog) as excinfo:
+        list(load_log([log[0], old, *log[1:]]))
+    assert str(excinfo.value) == "line 2: event: 'kind' is missing or malformed: 'DeviceFound'"
+
+
+def test_load_log_rejects_a_found_time_that_is_no_finite_number():
+    # The first fetch's line of a run, with its found time edited: a bool, a
+    # NaN, an infinity or a string is no time, though json reads each.
+    log = _lines(_two_device_log(1))
+    k = next(i for i, line in enumerate(log) if '"UuidsFetched"' in line)
+    found = json.loads(log[k])[4]["found"]
+    assert isinstance(found, float)
+    for text in ("true", "false", "NaN", "Infinity", '"1.5"', "null"):
+        edited = log[k].replace(f'"found":{found!r}', f'"found":{text}')
+        assert edited != log[k]
+        with pytest.raises(MalformedLog) as excinfo:
+            list(load_log([*log[:k], edited]))
+        assert str(excinfo.value) == (
+            f"line {k + 1}: UuidsFetched detail: 'found' is missing or malformed: "
+            f"{json.loads(text)!r}"
+        )
+
+
+def test_first_discovery_is_the_least_found_time():
+    # B's discovery of A found at t = 5 aborts at 11; one found at 2 completes
+    # at 12, after it; and a later completed discovery is found at 35. The
+    # pair's first discovery is the least found time, not the first line's.
+    message = {"generation": 1, "mode": "framed", "message": b"hi".hex()}
+    log = [
+        _header(scanners={B: 30.0}),
+        SimEvent(0.0, "MessageChanged", A, A, message),
+        SimEvent(11.0, "FetchAborted", B, A, {"found": 5.0}),
+        SimEvent(12.0, "UuidsFetched", B, A, {"found": 2.0, "records": frame(b"hi")}),
+        SimEvent(36.5, "UuidsFetched", B, A, {"found": 35.0, "records": frame(b"hi")}),
+    ]
+    report = build_report(load_log(_lines(log)))
+    (pair,) = report.latency.pairs
+    assert (pair.observer, pair.subject) == (B, A)
+    assert pair.first_discovery_s == 2.0
+    assert pair.latencies == (12.0,)
+    assert len(report.bandwidth.fetches) == 2  # an aborted fetch fetched nothing
+    # an aborted discovery alone makes a pair, with no delivery
+    (pair,) = build_report(log[:3]).latency.pairs
+    assert (pair.first_discovery_s, pair.latencies) == (5.0, ())
+    # the least found time, whichever kind of line holds it
+    swapped = [log[0], log[1], log[2]._replace(detail={"found": 1.0}), *log[3:]]
+    (pair,) = build_report(swapped).latency.pairs
+    assert pair.first_discovery_s == 1.0
+
+
+def test_message_changed_generations_must_rise_per_subject():
+    # The report keeps each subject's latest change alone, so a change whose
+    # generation is not above its subject's previous one is malformed; the
+    # runner never writes one.
+    changed = {"generation": 1, "mode": "framed", "message": b"hi".hex()}
+
+    def change(t, subject, generation):
+        return SimEvent(t, "MessageChanged", subject, subject, {**changed, "generation": generation})
+
+    header = _header(scanners={A: 30.0, B: 30.0})
+    ok = [header, change(0.0, A, 1), change(0.0, B, 1), change(5.0, A, 2), change(6.0, A, 7)]
+    # one opportunity per change: the other device's scans
+    assert build_report(ok).latency.changes_total == 4
+    for generation in (2, 7, 0, -1):
+        with pytest.raises(MalformedLog) as excinfo:
+            build_report([*ok, change(9.0, A, generation)])
+        assert str(excinfo.value) == (
+            f"the MessageChanged at t=9.0 of {A} holds generation {generation}, "
+            f"not above its previous generation 7"
+        )
+    assert build_report([*ok, change(9.0, B, 2)]).latency.changes_total == 5
 
 
 def _line(kind, detail, t=0.0, observer=A, subject=A):
@@ -356,23 +433,32 @@ def _header_line(**changes):
 
 
 # Each line with the exact text `load_log` raises for it, after "line 1: ".
-_FETCHED = {"round": 0, "records": []}
+_FETCHED = {"found": 0.5, "records": []}
 _FRAMED = {"generation": 1, "mode": "framed", "message": "6869"}
 _RAW = {"generation": 1, "mode": "raw", "payloads": ["6869"]}
 _CHANGED = {"generation": 1, "mode": "raw", "message": "00"}
 _HUGE = 10**400
 _ARRAY = "event must be an array [t, kind, observer, subject, detail], got"
 _LOG_ERRORS = [
-    (_line("DeviceFound", {}), "DeviceFound detail: 'round' is missing or malformed: None"),
+    (_line("FetchAborted", {}), "FetchAborted detail: 'found' is missing or malformed: None"),
     (
-        _line("DeviceFound", {"round": "0"}),
-        "DeviceFound detail: 'round' is missing or malformed: '0'",
+        _line("FetchAborted", {"found": "0"}),
+        "FetchAborted detail: 'found' is missing or malformed: '0'",
     ),
     (
-        _line("DeviceFound", {"round": True}),
-        "DeviceFound detail: 'round' is missing or malformed: True",
+        _line("FetchAborted", {"found": True}),
+        "FetchAborted detail: 'found' is missing or malformed: True",
     ),
-    (_line("UuidsFetched", {}), "UuidsFetched detail: 'round' is missing or malformed: None"),
+    # a found time is a finite number, as `t` is
+    *(
+        (
+            _line(kind, {**detail, "found": value}),
+            f"{kind} detail: 'found' is missing or malformed: {value!r}",
+        )
+        for kind, detail in (("FetchAborted", {}), ("UuidsFetched", _FETCHED))
+        for value in (math.nan, math.inf, -math.inf, _HUGE, "0.5", [0.5], None, True, False)
+    ),
+    (_line("UuidsFetched", {}), "UuidsFetched detail: 'found' is missing or malformed: None"),
     (
         _line("UuidsFetched", {**_FETCHED, "records": 5}),
         "UuidsFetched detail: 'records' is missing or malformed: 5",
@@ -449,43 +535,44 @@ _LOG_ERRORS = [
         _line("MessageReassembled", {"generation": 1, "mode": ["raw"], "payloads": []}),
         "MessageReassembled detail: 'mode' is missing or malformed: ['raw']",
     ),
-    (_line("DeviceFound", []), 'DeviceFound detail must be an object, got []'),
-    (_line("DeviceFound", None), 'DeviceFound detail must be an object, got None'),
+    (_line("FetchAborted", []), 'FetchAborted detail must be an object, got []'),
+    (_line("FetchAborted", None), 'FetchAborted detail must be an object, got None'),
+    (_line("UuidsFetched", []), 'UuidsFetched detail must be an object, got []'),
     # a line that is not an array of the five fields, such as a line of a log
     # written in the former one-object-per-line form
     (
-        json.dumps([0.0, "DeviceFound", A, A]),
-        f"{_ARRAY} [0.0, 'DeviceFound', '{A}', '{A}']",
+        json.dumps([0.0, "FetchAborted", A, A]),
+        f"{_ARRAY} [0.0, 'FetchAborted', '{A}', '{A}']",
     ),
     ("[]", f"{_ARRAY} []"),
     ("NaN", f"{_ARRAY} nan"),
     ('"x"', f"{_ARRAY} 'x'"),
     ("{}", f"{_ARRAY} an object with keys []"),
     (
-        json.dumps({"t": 0.5, "kind": "DeviceFound", "observer": A, "subject": A, "detail": {"round": 0}}),
+        json.dumps({"t": 0.5, "kind": "FetchAborted", "observer": A, "subject": A, "detail": {"found": 0.5}}),
         f"{_ARRAY} an object with keys ['t', 'kind', 'observer', 'subject', 'detail']",
     ),
-    (_line("DeviceFound", {"round": 0}, t=math.inf), "event: 't' is missing or malformed: inf"),
-    (_line("DeviceFound", {"round": 0}, t=True), "event: 't' is missing or malformed: True"),
-    (_line("DeviceFound", {"round": 0}, t="0"), "event: 't' is missing or malformed: '0'"),
-    (json.dumps([0.0, "DeviceFound"]), f"{_ARRAY} [0.0, 'DeviceFound']"),
+    (_line("FetchAborted", {"found": 0.5}, t=math.inf), "event: 't' is missing or malformed: inf"),
+    (_line("FetchAborted", {"found": 0.5}, t=True), "event: 't' is missing or malformed: True"),
+    (_line("FetchAborted", {"found": 0.5}, t="0"), "event: 't' is missing or malformed: '0'"),
+    (json.dumps([0.0, "FetchAborted"]), f"{_ARRAY} [0.0, 'FetchAborted']"),
     (
-        _line("DeviceFound", {"round": 0}, observer=None),
+        _line("FetchAborted", {"found": 0.5}, observer=None),
         "event: 'observer' is missing or malformed: None",
     ),
     (_line("Mystery", {}), "event: 'kind' is missing or malformed: 'Mystery'"),
     (
-        _line("DeviceFound", {"round": 0}, observer=5),
+        _line("FetchAborted", {"found": 0.5}, observer=5),
         "event: 'observer' is missing or malformed: 5",
     ),
     (
-        _line("DeviceFound", {"round": 0}, subject=None),
+        _line("FetchAborted", {"found": 0.5}, subject=None),
         "event: 'subject' is missing or malformed: None",
     ),
     # an integer past float range converts to no float, so it is no finite time
-    (_line("DeviceFound", {"round": 0}, t=_HUGE), f"event: 't' is missing or malformed: {_HUGE}"),
+    (_line("FetchAborted", {"found": 0.5}, t=_HUGE), f"event: 't' is missing or malformed: {_HUGE}"),
     (
-        _line("DeviceFound", {"round": 0}, t=-_HUGE),
+        _line("FetchAborted", {"found": 0.5}, t=-_HUGE),
         f"event: 't' is missing or malformed: {-_HUGE}",
     ),
     # each key of the runner's lines, in their order, with a value that is
@@ -504,19 +591,19 @@ _LOG_ERRORS = [
         f"RunStarted detail: 'scanners' is missing or malformed: {{'{A}': True}}",
     ),
     (
-        _line("DeviceFound", {"round": False}),
-        "DeviceFound detail: 'round' is missing or malformed: False",
+        _line("FetchAborted", {"found": False}),
+        "FetchAborted detail: 'found' is missing or malformed: False",
     ),
     (
-        _line("UuidsFetched", {**_FETCHED, "round": True}),
-        "UuidsFetched detail: 'round' is missing or malformed: True",
+        _line("UuidsFetched", {**_FETCHED, "found": True}),
+        "UuidsFetched detail: 'found' is missing or malformed: True",
     ),
     (
-        _line("DeviceFound", {"round": 0}, t=1.5).replace("1.5", "1e400"),
+        _line("FetchAborted", {"found": 0.5}, t=1.5).replace("1.5", "1e400"),
         "event: 't' is missing or malformed: inf",
     ),
     (
-        _line("DeviceFound", {"round": 0}, t=1.5).replace("1.5", "-1e400"),
+        _line("FetchAborted", {"found": 0.5}, t=1.5).replace("1.5", "-1e400"),
         "event: 't' is missing or malformed: -inf",
     ),
     (
@@ -556,36 +643,42 @@ _LOG_ERRORS = [
         "MessageChanged detail: 'message' is missing or malformed: '6869AB'",
     ),
     (
-        _line(["DeviceFound"], {"round": 0}),
-        "event: 'kind' is missing or malformed: ['DeviceFound']",
+        _line(["FetchAborted"], {"found": 0.5}),
+        "event: 'kind' is missing or malformed: ['FetchAborted']",
     ),
     (
-        _line({"DeviceFound": 0}, {"round": 0}),
-        "event: 'kind' is missing or malformed: {'DeviceFound': 0}",
+        _line({"FetchAborted": 0}, {"found": 0.5}),
+        "event: 'kind' is missing or malformed: {'FetchAborted': 0}",
     ),
     # a key that the line's kind, or its reassembly's mode, does not have
     (
-        _line("DeviceFound", {"round": 0, "extra": None}),
-        "DeviceFound detail: unknown keys ['extra']",
+        _line("FetchAborted", {"found": 0.5, "extra": None}),
+        "FetchAborted detail: unknown keys ['extra']",
     ),
     # lines of older logs: a fetch that still holds `cached` and `delay`, a
-    # change that still holds `slots`, and a scan
+    # change that still holds `slots`, a scan, a discovery of its own line,
+    # and a fetch that names its round rather than its found time
     (
         _line("MessageChanged", {**_CHANGED, "slots": 1}),
         "MessageChanged detail: unknown keys ['slots']",
     ),
     (_line("ScanStarted", {"round": 0}), "event: 'kind' is missing or malformed: 'ScanStarted'"),
     (
-        _line("UuidsFetched", {"round": 0, "cached": False, "delay": 6.0, "records": []}),
+        _line("UuidsFetched", {"found": 0.5, "cached": False, "delay": 6.0, "records": []}),
         "UuidsFetched detail: unknown keys ['cached', 'delay']",
+    ),
+    (_line("DeviceFound", {"round": 0}), "event: 'kind' is missing or malformed: 'DeviceFound'"),
+    (
+        _line("UuidsFetched", {"round": 0, "records": []}),
+        "UuidsFetched detail: 'found' is missing or malformed: None",
     ),
     (
         _line("MessageReassembled", {**_RAW, "message": "6869"}),
         "MessageReassembled detail: unknown keys ['message']",
     ),
     (
-        json.dumps([0.5, "DeviceFound", A, A, {"round": 0}, 1]),
-        f"{_ARRAY} [0.5, 'DeviceFound', '{A}', '{A}', {{'round': 0}}, 1]",
+        json.dumps([0.5, "FetchAborted", A, A, {"found": 0.5}, 1]),
+        f"{_ARRAY} [0.5, 'FetchAborted', '{A}', '{A}', {{'found': 0.5}}, 1]",
     ),
     # the header's values: a duration, the limits `CapacityLimits` takes, and
     # each scanner's interval, all finite and positive
@@ -651,7 +744,7 @@ def test_load_log_error_messages():
 
 
 def test_load_log_rejects_a_line_that_is_not_text():
-    lines = [_line("DeviceFound", {"round": 0})] * 3
+    lines = [_line("FetchAborted", {"found": 0.5})] * 3
     lines[1] = lines[1].encode()
     with pytest.raises(MalformedLog, match="^line 2: a log line must be text, got bytes$"):
         list(load_log(lines))
@@ -694,9 +787,9 @@ def test_fetch_bandwidth_is_a_named_tuple():
 
 
 def test_sim_event_is_an_immutable_record():
-    event = SimEvent(t=1.5, kind="DeviceFound", observer=A, subject=A, detail={"round": 0})
-    assert event == SimEvent(1.5, "DeviceFound", A, A, {"round": 0})
-    assert event != SimEvent(1.5, "DeviceFound", A, B, {"round": 0})
+    event = SimEvent(t=1.5, kind="FetchAborted", observer=A, subject=A, detail={"found": 0.5})
+    assert event == SimEvent(1.5, "FetchAborted", A, A, {"found": 0.5})
+    assert event != SimEvent(1.5, "FetchAborted", A, B, {"found": 0.5})
     with pytest.raises(AttributeError):
         event.t = 2.0
     with pytest.raises(AttributeError):
@@ -712,7 +805,7 @@ def test_load_log_rejects_decreasing_time():
     with pytest.raises(MalformedLog, match="decreases"):
         list(load_log(lines))
     # NaN compares false either way, so 5, NaN, 1 would pass the ordering check alone
-    lines = [_line("DeviceFound", {"round": 0}, t=t) for t in (5.0, math.nan, 1.0)]
+    lines = [_line("FetchAborted", {"found": 0.5}, t=t) for t in (5.0, math.nan, 1.0)]
     with pytest.raises(MalformedLog, match="line 2"):
         list(load_log(lines))
 
@@ -729,7 +822,7 @@ def _reassembly_log(changed, records, detail):
     return [
         _header_line(scanners={B: 30.0}),
         _line("MessageChanged", changed),
-        _line("UuidsFetched", {"round": 0, "records": records}, t=1.0, observer=B),
+        _line("UuidsFetched", {"found": 0.5, "records": records}, t=1.0, observer=B),
         _reassembled(detail),
     ]
 
@@ -770,7 +863,7 @@ def test_a_reassembly_line_must_repeat_its_fetch():
         hi[:-1] + [_reassembled(_HI, subject=B)],
         # no fetch before it, or another event between the two
         hi[:2] + hi[3:],
-        hi[:3] + [_line("DeviceFound", {"round": 1}, t=1.0, observer=B)] + hi[3:],
+        hi[:3] + [_line("FetchAborted", {"found": 0.5}, t=1.0, observer=B)] + hi[3:],
         # a second line for one fetch, and a line for a later fetch that
         # repeats what the pair's last line says
         hi + hi[3:],

@@ -70,6 +70,23 @@ def _kinds(log):
     return {e.kind for e in log}
 
 
+# The kinds of the one line a discovery writes, when its fetch window closes.
+DISCOVERY_KINDS = ("UuidsFetched", "FetchAborted")
+
+
+def _discoveries(log, subject=None):
+    """The line of each discovery in `log`, of `subject` if given, in log order."""
+    return [e for e in log if e.kind in DISCOVERY_KINDS and subject in (None, e.subject)]
+
+
+def _found_round(header, observer, found):
+    """The round of `observer`'s scan that found a device at time `found`:
+    its last scan at or before then, since the inquiry is shorter than the
+    scan interval."""
+    scans = _scan_rounds(header)
+    return max(rnd for scanner, rnd, t in scans if scanner == observer and t <= found)
+
+
 def _scan_rounds(header):
     """(scanner, round, t) of every scan that a run's RunStarted header implies.
 
@@ -287,7 +304,7 @@ def test_run_does_not_mutate_input_scenario():
     log = list(run(sc, seed=5))
     changes = [e.detail for e in log if e.kind == "MessageChanged"]
     assert (changes[-1]["mode"], changes[-1]["message"]) == (RAW, b"now raw".hex())
-    found_b = [e.t for e in log if e.kind == "DeviceFound" and e.subject == B]
+    found_b = [e.detail["found"] for e in _discoveries(log, B)]
     assert found_b and max(found_b) < 40.0 + 12.0  # hidden from the scans after t=40
     assert scenario_to_json(sc) == before
     # the run set moved and toggled fields on its own record of each device, not on sc
@@ -322,7 +339,8 @@ def test_hand_traced_event_times():
     log = list(run(sc))
     oracle = random.Random(99)
     expected_found = [30.0 * k + oracle.uniform(0.0, 12.0) for k in range(4)]
-    found = [e.t for e in log if e.kind == "DeviceFound"]
+    assert [e.kind for e in _discoveries(log)] == ["UuidsFetched"] * 4
+    found = [e.detail["found"] for e in _discoveries(log)]
     assert found == expected_found
     fetched = [e.t for e in log if e.kind == "UuidsFetched"]
     expected_fetched = [expected_found[0] + 6.0] + [t + 1.5 for t in expected_found[1:]]
@@ -334,31 +352,27 @@ def test_hand_traced_event_times():
     assert bytes.fromhex(reassembled[0].detail["message"]) == b"hi b"
 
 
-def _fetch_origins(log):
-    """(fetch, found time, cached) for each UuidsFetched of `log`, in order.
+def _cache_states(log):
+    """(line, cached) for each discovery's line of `log`, in order.
 
-    A fetch's DeviceFound is the one with the same (observer, subject,
-    round); the fetch is cached exactly when a UuidsFetched of the same pair
-    comes before that DeviceFound in the log.
+    A discovery is cached exactly when a UuidsFetched of the same pair comes
+    before its found time; every such line comes before its own in the log.
     """
-    found, fetched_pairs, origins = {}, set(), []
-    for event in log:
+    first_fetch, states = {}, []
+    for event in _discoveries(log):
         pair = (event.observer, event.subject)
-        if event.kind == "DeviceFound":
-            key = (*pair, event.detail["round"])
-            assert key not in found  # so "the one" DeviceFound of a fetch is well defined
-            found[key] = (event.t, pair in fetched_pairs)
-        elif event.kind == "UuidsFetched":
-            origins.append((event, *found.pop((*pair, event.detail["round"]))))
-            fetched_pairs.add(pair)
-    return origins
+        states.append((event, first_fetch.get(pair, math.inf) < event.detail["found"]))
+        if event.kind == "UuidsFetched":
+            first_fetch.setdefault(pair, event.t)
+    return states
 
 
 def test_fetch_time_and_cache_state_follow_from_device_found(raw_torn_read):
-    # The log holds no fetch latency or cache state: each fetch's `t` is its
-    # DeviceFound's `t` plus the latency of the state `_fetch_origins` derives.
-    # In the last scenario B's round-0 fetch of A is cut off by A's move, so
-    # its round-1 fetch, after A is back, is fresh although A was found before.
+    # The log holds no fetch latency or cache state: each discovery's line is
+    # at its `found` time plus the latency of the state `_cache_states`
+    # derives, whether the fetch completes or aborts. In the last scenario
+    # B's round-0 fetch of A is cut off by A's move, so its round-1 fetch,
+    # after A is back, is fresh although A was found before.
     aborted = _two_device_scenario(
         schedule=[
             Mutation(t=0.0, device=A, action="set_position", position=(500.0, 0.0)),
@@ -371,11 +385,11 @@ def test_fetch_time_and_cache_state_follow_from_device_found(raw_torn_read):
     for sc in scenarios:
         timing = sc.timing
         for seed in (0, 1, 42):
-            for fetch, t_found, cached in _fetch_origins(run(sc, seed=seed)):
+            for line, cached in _cache_states(run(sc, seed=seed)):
                 latency = timing.fetch_latency_cached_s if cached else timing.fetch_latency_fresh_s
-                assert fetch.t == t_found + latency, fetch
-                states.add(cached)
-    assert states == {False, True}
+                assert line.t == line.detail["found"] + latency, line
+                states.add((line.kind, cached))
+    assert states == {("UuidsFetched", False), ("UuidsFetched", True), ("FetchAborted", False)}
 
 
 def test_event_json_key_order():
@@ -397,15 +411,21 @@ def test_event_times_nondecreasing_and_bounded():
 
 
 def test_found_precedes_fetch_per_round():
-    log = run(_two_device_scenario(), seed=11)
-    found = {}
-    for e in log:
-        if e.kind == "DeviceFound":
-            found[(e.observer, e.subject, e.detail["round"])] = e.t
-        elif e.kind == "UuidsFetched":
-            key = (e.observer, e.subject, e.detail["round"])
-            assert key in found
-            assert found[key] < e.t
+    # A discovery's line follows its found time, which lies within the
+    # inquiry of one scan round of its observer, and each pair is found at
+    # most once per round.
+    log = list(run(_two_device_scenario(), seed=11))
+    inquiry_s = _two_device_scenario().timing.inquiry_duration_s
+    scans = _scan_rounds(log[0])
+    rounds = set()
+    for e in _discoveries(log):
+        found = e.detail["found"]
+        assert found < e.t
+        (rnd,) = [r for s, r, t in scans if s == e.observer and t <= found < t + inquiry_s]
+        key = (e.observer, e.subject, rnd)
+        assert key not in rounds
+        rounds.add(key)
+    assert len(rounds) > 4
 
 
 def test_inbound_record_cap_respected():
@@ -435,8 +455,34 @@ def test_mid_flight_position_mutation_aborts_fetch():
             ],
         )
         log = list(run(sc, seed=seed))
-        assert any(e.kind == "DeviceFound" for e in log)
-        assert not any(e.kind == "UuidsFetched" for e in log)
+        (line,) = _discoveries(log)
+        assert line.kind == "FetchAborted"
+        assert line.t == line.detail["found"] + sc.timing.fetch_latency_fresh_s
+
+
+def test_a_move_inside_the_fetch_window_writes_one_fetch_aborted():
+    # B finds A in (0, 1) s, by the run's first draw, and A moves away at
+    # t = 3, inside the fresh fetch's window: the discovery's one line is a
+    # FetchAborted at the window's close that holds the found time.
+    sc = Scenario(
+        devices=[
+            _device(A, scan_interval_s=None, message=b"going away"),
+            _device(B, position=(5.0, 0.0)),
+        ],
+        duration_s=20.0,
+        timing=TimingModel(inquiry_duration_s=1.0),
+        schedule=[Mutation(t=3.0, device=A, action="set_position", position=(500.0, 0.0))],
+    )
+    for seed in (0, 1, 2):
+        log = list(run(sc, seed=seed))
+        found = random.Random(seed).uniform(0.0, 1.0)
+        assert [e.kind for e in log] == ["RunStarted", "MessageChanged", "FetchAborted"]
+        aborted = log[-1]
+        assert aborted == SimEvent(found + 6.0, "FetchAborted", B, A, {"found": found})
+        assert aborted.to_json() == (
+            f'[{found + 6.0!r},"FetchAborted","{B}","{A}",{{"found":{found!r}}}]'
+        )
+        assert list(load_log([aborted.to_json()])) == [aborted]
 
 
 def test_mid_flight_discoverable_toggle_aborts_fetch():
@@ -456,11 +502,10 @@ def test_mid_flight_discoverable_toggle_aborts_fetch():
                 schedule=schedule,
             )
             log = list(run(sc, seed=seed))
-            (found,) = [e.t for e in log if e.kind == "DeviceFound"]
-            assert 0.0 < found < 1.0
-            fetched = [e.t for e in log if e.kind == "UuidsFetched"]
-            assert len(fetched) == fetches
-            assert all(6.0 < t < 7.0 for t in fetched)
+            (line,) = _discoveries(log)
+            assert 0.0 < line.detail["found"] < 1.0
+            assert line.kind == ("UuidsFetched" if fetches else "FetchAborted")
+            assert 6.0 < line.t < 7.0
 
 
 def test_discoverable_toggle_controls_discovery():
@@ -477,12 +522,12 @@ def test_discoverable_toggle_controls_discovery():
             ],
         )
         log = list(run(sc, seed=seed))
-        found = [e.t for e in log if e.kind == "DeviceFound"]
+        found = [e.detail["found"] for e in _discoveries(log)]
         # round 0 finds it; round 1 (t=30) cannot; round 2 (t=60) finds again
         assert len(found) == 2
         assert found[0] < 12.0
         assert 60.0 <= found[1] < 72.0
-        assert [cached for _, _, cached in _fetch_origins(log)] == [False, True]
+        assert [cached for _, cached in _cache_states(log)] == [False, True]
 
 
 def test_set_message_mutation_changes_payload():
@@ -731,7 +776,7 @@ def test_grid_scan_matches_brute_force_on_a_400_device_layout():
     # square and discoverability toggles through three scan rounds
     sc = toggle_layout()
     grid, brute = _grid_and_brute_force_logs(sc, 3)
-    assert sum(',"DeviceFound",' in line for line in grid) > 1000
+    assert sum(',"UuidsFetched",' in line or ',"FetchAborted",' in line for line in grid) > 1000
     assert grid == brute
 
 
@@ -773,11 +818,12 @@ class _ScanRecorder(_Runner):
 
     def __init__(self, sc):
         super().__init__(sc)
-        self.scans = []
+        self.scans, self.rounds = [], {}
 
-    def _on_scan(self, t, address, rnd):
+    def _on_scan(self, t, address):
+        rnd = self.rounds[address] = self.rounds.get(address, -1) + 1
         self.scans.append((address, rnd, t))
-        super()._on_scan(t, address, rnd)
+        super()._on_scan(t, address)
 
 
 def _bench_workloads():
@@ -852,8 +898,8 @@ def test_set_position_moves_device_between_grid_cells():
         ],
     )
     for seed in (0, 1, 2):
-        log = run(sc, seed=seed)
-        rounds = [e.detail["round"] for e in log if e.kind == "DeviceFound"]
+        log = list(run(sc, seed=seed))
+        rounds = [_found_round(log[0], e.observer, e.detail["found"]) for e in _discoveries(log)]
         assert rounds == [1]
 
 

@@ -17,7 +17,8 @@ range, one scan round (sparse-1000's shape). Two series:
   average, away from the edges.
 
 Per point it records the scans (one `_Runner._candidates` call each), the
-mean devices in range per scan (DeviceFound events over scans), the mean
+mean devices in range per scan (discoveries over scans: a discovery is one
+UuidsFetched or FetchAborted line), the mean
 grid candidates per scan (the length of `_Runner._candidates`, which counts
 the scanner itself), and the median of `REPEATS` timed runs of `run` in µs
 per device: host time, and host time scaled to the benchmark's reference
@@ -102,7 +103,7 @@ def measure(n: int, side_m: float, repeats: int, seed: int = 0) -> dict:
     hostspeed = _load_hostspeed()
     sc = layout(n, side_m, seed)
     runner = Counting(sc)
-    found = sum(event.kind == "DeviceFound" for event in runner.execute())
+    found = sum(event.kind in ("UuidsFetched", "FetchAborted") for event in runner.execute())
     scans = runner.scans
     host_us, scaled_us = [], []
     for _ in range(repeats):
