@@ -13,20 +13,22 @@ holding its `found` time: UuidsFetched with the records the fetch saw, or
 FetchAborted when the pair left range. MessageChanged and
 MessageReassembled lines stand between them.
 
-One table of checks per field and detail key defines a line.
-`SimEvent.from_array` is its only reader: it passes an array of exactly five
-items whose detail holds exactly the keys of its kind, each holding a value
-of the JSON type the runner writes there, and names the first field or key
-that fails otherwise. A line that is not an array of five, such as a line of
-a log written in the former one-object-per-line form, names the array form.
-A line as the runner writes it after its header first meets one shape test
-for its kind, which builds the event when the line passes; the table reads
-every other line and alone words an error. The writer formats a detail by
-the exact type of each value (an int, a finite float, a plain string or a
-list of plain strings) under a key the table checks; any other event, such
-as the header, goes through `json`, whose text the writer matches exactly.
-A format change edits the table, and the shape test of each kind it
-changes.
+`_SPECS` is the one statement of the format. A kind's spec lists the keys
+its detail holds, in the order an error names them, each with the exact
+type the runner writes there and a test of the value, or None.
+`_EVENT_SPEC` does the same for the four items before the detail, and the
+mode of a MessageReassembled picks one of two specs. `SimEvent.from_array`
+is the only reader. A line that fits its spec exactly (`_fits`), as the
+runner writes every line, is its event as it is. Any other line walks the
+same spec one key at a time (`_from_table`), which also takes an int in
+float range where the spec says `float`, and reads it as that float, and a
+`str` subclass where it says `str`; the first item or key that fails names
+the error. A line that is not an array of five, such as a line of a log
+written in the former one-object-per-line form, names the array form. The
+writer formats a detail by the exact type of each value (an int, a finite
+float, a plain string or a list of plain strings) under a key some spec
+holds; any other event, such as the header, goes through `json`, whose
+text the writer matches exactly. A format change edits `_SPECS` alone.
 
 `Deliveries` is the one rule for what a fetch delivers: the runner logs
 MessageReassembled by it, and the report derives every delivery by it.
@@ -50,8 +52,6 @@ UUIDS_FETCHED = "UuidsFetched"
 MESSAGE_REASSEMBLED = "MessageReassembled"
 MESSAGE_CHANGED = "MessageChanged"
 
-EVENT_KINDS = (RUN_STARTED, FETCH_ABORTED, UUIDS_FETCHED, MESSAGE_REASSEMBLED, MESSAGE_CHANGED)
-
 # One encoder for every log line: `json.dumps` with separators builds a new one per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
@@ -72,7 +72,7 @@ class SimEvent(NamedTuple):
         t, kind, observer, subject, detail = self
         if (
             type(t) is float and -_INF < t < _INF
-            and type(kind) is str and kind in _DETAIL_CHECKS
+            and type(kind) is str and kind in _SPECS
             and type(observer) is str and _plain(observer)
             and type(subject) is str and _plain(subject)
             and type(detail) is dict
@@ -84,76 +84,104 @@ class SimEvent(NamedTuple):
     @classmethod
     def from_array(cls, items: Any) -> SimEvent:
         """The event a parsed log line holds; ValueError unless the line is
-        an array of five items whose detail holds exactly the keys of its
-        kind, each with the JSON type that `_Runner` writes there. Only an
-        integer `t` is converted."""
+        an array of five items that walk `_EVENT_SPEC` and whose detail
+        walks the spec of its kind. Only an int where a spec says `float`
+        is converted."""
         if type(items) is list and len(items) == 5:
             t, kind, observer, subject, detail = items
+            # `_EVENT_SPEC` by exact type, inline (a loop over it measured
+            # slower), and the detail by `_fits`
             if (
                 type(t) is float and -_INF < t < _INF
                 and type(kind) is str
                 and type(observer) is str
                 and type(subject) is str
                 and type(detail) is dict
-                and (shape := _SHAPES.get(kind)) is not None
-                and shape(detail)
+                and (spec := _SPECS.get(kind)) is not None
+                and _fits(detail, _by_mode(detail) if spec is _BY_MODE else spec)
             ):
                 # tuple.__new__ skips the argument handling of the generated __new__
                 return _new(cls, items)
         return _from_table(cls, items)
 
 
+def _fits(detail: dict, spec: _Spec) -> bool:
+    """True iff `detail` holds exactly the keys of `spec`, each with a value
+    of its exact type that passes its test."""
+    if len(detail) != len(spec):
+        return False
+    for key, kind, test in spec:
+        value = detail.get(key)
+        if type(value) is not kind or test is not None and not test(value):
+            return False
+    return True
+
+
+def _walk(what: str, obj: dict, spec: _Spec) -> dict[str, float]:
+    """Each key of `spec` that `obj` holds as an int where the spec says
+    `float`, with that float. ValueError names the first key whose value is
+    not of its type, or fails its test: an int in float range passes for a
+    `float`, a `str` subclass for a `str`, and any other type must match."""
+    read = {}
+    for key, kind, test in spec:
+        value = obj.get(key)
+        new = _as(kind, value)
+        if new is _WRONG or test is not None and not test(new):
+            raise ValueError(f"{what}: {key!r} is missing or malformed: {value!r}")
+        if new is not value:
+            read[key] = new
+    return read
+
+
+def _as(kind: type, value: Any) -> Any:
+    """`value` read where a spec says `kind`, or `_WRONG`."""
+    if type(value) is kind or kind is str and isinstance(value, str):
+        return value
+    if kind is float and type(value) is int and _is_finite(value):  # False past float range
+        return float(value)
+    return _WRONG
+
+
 def _from_table(cls: type[SimEvent], items: Any) -> SimEvent:
-    """`SimEvent.from_array` by the check table, one item and then one
-    detail key at a time: the first that fails names the error."""
+    """`SimEvent.from_array` by `_walk`, over the items and then over the
+    detail: the first that fails names the error."""
     if not isinstance(items, list) or len(items) != len(SimEvent._fields):
         got = f"an object with keys {list(items)}" if isinstance(items, dict) else repr(items)
         raise ValueError(f"event must be an array {_ARRAY_FORM}, got {got}")
-    for (key, check), value in zip(_EVENT_CHECKS, items):
-        if not check(value):
-            raise ValueError(f"event: {key!r} is missing or malformed: {value!r}")
-    t, kind, observer, subject, detail = items
-    what, checks = _DETAIL_CHECKS[kind]
+    event = dict(zip(SimEvent._fields, items))
+    event.update(_walk("event", event, _EVENT_SPEC))
+    kind, detail = event["kind"], event["detail"]
+    what = f"{kind} detail"
     if not isinstance(detail, dict):
         raise ValueError(f"{what} must be an object, got {detail!r}")
-    if kind == MESSAGE_REASSEMBLED and detail.get("mode") in MODES:
-        checks = _REASSEMBLED_CHECKS[detail["mode"]]
-    for key, check in checks:
-        if not check(value := detail.get(key)):
-            raise ValueError(f"{what}: {key!r} is missing or malformed: {value!r}")
-    # Every key checked is present, so a longer object holds another.
-    if len(detail) != len(checks):
-        raise _unknown_keys(what, detail, _keys(checks))
-    return _new(cls, (float(t), kind, observer, subject, detail))
+    spec = _SPECS[kind]
+    if spec is _BY_MODE:
+        spec = _by_mode(detail)
+    if read := _walk(what, detail, spec):
+        event["detail"] = {**detail, **read}  # a new dict: the caller's stays as it is
+    # Every key walked is present, so a longer object holds another.
+    if len(detail) != len(spec):
+        known = [key for key, _, _ in spec]
+        raise ValueError(f"{what}: unknown keys {[key for key in detail if key not in known]}")
+    return _new(cls, event.values())
 
 
-_new = tuple.__new__
-_Checks = tuple[tuple[str, Callable[[Any], bool]], ...]
+def _by_mode(detail: dict) -> _Spec:
+    """The spec of a reassembly's mode. A detail whose mode is none walks the
+    framed spec, which fails at `mode`; `in MODES` compares, so a mode that
+    cannot be hashed, such as a list, reaches no lookup."""
+    mode = detail.get("mode")
+    return _BY_MODE[mode if mode in MODES else FRAMED]
 
 
-def _unknown_keys(what: str, obj: dict, known: tuple[str, ...]) -> ValueError:
-    return ValueError(f"{what}: unknown keys {[key for key in obj if key not in known]}")
+def _is_hex(value: Any) -> bool:
+    """True iff `value` is what `bytes.hex` writes: lowercase digits in pairs."""
+    return isinstance(value, str) and len(value) % 2 == 0 and _HEX.fullmatch(value) is not None
 
 
-def _is_json_number(value: Any) -> bool:
-    """True iff `value` is a JSON number that is a finite float, or an
-    integer that converts to one."""
-    if type(value) is float:
-        return -_INF < value < _INF
-    return type(value) is int and _is_finite(value)  # _is_finite: False past float range
-
-
-def _is_positive(value: Any) -> bool:
-    return _is_json_number(value) and value > 0
-
-
-def _is_json_int(value: Any) -> bool:
-    return type(value) is int
-
-
-def _is_limits(value: Any) -> bool:
+def _is_limits(value: dict) -> bool:
     """True iff `value` holds exactly the fields of `CapacityLimits`, with values it accepts."""
-    if type(value) is not dict or value.keys() != _LIMIT_FIELDS:
+    if value.keys() != _LIMIT_FIELDS:
         return False
     try:
         CapacityLimits(**value)
@@ -162,116 +190,54 @@ def _is_limits(value: Any) -> bool:
     return True
 
 
-def _is_hex(value: Any) -> bool:
-    """True iff `value` is what `bytes.hex` writes: lowercase digits in pairs."""
-    return isinstance(value, str) and len(value) % 2 == 0 and _HEX.fullmatch(value) is not None
+def _are_intervals(scanners: dict) -> bool:
+    """True iff each scanner's interval is a positive finite float, or an int that converts to one."""
+    return all(type(s) in (float, int) and s > 0 and _is_finite(s) for s in scanners.values())
 
 
-def _is_str_list(value: Any) -> bool:
-    return type(value) is list and all(map(str.__instancecheck__, value))
+def _each(test: Callable[[Any], bool]) -> Callable[[list], bool]:
+    return lambda items: all(map(test, items))
 
 
-def _is_hex_list(value: Any) -> bool:
-    return type(value) is list and all(map(_is_hex, value))
-
-
+_new = tuple.__new__
+_WRONG = object()
 _HEX = re.compile(r"[0-9a-f]*")
 _INF = math.inf
 _LIMIT_FIELDS = {field.name for field in dataclasses.fields(CapacityLimits)}
-
-# One check per key that a log line or its detail holds: each passes exactly
-# the JSON values that `_Runner` writes there.
-_KEY_CHECKS: dict[str, Callable[[Any], bool]] = {
-    "t": _is_json_number,
-    "kind": EVENT_KINDS.__contains__,
-    "observer": str.__instancecheck__,
-    "subject": str.__instancecheck__,
-    "duration_s": _is_positive,
-    "limits": _is_limits,
-    "scanners": lambda value: type(value) is dict and all(map(_is_positive, value.values())),
-    "found": _is_json_number,
-    "records": _is_str_list,
-    "generation": _is_json_int,
-    "mode": MODES.__contains__,
-    "message": _is_hex,
-    "payloads": _is_hex_list,
-}
-
-
-def _checks(*keys: str) -> _Checks:
-    return tuple((key, _KEY_CHECKS[key]) for key in keys)
-
-
-def _keys(checks: _Checks) -> tuple[str, ...]:
-    return tuple(key for key, _ in checks)
-
-
-# The checks of the items a line holds before its detail, in field order,
-# and, with the name its errors give the detail, of what the detail of each
-# kind holds. The mode of a reassembly, once checked, says what else its
-# detail holds.
-_EVENT_CHECKS = _checks(*SimEvent._fields[:-1])
 _ARRAY_FORM = f"[{', '.join(SimEvent._fields)}]"
-_DETAIL_CHECKS = {
-    kind: (f"{kind} detail", _checks(*keys))
-    for kind, keys in (
-        (RUN_STARTED, ("duration_s", "limits", "scanners")),
-        (FETCH_ABORTED, ("found",)),
-        (UUIDS_FETCHED, ("found", "records")),
-        (MESSAGE_REASSEMBLED, ("generation", "mode")),
-        (MESSAGE_CHANGED, ("generation", "mode", "message")),
-    )
+
+# A spec holds, per key in the order an error names them, the exact type
+# `_Runner` writes there and a test of the value, or None.
+_Spec = tuple[tuple[str, type, Callable[[Any], bool] | None], ...]
+_FOUND = ("found", float, math.isfinite)
+_GENERATION = ("generation", int, None)
+_MODE = ("mode", str, MODES.__contains__)
+_MESSAGE = ("message", str, _is_hex)
+
+# What the detail of each kind holds; a reassembly's mode says which of two.
+_BY_MODE: dict[str, _Spec] = {
+    FRAMED: (_GENERATION, _MODE, _MESSAGE),
+    RAW: (_GENERATION, _MODE, ("payloads", list, _each(_is_hex))),
 }
-_REASSEMBLED_CHECKS = {
-    mode: _DETAIL_CHECKS[MESSAGE_REASSEMBLED][1] + _checks(key)
-    for mode, key in ((FRAMED, "message"), (RAW, "payloads"))
+_SPECS: dict[str, _Spec | dict[str, _Spec]] = {
+    RUN_STARTED: (
+        ("duration_s", float, lambda value: 0 < value < _INF),
+        ("limits", dict, _is_limits),
+        ("scanners", dict, _are_intervals),
+    ),
+    FETCH_ABORTED: (_FOUND,),
+    UUIDS_FETCHED: (_FOUND, ("records", list, _each(str.__instancecheck__))),
+    MESSAGE_REASSEMBLED: _BY_MODE,
+    MESSAGE_CHANGED: (_GENERATION, _MODE, _MESSAGE),
 }
-
-
-# The shape test of each kind but the header's: true iff a detail holds
-# exactly the keys of its kind, each with a value of the exact type `_Runner`
-# writes there. It passes only details the table passes: the table also takes
-# a `str` subclass, say, and words the error for what neither takes.
-# `tests/test_oracles.py` holds each test to the table.
-def _aborted_shape(detail: dict) -> bool:
-    return (
-        len(detail) == 1
-        and type(found := detail.get("found")) is float and -_INF < found < _INF
-    )
-
-
-def _fetched_shape(detail: dict) -> bool:
-    return (
-        len(detail) == 2
-        and type(found := detail.get("found")) is float and -_INF < found < _INF
-        and _is_str_list(detail.get("records"))
-    )
-
-
-def _reassembled_shape(detail: dict) -> bool:
-    mode = detail.get("mode")
-    if len(detail) != 3 or type(detail.get("generation")) is not int or type(mode) is not str:
-        return False
-    if mode == FRAMED:
-        return _is_hex(detail.get("message"))
-    return mode == RAW and _is_hex_list(detail.get("payloads"))
-
-
-def _changed_shape(detail: dict) -> bool:
-    return (
-        len(detail) == 3
-        and type(detail.get("generation")) is int
-        and type(mode := detail.get("mode")) is str and mode in MODES
-        and _is_hex(detail.get("message"))
-    )
-
-
-_SHAPES: dict[str, Callable[[dict], bool]] = {
-    FETCH_ABORTED: _aborted_shape,
-    UUIDS_FETCHED: _fetched_shape,
-    MESSAGE_REASSEMBLED: _reassembled_shape,
-    MESSAGE_CHANGED: _changed_shape,
-}
+EVENT_KINDS = tuple(_SPECS)
+# The items a line holds before its detail, in field order.
+_EVENT_SPEC: _Spec = (
+    ("t", float, math.isfinite),
+    ("kind", str, _SPECS.__contains__),
+    ("observer", str, None),
+    ("subject", str, None),
+)
 
 
 def _plain(text: str) -> bool:
@@ -297,10 +263,15 @@ def _plain_list(items: Any) -> str | None:
     return None
 
 
-# Each key the reader checks, as `_ENCODER` writes it before a value. A
-# detail key that is not here goes through `_ENCODER`, so the check table
-# also bounds what the writer formats.
-_KEY_HEADS = {key: f'"{key}":' for key in _KEY_CHECKS}
+# Each key some spec holds, as `_ENCODER` writes it before a value. A detail
+# key that is not here goes through `_ENCODER`, so the specs also bound what
+# the writer formats.
+_KEY_HEADS = {
+    key: f'"{key}":'
+    for spec in (_EVENT_SPEC, *_SPECS.values(), *_BY_MODE.values())
+    if spec is not _BY_MODE
+    for key, _, _ in spec
+}
 
 
 def _detail_json(detail: dict) -> str | None:

@@ -2,10 +2,10 @@
 
 A line is the array of an event's five fields, in field order.
 `SimEvent.to_json` writes a detail by the exact type of each value under a
-key the check table holds, and any other event, such as the RunStarted
-header, through `_ENCODER`. `_ENCODER` stays the definition of a line's
-text: the writer must write exactly what it writes for the event's fields
-as a list. `SimEvent.from_array` reads every line through the same table;
+key some spec of `log._SPECS` holds, and any other event, such as the
+RunStarted header, through `_ENCODER`. `_ENCODER` stays the definition of a
+line's text: the writer must write exactly what it writes for the event's
+fields as a list. `SimEvent.from_array` reads every line by the same specs;
 `test_report._LOG_ERRORS` pins the lines it rejects and their messages.
 """
 
@@ -172,7 +172,7 @@ def test_to_json_writes_what_the_encoder_writes_for_edge_events():
 
 
 def _unused(*args):
-    raise AssertionError(f"off the fixed shapes: {args!r}")
+    raise AssertionError(f"off the fast path: {args!r}")
 
 
 def test_runner_events_take_the_fixed_shapes(monkeypatch, raw_torn_read):
@@ -187,27 +187,54 @@ def test_runner_events_take_the_fixed_shapes(monkeypatch, raw_torn_read):
         assert list(load_log(lines)) == events
 
 
+def test_runner_lines_take_the_reader_fast_path(monkeypatch, raw_torn_read):
+    """Every line a run writes, its header included, fits the spec of its
+    kind exactly, so it reads back to the event written without the walk
+    that words errors: the reader's fast path is taken, not only correct.
+    churn-400's layout 0 adds raw reassemblies."""
+    logs = list(_builtin_logs(raw_torn_read, (0,)))
+    logs.append(list(run(_bench_workloads().churn_400(sdpcast, random.Random(0)), seed=1)))
+    assert any(e.kind == "MessageReassembled" and e.detail["mode"] == "raw" for e in logs[-1])
+    monkeypatch.setattr(log, "_from_table", _unused)
+    for events in logs:
+        assert list(load_log(event.to_json() for event in events)) == events
+
+
 _CHANGED = {"message": "6869", "mode": "raw", "generation": 1}
 _FETCHED = {"records": [UUID], "found": 1}
 
 # Lines the runner writes otherwise that still load, each with the event it
-# holds: an integer `t` or `found`, and detail keys in another order.
+# holds: an integer `t`, `found` or `duration_s`, and detail keys in another order.
 _ACCEPTED = [
-    (_line("FetchAborted", {"found": 0}, t=0), SimEvent(0.0, "FetchAborted", A, A, {"found": 0})),
+    (_line("FetchAborted", {"found": 0}, t=0), SimEvent(0.0, "FetchAborted", A, A, {"found": 0.0})),
     (_line("MessageChanged", _CHANGED), SimEvent(0.0, "MessageChanged", A, A, _CHANGED)),
-    (_line("UuidsFetched", _FETCHED, t=2), SimEvent(2.0, "UuidsFetched", A, A, _FETCHED)),
+    (
+        _line("UuidsFetched", _FETCHED, t=2),
+        SimEvent(2.0, "UuidsFetched", A, A, {"records": [UUID], "found": 1.0}),
+    ),
     # a header with integer numbers, as a hand-written log may hold them
     (
         _line("RunStarted", {**_HEADER.detail, "duration_s": 60, "scanners": {A: 30}}, 0.0, "", ""),
-        _HEADER._replace(detail={**_HEADER.detail, "duration_s": 60, "scanners": {A: 30}}),
+        _HEADER._replace(detail={**_HEADER.detail, "duration_s": 60.0, "scanners": {A: 30}}),
     ),
 ]
 
 
 def test_load_log_takes_integer_numbers_and_any_detail_key_order():
-    """`t` becomes a float; the detail, `found` included, is kept as the line holds it."""
+    """An integer where the runner writes a float (`t`, `found` and
+    `duration_s`) becomes that float; every other value, a scanner's interval
+    included, is kept as the line holds it, in the line's key order."""
     for line, event in _ACCEPTED:
         [loaded] = load_log([line])
         assert loaded == event
         assert type(loaded.t) is float
         assert list(loaded.detail.items()) == list(event.detail.items())
+        assert [type(value) for value in loaded.detail.values()] == [
+            type(value) for value in event.detail.values()
+        ]
+        if "found" in loaded.detail:
+            assert type(loaded.detail["found"]) is float
+    # the float is read into a new detail: the caller's keeps its integer
+    items = [1.0, "FetchAborted", A, B, {"found": 5}]
+    assert SimEvent.from_array(items).detail == {"found": 5.0}
+    assert type(items[4]["found"]) is int

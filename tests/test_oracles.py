@@ -2,13 +2,13 @@
 straightforward versions they replaced.
 
 `_reference_*` below are the former bodies of `encode`, `detect`, `frame`,
-`reassemble` and `scenario_to_json`, kept here step for step as oracles,
-and the check table that `SimEvent.from_array` falls back on: per UUID they lower-case, shape-check, strip hyphens
+`reassemble`, `scenario_to_json` and `SimEvent.from_array`, kept here step
+for step as oracles: per UUID they lower-case, shape-check, strip hyphens
 and test the version, variant and marker digits one at a time; per chunk
 they build a `FrameHeader` and call `encode`; a scenario is first turned
 into a tree of dicts, which `json.dumps` then writes; and a log line goes
-through the check table one item and one detail key at a time, with no
-shape test before it.
+through the former check table, frozen here with its predicates, one item
+and one detail key at a time, with no fast path before it.
 The package's versions must return equal results, or raise the same
 exception class with the same message, on every input.
 """
@@ -57,9 +57,8 @@ from sdpcast import (
 )
 from sdpcast.framing import CHUNK_BODY_OCTETS, LENGTH_PREFIX_OCTETS, chunk_count, reassemble
 from sdpcast.log import (
-    _ARRAY_FORM, _DETAIL_CHECKS, _ENCODER, _EVENT_CHECKS, _REASSEMBLED_CHECKS, EVENT_KINDS,
-    FETCH_ABORTED, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, _detail_json,
-    _keys, _unknown_keys,
+    _ENCODER, FETCH_ABORTED, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED,
+    _detail_json,
 )
 from sdpcast.model import MAX_SEED, MODES
 from sdpcast.scenarios import _NESTED, _write
@@ -451,10 +450,86 @@ def test_scenario_to_json_matches_reference_on_bench_layouts(workload):
 # -- log lines ------------------------------------------------------------------
 
 
+# The check table that `SimEvent.from_array` read every line by before the
+# log format became one spec per kind, frozen here with its predicates: one
+# check per key, which passes exactly the JSON values the runner writes there.
+_KINDS = ("RunStarted", "FetchAborted", "UuidsFetched", "MessageReassembled", "MessageChanged")
+_REFERENCE_HEX = re.compile(r"[0-9a-f]*")
+_LIMIT_FIELDS = {field.name for field in fields(CapacityLimits)}
+
+
+def _is_json_number(value):
+    if type(value) is float:
+        return -math.inf < value < math.inf
+    try:
+        return type(value) is int and math.isfinite(value)
+    except OverflowError:  # an int past float range
+        return False
+
+
+def _is_positive(value):
+    return _is_json_number(value) and value > 0
+
+
+def _is_limits(value):
+    if type(value) is not dict or value.keys() != _LIMIT_FIELDS:
+        return False
+    try:
+        CapacityLimits(**value)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_hex(value):
+    return isinstance(value, str) and len(value) % 2 == 0 and _REFERENCE_HEX.fullmatch(value) is not None
+
+
+_KEY_CHECKS = {
+    "t": _is_json_number,
+    "kind": _KINDS.__contains__,
+    "observer": str.__instancecheck__,
+    "subject": str.__instancecheck__,
+    "duration_s": _is_positive,
+    "limits": _is_limits,
+    "scanners": lambda value: type(value) is dict and all(map(_is_positive, value.values())),
+    "found": _is_json_number,
+    "records": lambda value: type(value) is list and all(map(str.__instancecheck__, value)),
+    "generation": lambda value: type(value) is int,
+    "mode": ("framed", "raw").__contains__,
+    "message": _is_hex,
+    "payloads": lambda value: type(value) is list and all(map(_is_hex, value)),
+}
+
+
+def _checks(*keys):
+    return tuple((key, _KEY_CHECKS[key]) for key in keys)
+
+
+_EVENT_CHECKS = _checks("t", "kind", "observer", "subject")
+_DETAIL_CHECKS = {
+    kind: (f"{kind} detail", _checks(*keys))
+    for kind, keys in (
+        ("RunStarted", ("duration_s", "limits", "scanners")),
+        ("FetchAborted", ("found",)),
+        ("UuidsFetched", ("found", "records")),
+        ("MessageReassembled", ("generation", "mode")),
+        ("MessageChanged", ("generation", "mode", "message")),
+    )
+}
+_REASSEMBLED_CHECKS = {
+    mode: _DETAIL_CHECKS["MessageReassembled"][1] + _checks(key)
+    for mode, key in (("framed", "message"), ("raw", "payloads"))
+}
+# The keys whose check takes an int as a JSON number; the reader converts
+# an int there to its float, as it does `t`.
+_FLOAT_KEYS = ("found", "duration_s")
+
+
 def _reference_from_array(items):
     if not isinstance(items, list) or len(items) != 5:
         got = f"an object with keys {list(items)}" if isinstance(items, dict) else repr(items)
-        raise ValueError(f"event must be an array {_ARRAY_FORM}, got {got}")
+        raise ValueError(f"event must be an array [t, kind, observer, subject, detail], got {got}")
     for (key, check), value in zip(_EVENT_CHECKS, items):
         if not check(value):
             raise ValueError(f"event: {key!r} is missing or malformed: {value!r}")
@@ -462,22 +537,30 @@ def _reference_from_array(items):
     what, checks = _DETAIL_CHECKS[kind]
     if not isinstance(detail, dict):
         raise ValueError(f"{what} must be an object, got {detail!r}")
-    if kind == MESSAGE_REASSEMBLED and detail.get("mode") in MODES:
+    if kind == "MessageReassembled" and detail.get("mode") in ("framed", "raw"):
         checks = _REASSEMBLED_CHECKS[detail["mode"]]
     for key, check in checks:
         if not check(value := detail.get(key)):
             raise ValueError(f"{what}: {key!r} is missing or malformed: {value!r}")
     if len(detail) != len(checks):
-        raise _unknown_keys(what, detail, _keys(checks))
+        known = [key for key, _ in checks]
+        raise ValueError(f"{what}: unknown keys {[key for key in detail if key not in known]}")
+    if any(type(detail.get(key)) is int for key in _FLOAT_KEYS):
+        detail = {
+            key: float(value) if key in _FLOAT_KEYS and type(value) is int else value
+            for key, value in detail.items()
+        }
     return tuple.__new__(SimEvent, (float(t), kind, observer, subject, detail))
 
 
 def _read(from_array, items):
     """What `from_array(items)` does, with the exact type of each field it
-    returns: an integer `t` read as it is would equal its float."""
+    returns and of each detail value: an integer `t` or `found` read as it
+    is would equal its float."""
     outcome = _outcome(from_array, items)
     if outcome[0] == "returned":
-        return (*outcome, [type(field) for field in outcome[1]])
+        event = outcome[1]
+        return (*outcome, [type(field) for field in event], [type(v) for v in event.detail.values()])
     return outcome
 
 
@@ -553,7 +636,7 @@ _ODD_TIMES = st.one_of(
 _ODD = {
     "t": _ODD_TIMES,
     "kind": st.one_of(
-        st.sampled_from(EVENT_KINDS), st.sampled_from(EVENT_KINDS).map(_Str),
+        st.sampled_from(_KINDS), st.sampled_from(_KINDS).map(_Str),
         st.just("Mystery"), st.just(["FetchAborted"]), st.just("DeviceFound"), st.none(),
     ),
     "observer": _ODD_STRS,
@@ -590,7 +673,7 @@ def event_arrays(draw):
     """A line as `_Runner` writes it, then with up to three items or detail
     values replaced by ones near the shape, deleted or added, or two items
     swapped; and with the detail's keys, half the time, in another order."""
-    kind = draw(st.sampled_from(EVENT_KINDS))
+    kind = draw(st.sampled_from(_KINDS))
     mode = draw(st.sampled_from(MODES))
     keys = _DETAIL_KEYS[kind]
     if kind == MESSAGE_REASSEMBLED:  # the mode says what else the detail holds
@@ -651,9 +734,8 @@ def _event_items(detail, *extra, **fields):
         st.none(),
     )
 )
-# a bool is an int, and an int t converts; the table rejects the first and
-# converts the second, so a shape test must take neither. The table takes an
-# int `found` as it is, and a shape test only a finite float.
+# a bool is an int, and an int `t` or `found` converts; the table rejects the
+# first and converts the second, so the fast path must take neither.
 @example(_event_items({"found": True}))
 @example(_event_items({"found": 1}))
 @example(_event_items({"found": 2**1100}))
