@@ -25,10 +25,10 @@ float range where the spec says `float`, and reads it as that float, and a
 `str` subclass where it says `str`; the first item or key that fails names
 the error. A line that is not an array of five, such as a line of a log
 written in the former one-object-per-line form, names the array form. The
-writer formats a detail by the exact type of each value (an int, a finite
-float, a plain string or a list of plain strings) under a key some spec
-holds; any other event, such as the header, goes through `json`, whose
-text the writer matches exactly. A format change edits `_SPECS` alone.
+one writer is `_ENCODER`'s C encoder, built once (`_iterencode`): every
+line, the header included, is exactly what `_ENCODER.encode` writes for
+the event's fields as a list. It knows nothing of the format, so a format
+change edits `_SPECS` alone.
 
 `Deliveries` is the one rule for what a fetch delivers: the runner logs
 MessageReassembled by it, and the report derives every delivery by it.
@@ -40,6 +40,7 @@ import dataclasses
 import json
 import math
 import re
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLog, ReassemblyError
@@ -52,8 +53,15 @@ UUIDS_FETCHED = "UuidsFetched"
 MESSAGE_REASSEMBLED = "MessageReassembled"
 MESSAGE_CHANGED = "MessageChanged"
 
-# One encoder for every log line: `json.dumps` with separators builds a new one per call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# The one writer of every log line and report row: json's C encoder, built
+# once from `_ENCODER`'s own settings, where `_ENCODER.encode` builds it anew
+# per call. It writes a tuple as an array, as `_ENCODER` does.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_iterencode = c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan,
+)
 
 
 class SimEvent(NamedTuple):
@@ -66,20 +74,8 @@ class SimEvent(NamedTuple):
     detail: dict[str, Any]
 
     def to_json(self) -> str:
-        """The event as `_ENCODER` writes the array of its five fields: by
-        `_detail_json` when its detail's keys and values allow, else by
-        `_ENCODER` itself."""
-        t, kind, observer, subject, detail = self
-        if (
-            type(t) is float and -_INF < t < _INF
-            and type(kind) is str and kind in _SPECS
-            and type(observer) is str and _plain(observer)
-            and type(subject) is str and _plain(subject)
-            and type(detail) is dict
-            and (body := _detail_json(detail)) is not None
-        ):
-            return f'[{t!r},"{kind}","{observer}","{subject}",{body}]'
-        return _ENCODER.encode([t, kind, observer, subject, detail])
+        """The event as `_ENCODER.encode` writes the list of its five fields."""
+        return "".join(_iterencode(self, 0))
 
     @classmethod
     def from_array(cls, items: Any) -> SimEvent:
@@ -238,63 +234,6 @@ _EVENT_SPEC: _Spec = (
     ("observer", str, None),
     ("subject", str, None),
 )
-
-
-def _plain(text: str) -> bool:
-    """True iff json writes the string `text` as it is between two quotes."""
-    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _plain_list(items: Any) -> str | None:
-    """A list of `_plain` strings as json writes it, or None."""
-    if type(items) is not list:
-        return None
-    if not items:
-        return "[]"
-    try:
-        body = '","'.join(items)  # json, too, writes a str subclass as its text
-    except TypeError:  # an item that is not a string
-        return None
-    # the separators hold all the quotes iff no item holds one
-    if body.isascii() and body.isprintable() and "\\" not in body and (
-        body.count('"') == 2 * len(items) - 2
-    ):
-        return f'["{body}"]'
-    return None
-
-
-# Each key some spec holds, as `_ENCODER` writes it before a value. A detail
-# key that is not here goes through `_ENCODER`, so the specs also bound what
-# the writer formats.
-_KEY_HEADS = {
-    key: f'"{key}":'
-    for spec in (_EVENT_SPEC, *_SPECS.values(), *_BY_MODE.values())
-    if spec is not _BY_MODE
-    for key, _, _ in spec
-}
-
-
-def _detail_json(detail: dict) -> str | None:
-    """`detail` as `_ENCODER` writes it, or None unless each key is in
-    `_KEY_HEADS` and each value is an int, a finite float, a `_plain` str or
-    a list of such strings, by exact type: a subclass such as bool may format
-    otherwise than json."""
-    heads, body = _KEY_HEADS, []
-    for key, value in detail.items():
-        if key not in heads:
-            return None
-        kind = type(value)
-        if kind is int:
-            body.append(f"{heads[key]}{value}")
-        elif kind is float and -_INF < value < _INF:  # json writes float.__repr__
-            body.append(f"{heads[key]}{value!r}")
-        elif kind is str and _plain(value):
-            body.append(f'{heads[key]}"{value}"')
-        elif (text := _plain_list(value)) is not None:
-            body.append(heads[key] + text)
-        else:
-            return None
-    return "{" + ",".join(body) + "}"
 
 
 _raw_decode = json.JSONDecoder().raw_decode

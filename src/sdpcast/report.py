@@ -25,8 +25,8 @@ from .codec import PAYLOAD_OCTETS
 from .errors import MalformedLog, SdpcastError
 from .framing import CapacityLimits, chunk_count, raw_payloads
 from .log import (
-    _ENCODER, FETCH_ABORTED, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED,
-    Deliveries, SimEvent,
+    FETCH_ABORTED, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED, Deliveries,
+    SimEvent, _iterencode,
 )
 from .model import RAW, _is_finite
 
@@ -326,4 +326,4 @@ def format_lines(report: Report) -> str:
     # a row's keys are its record's fields, in field order
     rows += ({"metric": "device", **vars(dev)} for dev in bw.devices)
     rows += ({"metric": "fetch", **fetch._asdict()} for fetch in bw.fetches)
-    return "\n".join(map(_ENCODER.encode, rows)) + "\n"
+    return "\n".join(["".join(_iterencode(row, 0)) for row in rows]) + "\n"

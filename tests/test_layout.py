@@ -35,6 +35,7 @@ OWNERS = {
     "MESSAGE_CHANGED": "log",
     "RUN_STARTED": "log",
     "_ENCODER": "log",
+    "_iterencode": "log",
     "SimEvent": "log",
     "Deliveries": "log",
     "load_log": "log",

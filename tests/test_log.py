@@ -1,11 +1,11 @@
 """The event log's writer against json, and what its reader accepts.
 
 A line is the array of an event's five fields, in field order.
-`SimEvent.to_json` writes a detail by the exact type of each value under a
-key some spec of `log._SPECS` holds, and any other event, such as the
-RunStarted header, through `_ENCODER`. `_ENCODER` stays the definition of a
-line's text: the writer must write exactly what it writes for the event's
-fields as a list. `SimEvent.from_array` reads every line by the same specs;
+`SimEvent.to_json` writes every line, the RunStarted header included,
+through `_ENCODER`'s C encoder, built once. `_ENCODER.encode` stays the
+definition of a line's text: the writer must write exactly what it writes
+for the event's fields as a list, or raise the same error.
+`SimEvent.from_array` reads every line by the specs of `log._SPECS`;
 `test_report._LOG_ERRORS` pins the lines it rejects and their messages.
 """
 
@@ -36,6 +36,14 @@ def _builtin_logs(raw_torn_read, seeds):
 
 def _encoded(event):
     return _ENCODER.encode(list(event))
+
+
+def _outcome(write, event):
+    """What `write(event)` returns, or the type and message of its error."""
+    try:
+        return write(event)
+    except (TypeError, ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
 
 
 def test_to_json_writes_what_the_encoder_writes_for_every_builtin_event(raw_torn_read):
@@ -158,6 +166,17 @@ def _edge_events():
     yield aborted._replace(detail={"records": [UUID], "found": 0.5, "message": "00"})
     yield aborted._replace(detail={_Text("found"): 0.5})
     yield _with(aborted, detail__t=1.5)
+    # keys json converts to strings, and values no spec holds
+    yield aborted._replace(detail={5: 0.5, 1.5: 1, True: "a", None: None})
+    yield _with(fetched, detail__records=(UUID, WELL_KNOWN))
+    yield _with(framed, detail__nested={"a": [1, {"b": 2.5}], "c": None})
+    # values json cannot write, and a detail that holds itself, which under
+    # check_circular=False recurses until RecursionError
+    yield _with(aborted, detail__extra={1, 2})
+    yield _with(aborted, detail__extra=b"hi")
+    looped = _with(aborted)
+    looped.detail["self"] = looped.detail
+    yield looped
     # kinds, among them one the format no longer has
     for kind in (
         "Mystery", "", "a\"b", ["FetchAborted"], 5, None, _Text("FetchAborted"), "DeviceFound",
@@ -168,7 +187,7 @@ def _edge_events():
 
 def test_to_json_writes_what_the_encoder_writes_for_edge_events():
     for event in _edge_events():
-        assert event.to_json() == _encoded(event), event
+        assert _outcome(SimEvent.to_json, event) == _outcome(_encoded, event), event
 
 
 def _unused(*args):
@@ -176,15 +195,13 @@ def _unused(*args):
 
 
 def test_runner_events_take_the_fixed_shapes(monkeypatch, raw_torn_read):
-    """Every line a run writes after its header skips json's encoder, and
-    reads back to the event written: the type-driven writer is taken, not
-    only correct."""
+    """Every line a run writes, its header included, goes through the one
+    encoder built once, not `_ENCODER.encode`, and reads back to the event
+    written: that writer is taken, not only correct."""
     logs = list(_builtin_logs(raw_torn_read, (0,)))
-    headers = [events[0].to_json() for events in logs]
     monkeypatch.setattr(log._ENCODER, "encode", _unused)
-    for header, events in zip(headers, logs):
-        lines = [header] + [event.to_json() for event in events[1:]]
-        assert list(load_log(lines)) == events
+    for events in logs:
+        assert list(load_log(event.to_json() for event in events)) == events
 
 
 def test_runner_lines_take_the_reader_fast_path(monkeypatch, raw_torn_read):

@@ -58,7 +58,6 @@ from sdpcast import (
 from sdpcast.framing import CHUNK_BODY_OCTETS, LENGTH_PREFIX_OCTETS, chunk_count, reassemble
 from sdpcast.log import (
     _ENCODER, FETCH_ABORTED, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED,
-    _detail_json,
 )
 from sdpcast.model import MAX_SEED, MODES
 from sdpcast.scenarios import _NESTED, _write
@@ -780,15 +779,11 @@ def test_from_array_matches_reference_property(items):
 @example(1.7976931348623157e308)
 @example(math.nan)
 @example(math.inf)
-def test_detail_json_writes_floats_as_json_does(value):
-    # A finite float is written by `float.__repr__`, as json writes it; json
-    # writes NaN and the infinities as no JSON number, so the writer leaves
-    # them to `_ENCODER`, as it does a float subclass.
+def test_to_json_writes_floats_as_json_does(value):
+    # json writes a finite float, a float subclass too, by `float.__repr__`,
+    # and NaN and the infinities as no JSON number; the writer is json's own
+    # encoder, so a line holds exactly what `_ENCODER` writes.
     for detail in ({"found": value}, {"found": value, "records": ["a"]}):
-        if math.isfinite(value):
-            assert _detail_json(detail) == _ENCODER.encode(detail)
-        else:
-            assert _detail_json(detail) is None
-        assert _detail_json({**detail, "found": _Float(value)}) is None
-        event = SimEvent(1.5, FETCH_ABORTED, "a", "b", detail)
-        assert event.to_json() == _ENCODER.encode(list(event))
+        for found in (value, _Float(value)):
+            event = SimEvent(1.5, FETCH_ABORTED, "a", "b", {**detail, "found": found})
+            assert event.to_json() == _ENCODER.encode(list(event))
