@@ -22,7 +22,7 @@ from .codec import CodecConfig, decode, encode, printable_text
 from .errors import IncompleteSet, MalformedLog, SdpcastError
 from .framing import frame, unframe
 from .log import load_log
-from .report import DELIVERY_THRESHOLD_S, build_report, format_lines, format_text
+from .report import DELIVERY_THRESHOLD_S, _lines, build_report, format_text
 from .scenarios import BUILTIN_SCENARIOS, load_scenario, scenario_gen, scenario_to_json
 from .sim import run
 
@@ -165,8 +165,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             if inspect.getgeneratorstate(events) != inspect.GEN_SUSPENDED:
                 raise
             raise MalformedLog(f"line {read}: {exc}") from None
-    formatter = format_lines if args.format == "lines" else format_text
-    sys.stdout.write(formatter(report))
+    if args.format == "lines":
+        sys.stdout.writelines(_lines(report))
+    else:
+        sys.stdout.write(format_text(report))
     return 0
 
 

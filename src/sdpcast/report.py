@@ -12,14 +12,20 @@ UuidsFetched and FetchAborted lines.  A MessageReassembled is credited
 with nothing and must repeat what the fetch just before it implies.
 Bandwidth counts advertised octets per device and decoded octets per fetch
 against the run's outbound and inbound ceilings (91/273 octets under the
-default limits).
+default limits).  A report keeps four numbers per fetch, in columns: its
+time, its (observer, subject) pair, its record count and its payload-record
+count; `BandwidthReport.fetches` builds each fetch's `FetchBandwidth` from
+them when it is read.
 """
 
 from __future__ import annotations
 
 import statistics
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 from .codec import PAYLOAD_OCTETS
 from .errors import MalformedLog, SdpcastError
@@ -90,8 +96,8 @@ class DeviceBandwidth:
 
 
 class FetchBandwidth(NamedTuple):
-    """Inbound usage of one completed fetch; a named tuple, since a report
-    holds one per fetch."""
+    """Inbound usage of one completed fetch; a named tuple, like a log's
+    `SimEvent`, built when `BandwidthReport.fetches` is read."""
 
     t: float
     observer: str
@@ -102,10 +108,58 @@ class FetchBandwidth(NamedTuple):
     utilization: float
 
 
+class _Fetches(Sequence):
+    """The fetches of a report, in log order: a read-only sequence of
+    `FetchBandwidth` that holds four columns and builds each record on access.
+
+    It reads like the tuple of records it stands for: a slice is that tuple's
+    slice, and it compares equal to that tuple and has its hash and repr.
+    """
+
+    __slots__ = ("_columns", "_pairs", "_inbound_ceiling")
+
+    def __init__(
+        self, columns: tuple[array, array, array, array], pairs: tuple[tuple[str, str], ...],
+        inbound_ceiling: int,
+    ) -> None:
+        # times, pair indices into `pairs`, record counts, payload-record counts
+        self._columns, self._pairs, self._inbound_ceiling = columns, pairs, inbound_ceiling
+
+    def _fetch(self, t: float, pair: int, records: int, payload_records: int) -> FetchBandwidth:
+        decoded_octets = payload_records * PAYLOAD_OCTETS
+        return FetchBandwidth(
+            t, *self._pairs[pair], records, payload_records, decoded_octets,
+            decoded_octets / self._inbound_ceiling,
+        )
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[FetchBandwidth]:
+        return map(self._fetch, *self._columns)
+
+    def __getitem__(self, index):
+        values = [column[index] for column in self._columns]
+        if isinstance(index, slice):
+            return tuple(map(self._fetch, *values))
+        return self._fetch(*values)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (_Fetches, tuple)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class BandwidthReport:
     devices: tuple[DeviceBandwidth, ...]
-    fetches: tuple[FetchBandwidth, ...]
+    fetches: _Fetches
     outbound_ceiling: int
     inbound_ceiling: int
 
@@ -159,13 +213,14 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     # (observer, subject, generation) -> latency of the first exact delivery
     first_delivery: dict[tuple[str, str, int], float] = {}
     misdelivered = 0
-    fetches: list[FetchBandwidth] = []
+    # The columns of the report's fetches, one entry per UuidsFetched: its
+    # time, the index of its pair in `pair_index` (pairs in first-fetch
+    # order), its record count and its payload-record count.
+    times, pair_of, record_counts, payload_counts = array("d"), array("q"), array("q"), array("q")
+    pair_index: dict[tuple[str, str], int] = {}
     deliveries = Deliveries()
     fetched = deliveries.fetched
     implied = None  # (t, observer, subject, detail or None) of the previous fetch
-
-    inbound_ceiling = limits.inbound_ceiling
-    new = tuple.__new__  # skips the argument handling of FetchBandwidth(...)
 
     for t, kind, observer, subject, detail in events:
         if kind == UUIDS_FETCHED or kind == FETCH_ABORTED:
@@ -177,11 +232,10 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
                 continue
             records = detail["records"]
             payload_records, reassembled = fetched(observer, subject, records)
-            payload_octets = payload_records * PAYLOAD_OCTETS
-            fetches.append(new(FetchBandwidth, (
-                t, observer, subject, len(records), payload_records, payload_octets,
-                payload_octets / inbound_ceiling,
-            )))
+            times.append(t)
+            pair_of.append(pair_index.setdefault(pair, len(pair_index)))
+            record_counts.append(len(records))
+            payload_counts.append(payload_records)
             implied = (t, observer, subject, reassembled)
             if reassembled is None:
                 continue
@@ -251,7 +305,10 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
         ),
         bandwidth=BandwidthReport(
             devices=devices,
-            fetches=tuple(fetches),
+            fetches=_Fetches(
+                (times, pair_of, record_counts, payload_counts), tuple(pair_index),
+                limits.inbound_ceiling,
+            ),
             outbound_ceiling=limits.outbound_ceiling,
             inbound_ceiling=limits.inbound_ceiling,
         ),
@@ -297,10 +354,14 @@ def format_text(report: Report) -> str:
 
 def format_lines(report: Report) -> str:
     """One JSON record per metric, for streaming consumers."""
+    return "".join(_lines(report))
+
+
+def _lines(report: Report) -> Iterator[str]:
+    """The lines of `format_lines`, one row each, encoded as the rows come."""
     lat, bw = report.latency, report.bandwidth
-    rows: list[dict] = []
-    for pair in lat.pairs:
-        rows.append(
+    rows = chain(
+        (
             {
                 "metric": "pair",
                 "observer": pair.observer,
@@ -311,19 +372,22 @@ def format_lines(report: Report) -> str:
                 "median_s": pair.median_s,
                 "max_s": pair.max_s,
             }
-        )
-    rows.append(
-        {
-            "metric": "changes",
-            "total": lat.changes_total,
-            "delivered": lat.changes_delivered,
-            "within_threshold": lat.changes_within_threshold,
-            "threshold_s": lat.threshold_s,
-            "fraction": lat.fraction_within,
-            "misdelivered": lat.changes_misdelivered,
-        }
+            for pair in lat.pairs
+        ),
+        [
+            {
+                "metric": "changes",
+                "total": lat.changes_total,
+                "delivered": lat.changes_delivered,
+                "within_threshold": lat.changes_within_threshold,
+                "threshold_s": lat.threshold_s,
+                "fraction": lat.fraction_within,
+                "misdelivered": lat.changes_misdelivered,
+            }
+        ],
+        # a row's keys are its record's fields, in field order
+        ({"metric": "device", **vars(dev)} for dev in bw.devices),
+        ({"metric": "fetch", **fetch._asdict()} for fetch in bw.fetches),
     )
-    # a row's keys are its record's fields, in field order
-    rows += ({"metric": "device", **vars(dev)} for dev in bw.devices)
-    rows += ({"metric": "fetch", **fetch._asdict()} for fetch in bw.fetches)
-    return "\n".join(["".join(_iterencode(row, 0)) for row in rows]) + "\n"
+    for row in rows:
+        yield "".join(_iterencode(row, 0)) + "\n"

@@ -8,7 +8,9 @@ import threading
 
 import pytest
 
-from sdpcast import Device, Scenario, SimEvent, frame, load_log, scenario_to_json
+from sdpcast import (
+    Device, Scenario, SimEvent, build_report, format_lines, frame, load_log, scenario_to_json,
+)
 from sdpcast.cli import main
 
 ANCHOR = "ff724081-fe5d-4fb2-8745-af149cc2c0de"
@@ -132,7 +134,9 @@ def test_simulate_and_report_pipeline(tmp_path, capsys):
     assert "fraction 1.00" in text
 
     assert main(["report", str(log), "--format", "lines"]) == 0
-    rows = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
+    out = capsys.readouterr().out
+    assert out == format_lines(build_report(load_log(lines)))  # written row by row
+    rows = [json.loads(l) for l in out.strip().split("\n")]
     (changes,) = [row for row in rows if row["metric"] == "changes"]
     assert changes["delivered"] == 5
     assert changes["misdelivered"] == 0

@@ -1,12 +1,15 @@
 """Report aggregation tests."""
 
 import dataclasses
+import gc
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
 
+import sdpcast
 from sdpcast import (
     BUILTIN_SCENARIOS,
     RAW,
@@ -28,6 +31,8 @@ from sdpcast import (
     scenario_gen,
     unframe,
 )
+
+from test_sim import _bench_workloads
 
 A = "aa:00:00:00:00:01"
 B = "aa:00:00:00:00:02"
@@ -314,6 +319,75 @@ def test_report_of_a_log_file_holds_little_beyond_the_report(tmp_path):
         tracemalloc.stop()
     assert len(report.bandwidth.fetches) == 3800
     assert peak - retained < 512 * 1024
+
+
+def test_report_memory_grows_little_per_fetch(tmp_path):
+    # A report keeps four numbers per fetch, not a record with its own
+    # strings, so what stays allocated grows by a few machine words a fetch.
+    paths = {}
+    for seconds in (150.0, 600.0):
+        paths[seconds] = tmp_path / f"crowd-{seconds:g}.jsonl"
+        with open(paths[seconds], "w", encoding="utf-8") as fh:
+            events = run(scenario_gen("crowd-20"), seed=1, duration_s=seconds)
+            fh.writelines(event.to_json() + "\n" for event in events)
+
+    def retained(path):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                report = build_report(load_log(fh))
+            return len(report.bandwidth.fetches), tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    retained(paths[150.0])  # leaves what a first report sets up once out of the difference
+    (short, short_bytes), (long, long_bytes) = retained(paths[150.0]), retained(paths[600.0])
+    assert (short, long) == (1900, 7600)
+    assert (long_bytes - short_bytes) / (long - short) <= 64
+
+
+def _fetch_oracle(events):
+    """The report's fetches as the tuple they were: one FetchBandwidth per
+    UuidsFetched, its payload count from raw_read."""
+    ceiling = CapacityLimits(**events[0].detail["limits"]).inbound_ceiling
+    oracle = []
+    for e in events:
+        if e.kind == "UuidsFetched":
+            payload_records = len(raw_read(e.detail["records"]))
+            decoded_octets = 13 * payload_records
+            oracle.append(FetchBandwidth(
+                e.t, e.observer, e.subject, len(e.detail["records"]), payload_records,
+                decoded_octets, decoded_octets / ceiling,
+            ))
+    return tuple(oracle)
+
+
+def test_fetches_read_as_the_tuple_of_records():
+    churn_400 = _bench_workloads().churn_400(sdpcast, random.Random(0))
+    for sc in (scenario_gen("crowd-20"), churn_400):
+        lines = [event.to_json() for event in run(sc, seed=1)]
+        oracle = _fetch_oracle(list(load_log(lines)))
+        fetches = build_report(load_log(lines)).bandwidth.fetches
+        assert len(oracle) > 1000
+        assert tuple(fetches) == oracle
+        assert fetches == oracle and oracle == fetches and not fetches != oracle
+        assert fetches != oracle[:-1] and fetches != ()
+        assert len(fetches) == len(oracle)
+        assert fetches[0] == oracle[0] and fetches[-1] == oracle[-1]
+        assert fetches[-len(oracle)] == oracle[0]
+        with pytest.raises(IndexError):
+            fetches[len(oracle)]
+        assert type(fetches[0]) is FetchBandwidth
+        part = fetches[5:900:7]
+        assert type(part) is tuple and part == oracle[5:900:7]
+        assert fetches[::-1] == oracle[::-1] and fetches[3:3] == ()
+        assert list(fetches) == list(oracle)
+        again = build_report(load_log(lines)).bandwidth.fetches
+        assert fetches == again
+        assert hash(fetches) == hash(again) == hash(oracle)
+        assert repr(fetches) == repr(oracle)
+    assert build_report([_header()]).bandwidth.fetches == ()
 
 
 def test_load_log_round_trip():
