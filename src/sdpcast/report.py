@@ -12,10 +12,11 @@ UuidsFetched and FetchAborted lines.  A MessageReassembled is credited
 with nothing and must repeat what the fetch just before it implies.
 Bandwidth counts advertised octets per device and decoded octets per fetch
 against the run's outbound and inbound ceilings (91/273 octets under the
-default limits).  A report keeps four numbers per fetch, in columns: its
-time, its (observer, subject) pair, its record count and its payload-record
-count; `BandwidthReport.fetches` builds each fetch's `FetchBandwidth` from
-them when it is read.
+default limits).  A report keeps one record per subject (its latest
+change), one per (observer, subject) pair (fetch index, first discovery,
+delivery latencies, last generation credited) and four numbers per fetch
+in columns (time, pair index, record count, payload-record count), from
+which `BandwidthReport.fetches` builds each `FetchBandwidth` when read.
 """
 
 from __future__ import annotations
@@ -208,16 +209,15 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     # time, the detail of an exact delivery, the slots its advert takes).
     latest: dict[str, tuple[int, float, dict, int]] = {}
     changes_total = 0
-    # (observer, subject) -> the least found time of the pair's fetch windows
-    first_found: dict[tuple[str, str], float] = {}
-    # (observer, subject, generation) -> latency of the first exact delivery
-    first_delivery: dict[tuple[str, str, int], float] = {}
-    misdelivered = 0
+    # (observer, subject) -> [the pair's index in the fetch columns, the least
+    # found time of its fetch windows, the latencies of its first exact
+    # deliveries, the last generation credited]. Generations rise, so a
+    # delivery is its generation's first unless that is the last credited.
+    per_pair: dict[tuple[str, str], list] = {}
+    delivered = within = misdelivered = 0
     # The columns of the report's fetches, one entry per UuidsFetched: its
-    # time, the index of its pair in `pair_index` (pairs in first-fetch
-    # order), its record count and its payload-record count.
+    # time, its pair's index, its record count and its payload-record count.
     times, pair_of, record_counts, payload_counts = array("d"), array("q"), array("q"), array("q")
-    pair_index: dict[tuple[str, str], int] = {}
     deliveries = Deliveries()
     fetched = deliveries.fetched
     implied = None  # (t, observer, subject, detail or None) of the previous fetch
@@ -225,15 +225,18 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     for t, kind, observer, subject, detail in events:
         if kind == UUIDS_FETCHED or kind == FETCH_ABORTED:
             found = detail["found"]
-            if found < first_found.setdefault(pair := (observer, subject), found):
-                first_found[pair] = found
+            pair = per_pair.get((observer, subject))
+            if pair is None:
+                pair = per_pair[observer, subject] = [len(per_pair), found, (), None]
+            elif found < pair[1]:
+                pair[1] = found
             if kind == FETCH_ABORTED:
                 implied = None
                 continue
             records = detail["records"]
             payload_records, reassembled = fetched(observer, subject, records)
             times.append(t)
-            pair_of.append(pair_index.setdefault(pair, len(pair_index)))
+            pair_of.append(pair[0])
             record_counts.append(len(records))
             payload_counts.append(payload_records)
             implied = (t, observer, subject, reassembled)
@@ -243,7 +246,12 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
             if reassembled != advertised:
                 misdelivered += 1
                 continue
-            first_delivery.setdefault((observer, subject, generation), t - changed_at)
+            if generation != pair[3]:
+                latency = t - changed_at
+                pair[2] += (latency,)
+                pair[3] = generation
+                delivered += 1
+                within += latency <= threshold_s
         elif kind == MESSAGE_CHANGED:
             generation = detail["generation"]
             previous = latest.get(subject)
@@ -268,21 +276,10 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
                 f"a log holds one {RUN_STARTED} header; a second one is at t={t}"
             )
 
-    pair_latencies: dict[tuple[str, str], list[float]] = {}
-    for (observer, subject, _generation), latency in sorted(first_delivery.items()):
-        pair_latencies.setdefault((observer, subject), []).append(latency)
-
     pairs = tuple(
-        PairLatency(
-            observer=observer,
-            subject=subject,
-            first_discovery_s=first_found.get((observer, subject)),
-            latencies=tuple(pair_latencies.get((observer, subject), ())),
-        )
-        for observer, subject in sorted(set(first_found) | set(pair_latencies))
+        PairLatency(observer, subject, first_discovery_s=found, latencies=latencies)
+        for (observer, subject), (_, found, latencies, _) in sorted(per_pair.items())
     )
-
-    changes_within = sum(1 for latency in first_delivery.values() if latency <= threshold_s)
 
     devices = tuple(
         DeviceBandwidth(
@@ -299,14 +296,14 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
             pairs=pairs,
             threshold_s=threshold_s,
             changes_total=changes_total,
-            changes_delivered=len(first_delivery),
-            changes_within_threshold=changes_within,
+            changes_delivered=delivered,
+            changes_within_threshold=within,
             changes_misdelivered=misdelivered,
         ),
         bandwidth=BandwidthReport(
             devices=devices,
             fetches=_Fetches(
-                (times, pair_of, record_counts, payload_counts), tuple(pair_index),
+                (times, pair_of, record_counts, payload_counts), tuple(per_pair),
                 limits.inbound_ceiling,
             ),
             outbound_ceiling=limits.outbound_ceiling,

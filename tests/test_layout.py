@@ -34,6 +34,9 @@ OWNERS = {
     "EVENT_KINDS": "log",
     "MESSAGE_CHANGED": "log",
     "RUN_STARTED": "log",
+    "UUIDS_FETCHED": "log",
+    "FETCH_ABORTED": "log",
+    "MESSAGE_REASSEMBLED": "log",
     "_ENCODER": "log",
     "_iterencode": "log",
     "SimEvent": "log",

@@ -209,6 +209,27 @@ def test_spliced_reassembly_is_misdelivered():
         assert lat.changes_within_threshold == 0
         assert [pair.latencies for pair in lat.pairs] == [()]
 
+    # A pair is credited once per generation: the exact reads of generation 2
+    # after the first, with splices between them, add no delivery.
+    again = [
+        *full[:3],
+        fetched(20.0, 15.0, new_chunks),
+        reassembled(20.0, new),
+        fetched(40.0, 35.0, old_chunks[:3] + new_chunks[3:]),
+        reassembled(40.0, splice),
+        fetched(70.0, 65.0, new_chunks[::-1]),
+        reassembled(70.0, new),
+        fetched(100.0, 95.0, new_chunks[3:] + old_chunks[:3]),
+        reassembled(100.0, splice),
+    ]
+    for log in (again, _without(again, "MessageReassembled")):
+        lat = build_report(log).latency
+        assert lat.changes_misdelivered == 2
+        assert lat.changes_delivered == 1
+        assert lat.changes_within_threshold == 1
+        assert [pair.latencies for pair in lat.pairs] == [(10.0,)]
+        assert [pair.first_discovery_s for pair in lat.pairs] == [15.0]
+
 
 def _lines(events):
     return [event.to_json() for event in events]
