@@ -126,6 +126,8 @@ class TimingModel:
             value = getattr(self, name)
             if not (_is_finite(value) and value > 0):
                 raise InvalidScenario(f"timing: {name} must be positive and finite, got {value!r}")
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
         if not self.fetch_latency_cached_s < self.fetch_latency_fresh_s:
             raise InvalidScenario(
                 "timing: fetch_latency_cached_s must be smaller than fetch_latency_fresh_s"

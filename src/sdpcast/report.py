@@ -1,13 +1,20 @@
 """Aggregation of event logs into latency and bandwidth reports.
 
-A log begins with its RunStarted header, which names the scanners and the
-capacity limits the report counts against.  Each UuidsFetched reassembles
+A log begins with its RunStarted header, which names the scanners, the
+run's duration and the capacity limits the report counts against.  A line
+that no run writes after it is MalformedLog: a fetch or abort whose
+observer is no scanner or is its own subject, whose found time lies
+outside [0, t], or whose t is past the duration; a fetch of more records
+than the inbound limit; a change past the duration, or whose observer is
+not its subject.  Each UuidsFetched reassembles
 by `log.Deliveries`, as in the runner, and latency matches each
 MessageChanged to the first fetch per observer that reassembles to what the
 subject advertised for that generation: the message in framed mode, the
 zero-padded 13-octet payloads in raw mode.  Any other bytes, such as a
 splice of two same-sized generations, count as misdelivered and get no
-latency.  A pair's first discovery is the least found time among its
+latency.  A pair's latencies are the only record of its deliveries, and
+the delivered and within-threshold counts are taken from them.  A pair's
+first discovery is the least found time among its
 UuidsFetched and FetchAborted lines.  A MessageReassembled is credited
 with nothing and must repeat what the fetch just before it implies.
 Bandwidth counts advertised octets per device and decoded octets per fetch
@@ -16,14 +23,14 @@ default limits).  A report keeps one record per subject (its latest
 change), one per (observer, subject) pair (fetch index, first discovery,
 delivery latencies, last generation credited) and four numbers per fetch
 in columns (time, pair index, record count, payload-record count), from
-which `BandwidthReport.fetches` builds each `FetchBandwidth` when read.
+which `BandwidthReport.fetches`, a sized iterable that compares equal to
+the tuple of its records, builds each `FetchBandwidth` as it is read.
 """
 
 from __future__ import annotations
 
 import statistics
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
@@ -109,12 +116,11 @@ class FetchBandwidth(NamedTuple):
     utilization: float
 
 
-class _Fetches(Sequence):
-    """The fetches of a report, in log order: a read-only sequence of
-    `FetchBandwidth` that holds four columns and builds each record on access.
-
-    It reads like the tuple of records it stands for: a slice is that tuple's
-    slice, and it compares equal to that tuple and has its hash and repr.
+class _Fetches:
+    """The fetches of a report, in log order: a read-only, sized iterable of
+    `FetchBandwidth` that holds four columns and builds each record as it is
+    read. It compares equal to the tuple of its records, which `tuple(...)`
+    gives for indexing.
     """
 
     __slots__ = ("_columns", "_pairs", "_inbound_ceiling")
@@ -139,22 +145,10 @@ class _Fetches(Sequence):
     def __iter__(self) -> Iterator[FetchBandwidth]:
         return map(self._fetch, *self._columns)
 
-    def __getitem__(self, index):
-        values = [column[index] for column in self._columns]
-        if isinstance(index, slice):
-            return tuple(map(self._fetch, *values))
-        return self._fetch(*values)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (_Fetches, tuple)):
             return len(self) == len(other) and tuple(self) == tuple(other)
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -182,6 +176,11 @@ def _advertised(detail: dict) -> tuple[dict, int]:
     return detail, chunk_count(len(message) // 2)
 
 
+def _unwritten(kind: str, t: float, observer: str, subject: str, why: str) -> MalformedLog:
+    """The error for a line that no run writes, saying why."""
+    return MalformedLog(f"the {kind} at t={t} of {subject} by {observer} {why}")
+
+
 def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRESHOLD_S) -> Report:
     """Aggregate a run's events in one pass; pure and deterministic for a given log.
 
@@ -190,7 +189,8 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     Raises MalformedLog unless the first event, and only the first, is the
     RunStarted header, unless each MessageChanged holds a generation above
     its subject's previous one, and unless each MessageReassembled is the one
-    that the UuidsFetched just before it implies.
+    that the UuidsFetched just before it implies; and for a line that no run
+    writes after that header (see the module docstring).
     """
     if not (_is_finite(threshold_s) and threshold_s >= 0):
         raise SdpcastError(
@@ -203,7 +203,9 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
         begins = "is empty" if header is None else f"begins with a {header.kind}"
         raise MalformedLog(f"a log must begin with its {RUN_STARTED} header; this one {begins}")
     limits = CapacityLimits(**header.detail["limits"])
-    scanners = header.detail["scanners"]
+    duration_s, scanners = header.detail["duration_s"], header.detail["scanners"]
+    max_records = limits.max_inbound_records
+    ends = f"comes after the run ends at duration_s {duration_s}"
     # A fetch reassembles in its subject's latest generation, so only the
     # latest change of each subject is kept: subject -> (generation, change
     # time, the detail of an exact delivery, the slots its advert takes).
@@ -214,7 +216,7 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     # deliveries, the last generation credited]. Generations rise, so a
     # delivery is its generation's first unless that is the last credited.
     per_pair: dict[tuple[str, str], list] = {}
-    delivered = within = misdelivered = 0
+    misdelivered = 0
     # The columns of the report's fetches, one entry per UuidsFetched: its
     # time, its pair's index, its record count and its payload-record count.
     times, pair_of, record_counts, payload_counts = array("d"), array("q"), array("q"), array("q")
@@ -225,8 +227,14 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
     for t, kind, observer, subject, detail in events:
         if kind == UUIDS_FETCHED or kind == FETCH_ABORTED:
             found = detail["found"]
+            if not 0.0 <= found <= t <= duration_s:
+                why = f"holds found {found}, outside [0, {t}]" if t <= duration_s else ends
+                raise _unwritten(kind, t, observer, subject, why)
             pair = per_pair.get((observer, subject))
-            if pair is None:
+            if pair is None:  # the pair's first line: its observer is checked once
+                if observer not in scanners or observer == subject:
+                    why = "its own subject" if observer == subject else "no scanner in the header"
+                    raise _unwritten(kind, t, observer, subject, f"has an observer that is {why}")
                 pair = per_pair[observer, subject] = [len(per_pair), found, (), None]
             elif found < pair[1]:
                 pair[1] = found
@@ -234,10 +242,14 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
                 implied = None
                 continue
             records = detail["records"]
+            count = len(records)
+            if count > max_records:
+                why = f"holds {count} records, over max_inbound_records {max_records}"
+                raise _unwritten(kind, t, observer, subject, why)
             payload_records, reassembled = fetched(observer, subject, records)
             times.append(t)
             pair_of.append(pair[0])
-            record_counts.append(len(records))
+            record_counts.append(count)
             payload_counts.append(payload_records)
             implied = (t, observer, subject, reassembled)
             if reassembled is None:
@@ -247,12 +259,12 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
                 misdelivered += 1
                 continue
             if generation != pair[3]:
-                latency = t - changed_at
-                pair[2] += (latency,)
+                pair[2] += (t - changed_at,)
                 pair[3] = generation
-                delivered += 1
-                within += latency <= threshold_s
         elif kind == MESSAGE_CHANGED:
+            if observer != subject or t > duration_s:
+                why = "has an observer other than its subject" if observer != subject else ends
+                raise _unwritten(kind, t, observer, subject, why)
             generation = detail["generation"]
             previous = latest.get(subject)
             if previous is not None and generation <= previous[0]:
@@ -280,6 +292,8 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
         PairLatency(observer, subject, first_discovery_s=found, latencies=latencies)
         for (observer, subject), (_, found, latencies, _) in sorted(per_pair.items())
     )
+    # each delivery is one latency of its pair's record
+    latencies = [latency for pair in pairs for latency in pair.latencies]
 
     devices = tuple(
         DeviceBandwidth(
@@ -296,8 +310,8 @@ def build_report(events: Iterable[SimEvent], threshold_s: float = DELIVERY_THRES
             pairs=pairs,
             threshold_s=threshold_s,
             changes_total=changes_total,
-            changes_delivered=delivered,
-            changes_within_threshold=within,
+            changes_delivered=len(latencies),
+            changes_within_threshold=sum(latency <= threshold_s for latency in latencies),
             changes_misdelivered=misdelivered,
         ),
         bandwidth=BandwidthReport(

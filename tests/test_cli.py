@@ -370,6 +370,62 @@ def test_report_of_a_log_without_its_header_exits_1(tmp_path, capsys):
         assert captured.out == ""
 
 
+def _unwritten_logs(lines):
+    """Edits of a two-device log's `lines`, with or without its
+    MessageReassembled lines, into logs that no run writes: for each, the
+    edited lines, the number of the line the report rejects, and its error.
+
+    The first UuidsFetched, in which `a` fetches `b`, gets an observer that
+    is no scanner, its subject as observer, a found time of -50 or 22
+    records; `a`'s first MessageChanged gets `b` as observer; or a fetch, an
+    abort or a change comes after the run's end.
+    """
+    duration_s = json.loads(lines[0])[4]["duration_s"]
+    k = next(i for i, line in enumerate(lines) if '"UuidsFetched"' in line)
+    t, _, a, b, detail = fetch = json.loads(lines[k])
+    change = json.loads(lines[1])
+    assert change[1:4] == ["MessageChanged", a, a]
+
+    def edited(i, event, error):
+        return [*lines[:i], json.dumps(event), *lines[i + 1:]], i + 1, error
+
+    def appended(event, error):
+        return [*lines, json.dumps(event)], len(lines) + 1, error
+
+    at = f"the UuidsFetched at t={t} of {b} by"
+    end = duration_s + 100.0
+    after = f"comes after the run ends at duration_s {duration_s}"
+    records = [*detail["records"], *[ANCHOR] * 22][:22]
+    return [
+        edited(
+            k, [*fetch[:2], "zz", *fetch[3:]],
+            f"{at} zz has an observer that is no scanner in the header",
+        ),
+        edited(k, [*fetch[:2], b, *fetch[3:]], f"{at} {b} has an observer that is its own subject"),
+        edited(
+            k, [*fetch[:4], {**detail, "found": -50.0}],
+            f"{at} {a} holds found -50.0, outside [0, {t}]",
+        ),
+        edited(
+            k, [*fetch[:4], {**detail, "records": records}],
+            f"{at} {a} holds 22 records, over max_inbound_records 21",
+        ),
+        edited(
+            1, [*change[:2], b, *change[3:]],
+            f"the MessageChanged at t=0.0 of {a} by {b} has an observer other than its subject",
+        ),
+        appended([end, *fetch[1:]], f"the UuidsFetched at t={end} of {b} by {a} {after}"),
+        appended(
+            [end, "FetchAborted", a, b, {"found": t}],
+            f"the FetchAborted at t={end} of {b} by {a} {after}",
+        ),
+        appended(
+            [end, "MessageChanged", a, a, {**change[4], "generation": 99}],
+            f"the MessageChanged at t={end} of {a} by {a} {after}",
+        ),
+    ]
+
+
 def test_report_names_the_line_of_its_own_errors(tmp_path, capsys):
     # The report's own errors name the last line read, the one whose event
     # they are about, as the errors of load_log name theirs.
@@ -410,6 +466,16 @@ def test_report_names_the_line_of_its_own_errors(tmp_path, capsys):
             "this one begins with a MessageChanged",
         ),
         ("\n\n", "a log must begin with its RunStarted header; this one is empty"),
+        # a log that no run writes, with or without its MessageReassembled
+        # lines: the error names the edited or appended line itself
+        *(
+            ("".join(line + "\n" for line in edited), f"line {lineno}: {error}")
+            for text in (
+                [header, *lines],
+                [line for line in [header, *lines] if '"MessageReassembled"' not in line],
+            )
+            for edited, lineno, error in _unwritten_logs([line.rstrip("\n") for line in text])
+        ),
     ):
         log.write_text(text, encoding="utf-8")
         assert main(["report", str(log)]) == 1

@@ -11,8 +11,13 @@ through the former check table, frozen here with its predicates, one item
 and one detail key at a time, with no fast path before it.
 The package's versions must return equal results, or raise the same
 exception class with the same message, on every input.
+
+`_reference_report` is the report as the README defines it, with no memo
+and no per-pair record: each fetch is unframed or raw-read again.
+`build_report` must give its figures on every golden log and on drawn runs.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -36,33 +41,44 @@ from sdpcast import (
     CodecConfig,
     ConflictingDuplicate,
     Device,
+    DeviceBandwidth,
+    FetchBandwidth,
     FrameHeader,
     IncompleteSet,
     InconsistentTotals,
     MalformedUuid,
     MessageTooLong,
     Mutation,
+    PairLatency,
     PayloadTooLong,
     PayloadTooShort,
+    ReassemblyError,
     Scenario,
     SimEvent,
     TimingModel,
+    build_report,
     detect,
     encode,
     frame,
+    raw_read,
     run,
     scenario_from_json,
     scenario_gen,
     scenario_to_json,
+    unframe,
 )
-from sdpcast.framing import CHUNK_BODY_OCTETS, LENGTH_PREFIX_OCTETS, chunk_count, reassemble
+from sdpcast.framing import (
+    CHUNK_BODY_OCTETS, LENGTH_PREFIX_OCTETS, chunk_count, raw_payloads, reassemble,
+)
 from sdpcast.log import (
     _ENCODER, FETCH_ABORTED, MESSAGE_CHANGED, MESSAGE_REASSEMBLED, RUN_STARTED, UUIDS_FETCHED,
 )
 from sdpcast.model import MAX_SEED, MODES
 from sdpcast.scenarios import _NESTED, _write
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import _scenario as _golden_scenario
 from test_report import _edited, _log_edits
-from test_sim import _bench_workloads
+from test_sim import _bench_workloads, _grid_scenarios
 
 _UUID_SHAPE = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
 DEFAULT = CodecConfig()
@@ -787,3 +803,155 @@ def test_to_json_writes_floats_as_json_does(value):
         for found in (value, _Float(value)):
             event = SimEvent(1.5, FETCH_ABORTED, "a", "b", {**detail, "found": found})
             assert event.to_json() == _ENCODER.encode(list(event))
+
+
+# -- the report -------------------------------------------------------------------
+
+
+def _slots(mode, message):
+    """The slots a message takes, as the README states them."""
+    if mode == RAW:
+        return max(1, math.ceil(len(message) / PAYLOAD_OCTETS))
+    return math.ceil((len(message) + 2) / 12)
+
+
+def _reference_report(events, threshold_s=60.0):
+    """`build_report`'s figures, from the README's definitions, with no memo:
+    each fetch unframed, or raw-read, in the mode of its subject's latest
+    change. A pair's reading counts when its (generation, mode, outcome)
+    differs from its previous one; an exact reading is delivered when it is
+    the first of its (observer, subject, generation), and any other is
+    misdelivered. A pair's first discovery is its least `found`, and each
+    change is one opportunity per scanner other than its subject."""
+    header, *events = events
+    scanners = header.detail["scanners"]
+    limits = CapacityLimits(**header.detail["limits"])
+    latest = {}  # subject -> (generation, t, mode, message) of its latest change
+    last_reading, found, latencies, credited, fetches = {}, {}, {}, set(), []
+    total = misdelivered = 0
+    for t, kind, observer, subject, detail in events:
+        pair = (observer, subject)
+        if kind == MESSAGE_CHANGED:
+            message = bytes.fromhex(detail["message"])
+            latest[subject] = (detail["generation"], t, detail["mode"], message)
+            total += len([scanner for scanner in scanners if scanner != subject])
+        elif kind in (UUIDS_FETCHED, FETCH_ABORTED):
+            found[pair] = min(found.get(pair, math.inf), detail["found"])
+        if kind != UUIDS_FETCHED:
+            continue
+        payloads = raw_read(detail["records"])
+        octets = PAYLOAD_OCTETS * len(payloads)
+        fetches.append(FetchBandwidth(
+            t, observer, subject, len(detail["records"]), len(payloads), octets,
+            octets / limits.inbound_ceiling,
+        ))
+        if subject not in latest:
+            continue
+        generation, changed_at, mode, message = latest[subject]
+        if mode == FRAMED:
+            try:
+                outcome, exact = unframe(detail["records"]), message
+            except ReassemblyError:
+                continue
+        else:
+            outcome, exact = sorted(payloads), sorted(raw_payloads(message))
+            if not outcome:
+                continue
+        if last_reading.get(pair) == (generation, mode, outcome):
+            continue
+        last_reading[pair] = (generation, mode, outcome)
+        if outcome != exact:
+            misdelivered += 1
+        elif (*pair, generation) not in credited:
+            credited.add((*pair, generation))
+            latencies.setdefault(pair, []).append(t - changed_at)
+    delivered = [latency for pair in latencies.values() for latency in pair]
+    return {
+        "pairs": tuple(
+            PairLatency(*pair, found[pair], tuple(latencies.get(pair, ()))) for pair in sorted(found)
+        ),
+        "total": total,
+        "delivered": len(delivered),
+        "within": sum(latency <= threshold_s for latency in delivered),
+        "misdelivered": misdelivered,
+        "devices": tuple(
+            DeviceBandwidth(d, n, PAYLOAD_OCTETS * n, PAYLOAD_OCTETS * n / limits.outbound_ceiling)
+            for d, n in sorted((d, _slots(mode, m)) for d, (_, _, mode, m) in latest.items())
+        ),
+        "fetches": tuple(fetches),
+    }
+
+
+def _figures(report):
+    lat, bw = report.latency, report.bandwidth
+    return {
+        "pairs": lat.pairs,
+        "total": lat.changes_total,
+        "delivered": lat.changes_delivered,
+        "within": lat.changes_within_threshold,
+        "misdelivered": lat.changes_misdelivered,
+        "devices": bw.devices,
+        "fetches": tuple(bw.fetches),
+    }
+
+
+def _same_report(events):
+    """`build_report` and the reference agree on the log `events`, with and
+    without its MessageReassembled lines, and deliver no more than there
+    were opportunities."""
+    reference = _reference_report(events)
+    assert reference["delivered"] <= reference["total"]
+    bare = [event for event in events if event.kind != MESSAGE_REASSEMBLED]
+    for log in (events, bare):
+        assert _figures(build_report(log)) == reference
+
+
+@pytest.mark.parametrize("name,seed", GOLDEN_CASES)
+def test_report_matches_reference_on_golden_logs(name, seed):
+    _same_report(list(run(_golden_scenario(name), seed=seed)))
+
+
+@st.composite
+def report_runs(draw):
+    """A small run of `test_sim`'s grid scenarios, with each device in either
+    mode and most of them moved into a 5 m square and discoverable, so that
+    most pairs meet; longer fetch windows than the default's, some; message
+    changes, some that repeat a device's bytes; and torn reads on in most
+    runs."""
+    sc = draw(_grid_scenarios())
+    square = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+    long_messages = st.binary(min_size=14, max_size=40)  # two slots or more, so they tear
+    devices = [
+        dataclasses.replace(
+            d, mode=draw(st.sampled_from(MODES)),
+            position=draw(st.one_of(st.just(d.position), square, square)),
+            discoverable=d.discoverable or draw(st.booleans()),
+            message=draw(st.one_of(st.just(d.message), long_messages)),
+        )
+        for d in sc.devices
+    ]
+    again = st.sampled_from([d.message for d in devices])
+    messages = st.one_of(long_messages, st.binary(max_size=40), again)
+    changes = [
+        Mutation(
+            t=sc.duration_s * draw(st.integers(0, 100)) / 100,  # spread out, not at the ends
+            device=draw(st.sampled_from(devices)).address,
+            action="set_message",
+            message=draw(messages),
+            mode=draw(st.sampled_from((None, *MODES))),
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return dataclasses.replace(
+        sc, devices=devices, schedule=[*sc.schedule, *changes],
+        timing=TimingModel(
+            12.0, draw(st.sampled_from((6.0, 15.0))), draw(st.sampled_from((1.5, 5.0)))
+        ),
+        torn_read_mode=draw(st.integers(0, 9)) < 7,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_runs())
+def test_report_matches_reference_on_drawn_runs(sc):
+    _same_report(list(run(sc)))

@@ -186,8 +186,9 @@ def test_spliced_reassembly_is_misdelivered():
         detail = {"generation": 2, "mode": "framed", "message": message.hex()}
         return SimEvent(t, "MessageReassembled", B, A, detail)
 
+    # B scans at 0, 30, 60 and 90 s, so its last fetch ends by 120 s
     full = [
-        _header(scanners={B: 30.0}),
+        _header(scanners={B: 30.0}, duration_s=120.0),
         changed(0.0, 1, old),
         changed(10.0, 2, new),
         fetched(12.0, 5.0, old_chunks[:3] + new_chunks[3:]),
@@ -391,23 +392,13 @@ def test_fetches_read_as_the_tuple_of_records():
         oracle = _fetch_oracle(list(load_log(lines)))
         fetches = build_report(load_log(lines)).bandwidth.fetches
         assert len(oracle) > 1000
+        assert len(fetches) == len(oracle)
+        assert list(fetches) == list(oracle)  # in log order
+        assert all(type(fetch) is FetchBandwidth for fetch in fetches)
         assert tuple(fetches) == oracle
         assert fetches == oracle and oracle == fetches and not fetches != oracle
         assert fetches != oracle[:-1] and fetches != ()
-        assert len(fetches) == len(oracle)
-        assert fetches[0] == oracle[0] and fetches[-1] == oracle[-1]
-        assert fetches[-len(oracle)] == oracle[0]
-        with pytest.raises(IndexError):
-            fetches[len(oracle)]
-        assert type(fetches[0]) is FetchBandwidth
-        part = fetches[5:900:7]
-        assert type(part) is tuple and part == oracle[5:900:7]
-        assert fetches[::-1] == oracle[::-1] and fetches[3:3] == ()
-        assert list(fetches) == list(oracle)
-        again = build_report(load_log(lines)).bandwidth.fetches
-        assert fetches == again
-        assert hash(fetches) == hash(again) == hash(oracle)
-        assert repr(fetches) == repr(oracle)
+        assert fetches == build_report(load_log(lines)).bandwidth.fetches
     assert build_report([_header()]).bandwidth.fetches == ()
 
 
@@ -828,14 +819,82 @@ _LOG_ERRORS = [
     ("{broken", 'Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
     ("\ufeff{}", 'Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)'),
     ('{"t": "\x01"}', 'Invalid control character at: line 1 column 8 (char 7)'),
+    # lines that load, but that no run writes after `_HEADER` (A scans, 60 s,
+    # 21 records): the report rejects each with its own error
+    (
+        _line("UuidsFetched", _FETCHED, t=1.0, observer=B),
+        f"the UuidsFetched at t=1.0 of {A} by {B} has an observer that is no scanner in the header",
+    ),
+    (
+        _line("FetchAborted", {"found": 0.5}, t=1.0, observer="zz"),
+        f"the FetchAborted at t=1.0 of {A} by zz has an observer that is no scanner in the header",
+    ),
+    (
+        _line("UuidsFetched", _FETCHED, t=1.0),
+        f"the UuidsFetched at t=1.0 of {A} by {A} has an observer that is its own subject",
+    ),
+    (
+        _line("FetchAborted", {"found": 0.5}, t=1.0),
+        f"the FetchAborted at t=1.0 of {A} by {A} has an observer that is its own subject",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "found": -50.0}, t=1.0, subject=B),
+        f"the UuidsFetched at t=1.0 of {B} by {A} holds found -50.0, outside [0, 1.0]",
+    ),
+    (
+        _line("FetchAborted", {"found": 1.5}, t=1.0, subject=B),
+        f"the FetchAborted at t=1.0 of {B} by {A} holds found 1.5, outside [0, 1.0]",
+    ),
+    (
+        _line("UuidsFetched", _FETCHED, t=60.5, subject=B),
+        f"the UuidsFetched at t=60.5 of {B} by {A} comes after the run ends at duration_s 60.0",
+    ),
+    (
+        _line("FetchAborted", {"found": 0.5}, t=400.0, subject=B),
+        f"the FetchAborted at t=400.0 of {B} by {A} comes after the run ends at duration_s 60.0",
+    ),
+    (
+        _line("MessageChanged", _CHANGED, t=60.5),
+        f"the MessageChanged at t=60.5 of {A} by {A} comes after the run ends at duration_s 60.0",
+    ),
+    (
+        _line("UuidsFetched", {**_FETCHED, "records": [UUID] * 22}, t=1.0, subject=B),
+        f"the UuidsFetched at t=1.0 of {B} by {A} holds 22 records, over max_inbound_records 21",
+    ),
+    (
+        _line("MessageChanged", _CHANGED, observer=B),
+        f"the MessageChanged at t=0.0 of {A} by {B} has an observer other than its subject",
+    ),
 ]
 
 
 def test_load_log_error_messages():
+    # A line that load_log reads is one that no run writes after `_HEADER`,
+    # which the report rejects.
     for line, message in _LOG_ERRORS:
-        with pytest.raises(MalformedLog) as excinfo:
+        try:
             list(load_log([line]))
-        assert str(excinfo.value) == f"line 1: {message}", line
+        except MalformedLog as exc:
+            assert str(exc) == f"line 1: {message}", line
+            continue
+        with pytest.raises(MalformedLog) as excinfo:
+            build_report(load_log([_header_line(), line]))
+        assert str(excinfo.value) == message, line
+
+
+def test_a_log_at_the_bounds_of_a_run_reports():
+    # What a run can write: a found time of 0 or of the fetch's own time, a
+    # line at duration_s, and as many records as max_inbound_records.
+    lines = [
+        _header_line(),
+        _line("FetchAborted", {"found": 0.0}, t=0.0, subject=B),
+        _line("UuidsFetched", {"found": 7.0, "records": [UUID] * 21}, t=7.0, subject=B),
+        _line("UuidsFetched", {"found": 60.0, "records": []}, t=60.0, subject=B),
+        _line("MessageChanged", _CHANGED, t=60.0),
+    ]
+    report = build_report(load_log(lines))
+    assert [fetch.records for fetch in report.bandwidth.fetches] == [21, 0]
+    assert [pair.first_discovery_s for pair in report.latency.pairs] == [0.0]
 
 
 def test_load_log_rejects_a_line_that_is_not_text():

@@ -1,8 +1,11 @@
 """Built-in scenario fixtures: shape, goldens, reachability oracles, and file fuzzing."""
 
+import dataclasses
 import json
 import math
 from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from sdpcast import (
     BUILTIN_SCENARIOS,
     InvalidScenario,
+    TimingModel,
     UnknownScenario,
     in_range,
     run,
@@ -107,6 +111,28 @@ def test_limits_no_longer_take_payload_per_uuid():
     obj["limits"]["payload_per_uuid"] = 13
     with pytest.raises(InvalidScenario, match=r"^scenario\.limits: unknown keys \['payload_per_uuid'\]$"):
         scenario_from_json(json.dumps(obj))
+
+
+def test_timing_is_stored_as_floats():
+    """A Decimal, a Fraction or an int timing passes the checks as a finite
+    number, and is stored as a float, as every other real-valued field is:
+    the scenario then writes, reads back and runs as its float twin does."""
+    base = scenario_gen("two-device-default")
+    twin = dataclasses.replace(base, timing=TimingModel(12.0, 6.0, 1.0))
+    for values in (
+        (Decimal(12), Decimal("6.0"), Decimal(1)),
+        (Fraction(12), Fraction(12, 2), Fraction(1)),
+        (12, 6, 1),
+    ):
+        timing = TimingModel(*values)
+        assert [type(getattr(timing, f.name)) for f in fields(TimingModel)] == [float] * 3
+        assert timing == twin.timing
+        sc = dataclasses.replace(base, timing=timing)
+        text = scenario_to_json(sc)
+        assert text == scenario_to_json(twin)
+        assert '"inquiry_duration_s": 12.0' in text
+        assert scenario_from_json(text) == sc
+        assert list(run(sc, seed=1)) == list(run(twin, seed=1))
 
 
 def test_scenario_classes_hold_only_init_fields():
