@@ -1,26 +1,33 @@
 """CLI behavior: round trips, exit codes, file plumbing."""
 
+import hashlib
 import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import sdpcast
 from sdpcast import (
     Device, Scenario, SimEvent, build_report, format_lines, frame, load_log, scenario_to_json,
 )
 from sdpcast.cli import main
 
 ANCHOR = "ff724081-fe5d-4fb2-8745-af149cc2c0de"
+DATA = Path(__file__).parent / "data"
 
 
 def test_encode_decode_round_trip(capsys):
     assert main(["encode", "--text", "hello, cli"]) == 0
     uuid = capsys.readouterr().out.strip()
-    assert main(["decode", "--text", uuid]) == 0
-    assert capsys.readouterr().out.strip() == "hello, cli"
+    for written in (uuid, uuid.upper()):
+        assert main(["decode", "--text", written]) == 0
+        assert capsys.readouterr().out.strip() == "hello, cli"
 
 
 def test_encode_hex_payload(capsys):
@@ -55,11 +62,13 @@ def test_decode_non_payload_exits_1(capsys):
 
 
 def test_frame_unframe_round_trip(capsys):
-    assert main(["frame", "--text", "a message that spans several chunks"]) == 0
-    uuids = capsys.readouterr().out.split()
-    assert len(uuids) == 4
-    assert main(["unframe", "--text", *uuids]) == 0
-    assert capsys.readouterr().out.strip() == "a message that spans several chunks"
+    for flags, marker in (([], "c0de"), (["--marker", "ABCD"], "abcd")):
+        assert main(["frame", "--text", *flags, "a message that spans several chunks"]) == 0
+        uuids = capsys.readouterr().out.split()
+        assert len(uuids) == 4
+        assert all(uuid.endswith(marker) for uuid in uuids)
+        assert main(["unframe", "--text", *flags, *uuids]) == 0
+        assert capsys.readouterr().out.strip() == "a message that spans several chunks"
 
 
 def test_unframe_reads_stdin(capsys, monkeypatch):
@@ -126,6 +135,8 @@ def test_simulate_and_report_pipeline(tmp_path, capsys):
     assert main(
         ["simulate", "--scenario", str(scenario), "--seed", "42", "--out", str(log)]
     ) == 0
+    golden = json.loads((DATA / "golden-sha256.json").read_text())["two-device-default"]["42"]
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == golden["log"]
     lines = log.read_text(encoding="utf-8").strip().split("\n")
     assert len(list(load_log(lines))) == len(lines)
 
@@ -136,6 +147,7 @@ def test_simulate_and_report_pipeline(tmp_path, capsys):
     assert main(["report", str(log), "--format", "lines"]) == 0
     out = capsys.readouterr().out
     assert out == format_lines(build_report(load_log(lines)))  # written row by row
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["report"]
     rows = [json.loads(l) for l in out.strip().split("\n")]
     (changes,) = [row for row in rows if row["metric"] == "changes"]
     assert changes["delivered"] == 5
@@ -242,9 +254,22 @@ def test_simulate_missing_file_exits_1(capsys):
 
 def test_simulate_invalid_scenario_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"duration_s": 10.0, "devices": [], "warp": 1}')
-    assert main(["simulate", "--scenario", str(bad)]) == 1
-    assert "unknown keys" in capsys.readouterr().err
+    for text, error in (
+        ('{"duration_s": 10.0, "devices": [], "warp": 1}', "unknown keys"),
+        # 1e300 + 1e-300 is 1e300, so only the scan budget ends this at load
+        (
+            '{"devices": [{"address": "aa:00:00:00:00:01", "scan_interval_s": 1e-300}], '
+            '"duration_s": 1e300}',
+            "budget",
+        ),
+    ):
+        bad.write_text(text)
+        assert main(["simulate", "--scenario", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sdpcast: ")
+        assert error in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -515,3 +540,21 @@ def test_version_flag(capsys):
         main(["--version"])
     assert e.value.code == 0
     assert "sdpcast" in capsys.readouterr().out
+
+
+def test_module_runs_as_a_command(tmp_path):
+    # The module's __main__ guard, in a process of its own that imports the
+    # package the tests import, wherever that is installed.
+    env = dict(os.environ)
+    package_root = str(Path(sdpcast.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+
+    def command(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "sdpcast.cli", *args],
+            cwd=tmp_path, env=env, capture_output=True, check=True,
+        ).stdout
+
+    assert command("--version") == f"sdpcast {sdpcast.__version__}\n".encode()
+    fixture = DATA / "two-device-default.json"
+    assert command("scenario-gen", "two-device-default") == fixture.read_bytes()
