@@ -130,6 +130,11 @@ def detect(uuid_str: str, config: CodecConfig = DEFAULT_CONFIG) -> bytes | None:
     if match is None:
         _hex32(uuid_str)  # raises unless it is a UUID, which then carries no payload
         return None
+    return _match_payload(match)
+
+
+def _match_payload(match: re.Match) -> bytes:
+    """The 13 octets of a match of `CodecConfig._pattern`."""
     # Direct nibble-to-octet mapping: leading zeros survive.
     return bytes.fromhex("".join(match.groups()))
 

@@ -19,14 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .codec import DEFAULT_CONFIG, PAYLOAD_OCTETS, CodecConfig, _payload_uuid, detect
-from .errors import (
-    ConflictingDuplicate,
-    IncompleteSet,
-    InconsistentTotals,
-    MalformedUuid,
-    MessageTooLong,
-)
+from .codec import DEFAULT_CONFIG, PAYLOAD_OCTETS, CodecConfig, _match_payload, _payload_uuid
+from .errors import ConflictingDuplicate, IncompleteSet, InconsistentTotals, MessageTooLong
 
 CHUNK_BODY_OCTETS = 12     # payload octets per chunk after the header
 LENGTH_PREFIX_OCTETS = 2   # leading octets of chunk 0, big-endian message length
@@ -201,13 +195,14 @@ def raw_read(
     uuids: Iterable[str],
     codec: CodecConfig = DEFAULT_CONFIG,
 ) -> list[bytes]:
-    """All 13-octet payloads detected in a batch, in input order."""
-    payloads = []
-    for u in uuids:
-        try:
-            payload = detect(u, codec)
-        except MalformedUuid:
-            continue
-        if payload is not None:
-            payloads.append(payload)
-    return payloads
+    """All 13-octet payloads detected in a batch, in input order.
+
+    Each string is matched against the codec's payload pattern, as `detect`
+    matches it; anything else, malformed or not a string, is skipped.
+    """
+    fullmatch = codec._pattern.fullmatch
+    return [
+        _match_payload(match)
+        for u in uuids
+        if isinstance(u, str) and (match := fullmatch(u)) is not None
+    ]

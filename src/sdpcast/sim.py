@@ -14,10 +14,17 @@ UuidsFetched with the records the fetch saw, shuffled, or as FetchAborted
 when the pair has left range by then.  `log.Deliveries`, the rule the
 report derives every delivery with, says what the records reassemble to
 and whether the pair logs a MessageReassembled for it; its table of
-fetched pairs says which fetches are cached.  Everything is driven by one seeded RNG, so a
-(scenario, seed) pair always produces a bit-identical event log.  `run`
-yields that log as it is produced, so a run holds its devices and pending
-actions, never its log.
+fetched pairs says which fetches are cached.  Everything is driven by one
+seeded RNG, so a (scenario, seed) pair always produces a bit-identical
+event log.  `run` yields that log as it is produced, so a run holds its
+devices and pending actions, never its log.
+
+A pending action is a heap entry `(t, seq, handler, args)`: `handler` is
+the runner's bound method, bound when the action is pushed, and `seq`
+breaks ties in push order.  The runner makes the stdlib's draws inline: a
+fetch's shuffle is `random.shuffle`'s Fisher-Yates loop over
+`getrandbits`, and a found time is `t + I * random()` for
+`t + uniform(0.0, I)`, the same floats from the same draws.
 
 Torn reads are opt-in: when a message change lands strictly inside a fetch
 window, the snapshot mixes a prefix of the old generation's slots with a
@@ -29,8 +36,9 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import random
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .codec import encode
 from .errors import InvalidScenario, MessageTooLong
@@ -129,6 +137,21 @@ def run(
     return _Runner(dataclasses.replace(scenario, **overrides)).execute()
 
 
+def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
+    """Shuffle `x` in place as `random.shuffle` does, with the RNG's `getrandbits`.
+
+    The same Fisher-Yates loop and the same rejection sampling as the
+    stdlib's `_randbelow`, so it takes the same draws and leaves the same
+    order, without a Python-level `_randbelow` call per swap.
+    """
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 class _Node:
     """One device in a run: the `Device` fields the run reads or changes, its advert and grid cell.
 
@@ -172,15 +195,21 @@ class _Runner:
             self._place(node)
         self.pending: list[SimEvent] = []  # emitted by the current handler, not yet yielded
         self.deliveries = Deliveries()
-        self.heap: list[tuple[float, int, tuple]] = []
-        self.seq = 0
+        self.fetched_pairs = self.deliveries.pairs  # a pair in it was fetched before: cached
+        self.latency_fresh_s = sc.timing.fetch_latency_fresh_s
+        self.latency_cached_s = sc.timing.fetch_latency_cached_s
+        self.heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self.seq = itertools.count()
 
     def execute(self) -> Iterator[SimEvent]:
         """Yield the run's events, each handler's as soon as it returns.
 
         The first is the RunStarted header. A scan emits nothing: a
         scanner's rounds are at 0.0, S, S + S, ... (float sums of its
-        interval S) up to duration_s, and the header holds both.
+        interval S) up to duration_s, and the header holds both. Each step
+        pops the earliest `(t, seq, handler, args)` and calls
+        `handler(t, *args)`; only what it emitted is counted against
+        MAX_EVENTS and yielded.
         """
         sc = self.sc
         scanners = {
@@ -196,31 +225,31 @@ class _Runner:
             if dev.message is not None:
                 self._advertise(self.devices[dev.address], dev.message, dev.mode, t=0.0)
         for address in scanners:
-            self._push(0.0, ("_on_scan", address))
+            self._push(0.0, self._on_scan, address)
         for mut in sc.schedule:
-            self._push(mut.t, ("_on_mutate", mut))
-        pending = self.pending
+            self._push(mut.t, self._on_mutate, mut)
+        heap, pending, duration_s = self.heap, self.pending, sc.duration_s
+        heappop = heapq.heappop
         emitted = 0
         while True:
-            emitted += len(pending)
-            if emitted > MAX_EVENTS:
-                raise InvalidScenario(
-                    f"the run emitted more than the budget of {MAX_EVENTS} events by "
-                    f"t={pending[-1].t}; shorten duration_s or thin out the layout"
-                )
-            yield from pending
-            pending.clear()
-            if not self.heap:
+            if pending:
+                emitted += len(pending)
+                if emitted > MAX_EVENTS:
+                    raise InvalidScenario(
+                        f"the run emitted more than the budget of {MAX_EVENTS} events by "
+                        f"t={pending[-1].t}; shorten duration_s or thin out the layout"
+                    )
+                yield from pending
+                pending.clear()
+            if not heap:
                 return
-            # Constant handler names: a name built per action piles up in CPython's method cache.
-            t, _, (handler, *args) = heapq.heappop(self.heap)
-            if t > self.sc.duration_s:
+            t, _, handler, args = heappop(heap)
+            if t > duration_s:
                 return
-            getattr(self, handler)(t, *args)
+            handler(t, *args)
 
-    def _push(self, t: float, action: tuple) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, action))
+    def _push(self, t: float, handler: Callable[..., None], *args: object) -> None:
+        heapq.heappush(self.heap, (t, next(self.seq), handler, args))
 
     def _emit(self, t: float, kind: str, observer: str, subject: str, detail: dict) -> None:
         # as `SimEvent.from_array` does, skip the argument handling of SimEvent(...)
@@ -265,19 +294,21 @@ class _Runner:
         devices = self.devices
         hits = [s for s in self._candidates(node) if s != address and in_range(node, devices[s])]
         hits.sort()  # the RNG draws go in address order, whatever order the cells hold
-        uniform, inquiry_s = self.rng.uniform, self.sc.timing.inquiry_duration_s
+        # `uniform(0.0, I)` is `0.0 + (I - 0.0) * random()`: the same float as `I * random()`
+        draw, inquiry_s = self.rng.random, self.sc.timing.inquiry_duration_s
         for subject in hits:
-            self._push(t + uniform(0.0, inquiry_s), ("_on_found", address, subject))
+            self._push(t + inquiry_s * draw(), self._on_found, address, subject)
         next_scan = t + node.scan_interval_s
         if next_scan <= self.sc.duration_s:
-            self._push(next_scan, ("_on_scan", address))
+            self._push(next_scan, self._on_scan, address)
 
     def _on_found(self, t: float, observer: str, subject: str) -> None:
         # Logged by the fetch it starts, which holds the found time t.
-        cached = (observer, subject) in self.deliveries.pairs  # a fetch of the pair came before
-        timing = self.sc.timing
-        latency = timing.fetch_latency_cached_s if cached else timing.fetch_latency_fresh_s
-        self._push(t + latency, ("_on_fetch", observer, subject, t))
+        if (observer, subject) in self.fetched_pairs:
+            latency = self.latency_cached_s
+        else:
+            latency = self.latency_fresh_s
+        self._push(t + latency, self._on_fetch, observer, subject, t)
 
     def _on_fetch(self, t: float, observer: str, subject: str, t_start: float) -> None:
         obs, subj = self.devices[observer], self.devices[subject]
@@ -291,7 +322,7 @@ class _Runner:
             window=(t_start, t),
             change=subj.change if self.sc.torn_read_mode else None,
         )
-        self.rng.shuffle(records)
+        _shuffle(records, self.rng.getrandbits)
         _, reassembled = self.deliveries.fetched(observer, subject, records)
         self._emit(t, UUIDS_FETCHED, observer, subject, {"found": t_start, "records": records})
         if reassembled is not None:

@@ -15,6 +15,10 @@ exception class with the same message, on every input.
 `_reference_report` is the report as the README defines it, with no memo
 and no per-pair record: each fetch is unframed or raw-read again.
 `build_report` must give its figures on every golden log and on drawn runs.
+
+`_reference_raw_read` is the former `raw_read`, which called `detect` on
+each record. `random.Random.shuffle` and `uniform` are the oracles of the
+runner's inline draws: the same results and the same RNG state after.
 """
 
 import dataclasses
@@ -75,6 +79,7 @@ from sdpcast.log import (
 )
 from sdpcast.model import MAX_SEED, MODES
 from sdpcast.scenarios import _NESTED, _write
+from sdpcast.sim import _shuffle
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _scenario as _golden_scenario
 from test_report import _edited, _log_edits
@@ -315,6 +320,50 @@ def test_reassemble_matches_reference_on_every_frame_length():
         assert reassemble(payloads) == bytes(range(length))
         for drop in range(len(payloads)):
             _same(reassemble, _reference_reassemble, payloads[:drop] + payloads[drop + 1:])
+
+
+def _reference_raw_read(uuids, codec=DEFAULT):
+    payloads = []
+    for u in uuids:
+        try:
+            payload = detect(u, codec)
+        except MalformedUuid:
+            continue
+        if payload is not None:
+            payloads.append(payload)
+    return payloads
+
+
+WELLKNOWN = (
+    "00001101-0000-1000-8000-00805f9b34fb",  # SPP
+    "0000110a-0000-1000-8000-00805f9b34fb",  # A2DP source
+    "00001200-0000-1000-8000-00805F9B34FB",  # PnP information, upper case
+)
+
+
+def _raw_read_items(config):
+    """A record list for `raw_read` under `config`, paired with it."""
+    payload_uuids = st.tuples(payloads13, st.booleans()).map(
+        lambda case: (str.upper if case[1] else str)(encode(case[0], config))
+    )
+    item = st.one_of(
+        payload_uuids,
+        near_uuids(config.marker),  # other markers, recased or malformed
+        st.sampled_from(WELLKNOWN),
+        st.text(alphabet=NASTY, max_size=40),
+        payload_uuids.map(_Str),
+        st.none(),
+        st.integers(),
+        payload_uuids.map(str.encode),
+    )
+    return st.tuples(st.lists(item, max_size=25), st.just(config))
+
+
+@settings(max_examples=400)
+@given(configs.flatmap(_raw_read_items))
+@example(([ANCHOR, ANCHOR.upper(), WELLKNOWN[0], None, ANCHOR.encode(), 7, "x"], DEFAULT))
+def test_raw_read_matches_reference(case):
+    _same(raw_read, _reference_raw_read, *case)
 
 
 # -- scenario files -------------------------------------------------------------
@@ -955,3 +1004,35 @@ def report_runs(draw):
 @given(report_runs())
 def test_report_matches_reference_on_drawn_runs(sc):
     _same_report(list(run(sc)))
+
+
+# -- the runner's draws ----------------------------------------------------------
+
+
+def test_runner_shuffle_takes_the_draws_of_random_shuffle():
+    # `random.shuffle` is the oracle: the same order, and the RNG left in the same state.
+    for n in range(26):
+        for seed in range(200):
+            expected, oracle = [f"r{i}" for i in range(n)], random.Random(seed)
+            oracle.shuffle(expected)
+            records, rng = [f"r{i}" for i in range(n)], random.Random(seed)
+            _shuffle(records, rng.getrandbits)
+            assert records == expected, (n, seed)
+            assert rng.getstate() == oracle.getstate(), (n, seed)
+
+
+@settings(max_examples=500)
+@given(
+    st.floats(0.0, 1e6),
+    st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+    st.integers(0, MAX_SEED),
+)
+@example(0.0, 12.0, 1)
+@example(599.9999999999999, 12.0, 2)
+@example(5e-324, 5e-324, 3)
+def test_found_time_equals_uniform_bit_for_bit(t, inquiry_s, seed):
+    # `_on_scan` draws a found time as `t + I * random()` for `t + uniform(0.0, I)`.
+    oracle, rng = random.Random(seed), random.Random(seed)
+    expected = t + oracle.uniform(0.0, inquiry_s)
+    assert (t + inquiry_s * rng.random()).hex() == expected.hex()
+    assert rng.getstate() == oracle.getstate()
