@@ -236,7 +236,9 @@ _EVENT_SPEC: _Spec = (
 )
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+# The decoder's scanner, which `raw_decode` wraps in a Python frame: it
+# raises StopIteration when a line starts with no JSON value.
+_scan_once = json.JSONDecoder().scan_once
 # The whitespace JSON allows around a value; `str.strip()` would also strip
 # Unicode spaces and separators, which json.loads rejects.
 _JSON_SPACE = " \t\n\r"
@@ -265,8 +267,8 @@ def load_log(lines: Iterable[str]) -> Iterator[SimEvent]:
                 continue
             try:
                 try:
-                    obj, end = _raw_decode(line)
-                except json.JSONDecodeError:
+                    obj, end = _scan_once(line, 0)
+                except (StopIteration, json.JSONDecodeError):
                     end = 0
                 if end != len(line):
                     # not one JSON value: raise the error json.loads words for

@@ -21,10 +21,12 @@ devices and pending actions, never its log.
 
 A pending action is a heap entry `(t, seq, handler, args)`: `handler` is
 the runner's bound method, bound when the action is pushed, and `seq`
-breaks ties in push order.  The runner makes the stdlib's draws inline: a
-fetch's shuffle is `random.shuffle`'s Fisher-Yates loop over
-`getrandbits`, and a found time is `t + I * random()` for
-`t + uniform(0.0, I)`, the same floats from the same draws.
+breaks ties in push order.  A scan pushes one entry per device it finds,
+and a found action one for its fetch, each straight onto the heap with
+`heappush`.  The runner makes the stdlib's draws inline: a fetch's shuffle
+is `random.shuffle`'s Fisher-Yates loop over `getrandbits`, and a found
+time is `t + I * random()` for `t + uniform(0.0, I)`, the same floats from
+the same draws.
 
 Torn reads are opt-in: when a message change lands strictly inside a fetch
 window, the snapshot mixes a prefix of the old generation's slots with a
@@ -35,9 +37,9 @@ checks exist to catch.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import random
+from heapq import heappop, heappush
 from typing import Callable, Iterator
 
 from .codec import encode
@@ -63,9 +65,11 @@ def in_range(a: Device | _Node, b: Device | _Node) -> bool:
     """
     if not b.discoverable:
         return False
-    dx = a.position[0] - b.position[0]
-    dy = a.position[1] - b.position[1]
-    return (dx * dx + dy * dy) ** 0.5 <= min(a.range_m, b.range_m)
+    ax, ay = a.position
+    bx, by = b.position
+    dx, dy = ax - bx, ay - by
+    ra, rb = a.range_m, b.range_m
+    return (dx * dx + dy * dy) ** 0.5 <= (ra if ra < rb else rb)
 
 
 def advertise(
@@ -103,7 +107,9 @@ def fetch_snapshot(
     Payload slots come first, then well-known records, truncated at
     max_inbound_records.  A `change` (previous slots and the change time)
     strictly inside `window` splits the payload slots into an old-generation
-    prefix plus a new-generation suffix: a torn read.
+    prefix plus a new-generation suffix: a torn read.  The result is a new
+    list, shared with neither `slots` nor the old slots, so the caller may
+    reorder it.
     """
     if window is not None and change is not None:
         t_start, t_now = window
@@ -113,8 +119,10 @@ def fetch_snapshot(
             split = 1 + int(fraction * (len(old_slots) - 1))
             split = min(max(split, 1), len(old_slots) - 1)
             slots = old_slots[:split] + slots[split:]
-    records = slots + list(wellknown_records)
-    return records[:limits.max_inbound_records]
+    records = [*slots, *wellknown_records]
+    if len(records) > limits.max_inbound_records:
+        del records[limits.max_inbound_records:]
+    return records
 
 
 def run(
@@ -198,6 +206,7 @@ class _Runner:
         self.fetched_pairs = self.deliveries.pairs  # a pair in it was fetched before: cached
         self.latency_fresh_s = sc.timing.fetch_latency_fresh_s
         self.latency_cached_s = sc.timing.fetch_latency_cached_s
+        self.limits, self.torn_read_mode = sc.limits, sc.torn_read_mode
         self.heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self.seq = itertools.count()
 
@@ -224,12 +233,12 @@ class _Runner:
         for dev in sc.devices:
             if dev.message is not None:
                 self._advertise(self.devices[dev.address], dev.message, dev.mode, t=0.0)
+        heap, seq, pending, duration_s = self.heap, self.seq, self.pending, sc.duration_s
         for address in scanners:
-            self._push(0.0, self._on_scan, address)
+            heappush(heap, (0.0, next(seq), self._on_scan, (address,)))
         for mut in sc.schedule:
-            self._push(mut.t, self._on_mutate, mut)
-        heap, pending, duration_s = self.heap, self.pending, sc.duration_s
-        heappop = heapq.heappop
+            heappush(heap, (mut.t, next(seq), self._on_mutate, (mut,)))
+        pop = heappop
         emitted = 0
         while True:
             if pending:
@@ -243,13 +252,10 @@ class _Runner:
                 pending.clear()
             if not heap:
                 return
-            t, _, handler, args = heappop(heap)
+            t, _, handler, args = pop(heap)
             if t > duration_s:
                 return
             handler(t, *args)
-
-    def _push(self, t: float, handler: Callable[..., None], *args: object) -> None:
-        heapq.heappush(self.heap, (t, next(self.seq), handler, args))
 
     def _emit(self, t: float, kind: str, observer: str, subject: str, detail: dict) -> None:
         # as `SimEvent.from_array` does, skip the argument handling of SimEvent(...)
@@ -296,11 +302,12 @@ class _Runner:
         hits.sort()  # the RNG draws go in address order, whatever order the cells hold
         # `uniform(0.0, I)` is `0.0 + (I - 0.0) * random()`: the same float as `I * random()`
         draw, inquiry_s = self.rng.random, self.sc.timing.inquiry_duration_s
+        heap, seq, on_found = self.heap, self.seq, self._on_found
         for subject in hits:
-            self._push(t + inquiry_s * draw(), self._on_found, address, subject)
+            heappush(heap, (t + inquiry_s * draw(), next(seq), on_found, (address, subject)))
         next_scan = t + node.scan_interval_s
         if next_scan <= self.sc.duration_s:
-            self._push(next_scan, self._on_scan, address)
+            heappush(heap, (next_scan, next(seq), self._on_scan, (address,)))
 
     def _on_found(self, t: float, observer: str, subject: str) -> None:
         # Logged by the fetch it starts, which holds the found time t.
@@ -308,7 +315,9 @@ class _Runner:
             latency = self.latency_cached_s
         else:
             latency = self.latency_fresh_s
-        self._push(t + latency, self._on_fetch, observer, subject, t)
+        heappush(
+            self.heap, (t + latency, next(self.seq), self._on_fetch, (observer, subject, t))
+        )
 
     def _on_fetch(self, t: float, observer: str, subject: str, t_start: float) -> None:
         obs, subj = self.devices[observer], self.devices[subject]
@@ -318,9 +327,9 @@ class _Runner:
         records = fetch_snapshot(
             subj.slots,
             subj.wellknown_records,
-            self.sc.limits,
+            self.limits,
             window=(t_start, t),
-            change=subj.change if self.sc.torn_read_mode else None,
+            change=subj.change if self.torn_read_mode else None,
         )
         _shuffle(records, self.rng.getrandbits)
         _, reassembled = self.deliveries.fetched(observer, subject, records)

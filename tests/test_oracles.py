@@ -19,6 +19,10 @@ and no per-pair record: each fetch is unframed or raw-read again.
 `_reference_raw_read` is the former `raw_read`, which called `detect` on
 each record. `random.Random.shuffle` and `uniform` are the oracles of the
 runner's inline draws: the same results and the same RNG state after.
+
+`_reference_in_range` and `_reference_fetch_snapshot` are the former bodies
+of `in_range`, which took `min` of the ranges and indexed each position
+twice, and of `fetch_snapshot`, which concatenated and then sliced.
 """
 
 import dataclasses
@@ -79,7 +83,7 @@ from sdpcast.log import (
 )
 from sdpcast.model import MAX_SEED, MODES
 from sdpcast.scenarios import _NESTED, _write
-from sdpcast.sim import _shuffle
+from sdpcast.sim import _Node, _shuffle, fetch_snapshot, in_range
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _scenario as _golden_scenario
 from test_report import _edited, _log_edits
@@ -1036,3 +1040,140 @@ def test_found_time_equals_uniform_bit_for_bit(t, inquiry_s, seed):
     expected = t + oracle.uniform(0.0, inquiry_s)
     assert (t + inquiry_s * rng.random()).hex() == expected.hex()
     assert rng.getstate() == oracle.getstate()
+
+
+# -- discovery ------------------------------------------------------------------------
+
+
+def _reference_in_range(a, b):
+    if not b.discoverable:
+        return False
+    dx = a.position[0] - b.position[0]
+    dy = a.position[1] - b.position[1]
+    return (dx * dx + dy * dy) ** 0.5 <= min(a.range_m, b.range_m)
+
+
+_RANGES = st.floats(1.0, 100.0)
+_NEAR_2_52 = st.integers(-8, 8).map(lambda k: 2.0**52 + k)
+_COORDS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-(2.0**53), 2.0**53),
+    _NEAR_2_52,
+    _NEAR_2_52.map(float.__neg__),
+)
+
+
+@st.composite
+def device_pairs(draw):
+    """Two devices anywhere, or exactly their smaller range apart on a scaled 3-4-5 triangle."""
+    ra = draw(_RANGES)
+    rb = draw(st.one_of(st.just(ra), _RANGES))
+    x, y = draw(_COORDS), draw(_COORDS)
+    if draw(st.booleans()):
+        # integer k and integer coordinates under 2**53 keep every step exact
+        k = draw(st.integers(1, 20))
+        ra, rb = 5.0 * k, draw(st.one_of(st.just(5.0 * k), st.floats(5.0 * k, 100.0)))
+        x, y = float(int(x) // 2), float(int(y) // 2)
+        sx, sy = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+        x2, y2 = x + sx * 3 * k, y + sy * 4 * k
+        if draw(st.booleans()):
+            x2, y2 = x + sx * 4 * k, y + sy * 3 * k
+        ra, rb = draw(st.permutations([ra, rb]))
+    else:
+        x2, y2 = draw(_COORDS), draw(_COORDS)
+    a = Device(
+        address="aa:00:00:00:00:01", position=(x, y), range_m=ra, discoverable=draw(st.booleans())
+    )
+    b = Device(
+        address="aa:00:00:00:00:02", position=(x2, y2), range_m=rb, discoverable=draw(st.booleans())
+    )
+    return a, b
+
+
+@settings(max_examples=600)
+@given(device_pairs())
+@example((
+    Device(address="aa:00:00:00:00:01", position=(0.0, 0.0), range_m=5.0),
+    Device(address="aa:00:00:00:00:02", position=(3.0, 4.0), range_m=5.0),
+))
+@example((
+    Device(address="aa:00:00:00:00:01", position=(2.0**52, 2.0**52), range_m=50.0),
+    Device(address="aa:00:00:00:00:02", position=(2.0**52 + 30, 2.0**52 - 40), range_m=100.0),
+))
+@example((
+    Device(address="aa:00:00:00:00:01", position=(0.0, 0.0), range_m=100.0),
+    Device(address="aa:00:00:00:00:02", position=(30.0, 40.0), range_m=10.0),
+))
+@example((
+    Device(address="aa:00:00:00:00:01", position=(0.0, 0.0)),
+    Device(address="aa:00:00:00:00:02", position=(0.0, 0.0), discoverable=False),
+))
+def test_in_range_matches_reference(pair):
+    # on the devices and on the runner's records of them, either way round
+    a, b = pair
+    for x, y in ((a, b), (b, a), (_Node(a), _Node(b)), (_Node(b), _Node(a)), (a, _Node(b))):
+        assert in_range(x, y) is _reference_in_range(x, y)
+
+
+def _reference_fetch_snapshot(
+    slots, wellknown_records, limits=DEFAULT_LIMITS, *, window=None, change=None
+):
+    if window is not None and change is not None:
+        t_start, t_now = window
+        old_slots, t_change = change
+        if t_start < t_change < t_now and len(old_slots) >= 2:
+            fraction = (t_change - t_start) / (t_now - t_start)
+            split = 1 + int(fraction * (len(old_slots) - 1))
+            split = min(max(split, 1), len(old_slots) - 1)
+            slots = old_slots[:split] + slots[split:]
+    records = slots + list(wellknown_records)
+    return records[:limits.max_inbound_records]
+
+
+_SLOT_NAMES = st.lists(st.integers(0, 99).map("s{}".format), max_size=9)
+
+
+@st.composite
+def snapshot_inputs(draw):
+    """`fetch_snapshot` arguments: slots, well-known records, limits, a window and a change."""
+    slots = draw(_SLOT_NAMES)
+    wellknown = tuple(draw(st.lists(st.sampled_from(WELLKNOWN), max_size=12)))
+    # often below the slot count plus the well-known count, so the list is cut
+    limits = CapacityLimits(max_inbound_records=draw(st.integers(1, 25)))
+    t_start = draw(st.floats(0.0, 1e3))
+    t_now = t_start + draw(st.floats(1e-3, 10.0))
+    window = draw(st.sampled_from([None, (t_start, t_now)]))
+    # a change time before, at the bounds of, or strictly inside the window: a torn read
+    t_change = draw(st.one_of(
+        st.sampled_from([t_start - 1.0, t_start, t_now]), st.floats(t_start, t_now)
+    ))
+    change = draw(st.sampled_from([None, (draw(_SLOT_NAMES), t_change)]))
+    return slots, wellknown, limits, window, change
+
+
+@settings(max_examples=600)
+@given(snapshot_inputs(), st.integers(0, 2**32))
+@example(([f"s{i}" for i in range(7)], (WELLKNOWN[0],) * 20, DEFAULT_LIMITS, None, None), 0)
+@example(
+    (
+        ["n0", "n1", "n2"], (), CapacityLimits(max_inbound_records=2),
+        (0.0, 10.0), (["o0", "o1", "o2", "o3"], 5.0),
+    ),
+    1,
+)
+@example((["n0", "n1"], (), DEFAULT_LIMITS, None, None), 2)
+def test_fetch_snapshot_matches_reference_and_is_a_new_list(case, seed):
+    # The runner shuffles the result in place, so it must share nothing with
+    # the subject's advert: a shuffle of it leaves both slot lists as they were.
+    slots, wellknown, limits, window, change = case
+    expected = _reference_fetch_snapshot(slots, wellknown, limits, window=window, change=change)
+    before = (list(slots), None if change is None else list(change[0]))
+    records = fetch_snapshot(slots, wellknown, limits, window=window, change=change)
+    assert records == expected
+    assert type(records) is list
+    assert records is not slots
+    assert change is None or records is not change[0]
+    random.Random(seed).shuffle(records)
+    assert (list(slots), None if change is None else list(change[0])) == before
+    again = fetch_snapshot(slots, wellknown, limits, window=window, change=change)
+    assert again == expected and again is not records

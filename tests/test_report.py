@@ -819,6 +819,19 @@ _LOG_ERRORS = [
     ("{broken", 'Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
     ("\ufeff{}", 'Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)'),
     ('{"t": "\x01"}', 'Invalid control character at: line 1 column 8 (char 7)'),
+    # a line whose first character starts no JSON value, where the scanner
+    # raises StopIteration, and one whose value fails inside the scanner
+    ("x", "Expecting value: line 1 column 1 (char 0)"),
+    ("]", "Expecting value: line 1 column 1 (char 0)"),
+    ("-", "Expecting value: line 1 column 1 (char 0)"),
+    ("[", "Expecting value: line 1 column 2 (char 1)"),
+    ("[1,", "Expecting value: line 1 column 4 (char 3)"),
+    ('["a', "Unterminated string starting at: line 1 column 2 (char 1)"),
+    ("[1 2]", "Expecting ',' delimiter: line 1 column 4 (char 3)"),
+    ('"\\x"', "Invalid \\escape: line 1 column 2 (char 1)"),
+    ("[0.5] [1]", "Extra data: line 1 column 7 (char 6)"),
+    ("[0.5]]", "Extra data: line 1 column 6 (char 5)"),
+    ("\ufeff[]", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
     # lines that load, but that no run writes after `_HEADER` (A scans, 60 s,
     # 21 records): the report rejects each with its own error
     (

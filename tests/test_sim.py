@@ -118,6 +118,15 @@ def test_in_range_disc_boundary():
     far = _device(B, position=(15.0, 0.0), range_m=10.0)
     assert in_range(a, near)
     assert not in_range(a, far)
+    # exactly the smaller range apart on a scaled 3-4-5 triangle, near the
+    # origin and near 2**52, where every coordinate step is still exact
+    for k in (1, 2, 7, 20):
+        for x0 in (0.0, 2.0**52, -(2.0**52) + 2):
+            a = _device(A, position=(x0, x0), range_m=5.0 * k)
+            b = _device(B, position=(x0 + 3 * k, x0 - 4 * k), range_m=100.0)
+            assert in_range(a, b) and in_range(b, a), (k, x0)
+            shrunk = dataclasses.replace(a, range_m=5.0 * k - 1e-9)
+            assert not in_range(shrunk, b) and not in_range(b, shrunk), (k, x0)
 
 
 def test_in_range_min_of_ranges():
@@ -192,6 +201,26 @@ def test_fetch_snapshot_change_outside_window_is_clean():
     ]:
         change = (advertise(old_message, FRAMED), t_change)
         assert fetch_snapshot(slots, (), window=window, change=change) == slots, t_change
+
+
+def test_fetches_leave_every_advert_in_order():
+    # After a run, each node still advertises its latest message, and keeps
+    # the one before it, slot for slot as `advertise` built them.
+    scenarios = [scenario_gen("torn-read"), scenario_gen("crowd-20")]
+    scenarios.append(_bench_workloads().churn_400(sdpcast, random.Random(0)))
+    for sc in scenarios:
+        runner = _Runner(sc)
+        adverts = {}
+        for event in runner.execute():
+            if event.kind == "MessageChanged":
+                message, mode = bytes.fromhex(event.detail["message"]), event.detail["mode"]
+                adverts.setdefault(event.subject, []).append(advertise(message, mode, sc.limits))
+        assert adverts, sc.name
+        for address, history in adverts.items():
+            node = runner.devices[address]
+            assert node.slots == history[-1], (sc.name, address)
+            if len(history) > 1:
+                assert node.change[0] == history[-2], (sc.name, address)
 
 
 # -- run ----------------------------------------------------------------------
